@@ -51,14 +51,11 @@ from .analytic import (
 from .detector import (
     DetectorParams,
     HalfWindowParams,
-    TrialBatch,
-    TrialOutcome,
     WindowScheme,
     detect_prob,
     gain,
     multi_coincidence_prob,
     multi_single_prob,
-    run_trial,
     run_trials,
 )
 from .errors import (
@@ -146,8 +143,6 @@ __all__ = [
     "SWEEP_MODES",
     "SmallKReport",
     "THREE_WAVE_COEFFS",
-    "TrialBatch",
-    "TrialOutcome",
     "Waveform",
     "WindowScheme",
     "__version__",
@@ -179,7 +174,6 @@ __all__ = [
     "q_single",
     "qset",
     "random_discrete_model",
-    "run_trial",
     "run_trials",
     "sample_events",
     "sample_field",

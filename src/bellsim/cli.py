@@ -45,7 +45,7 @@ from .inequalities import (
     pointwise_ch_inequality_check,
     random_discrete_model,
 )
-from .montecarlo import RunConfig, compare_to_analytic
+from .montecarlo import RNG_CONTRACT, RunConfig, compare_to_analytic
 from .waveform import (
     Waveform,
     delay_statistics,
@@ -58,7 +58,7 @@ from .waveform import (
 
 __all__ = ["main", "parse_angle"]
 
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2
 _LHV_TOLERANCE = 1e-12
 
 _EXIT_OK = 0
@@ -289,6 +289,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "seed": cfg.seed,
             "phase_mode": cfg.phase_mode,
             "workers": cfg.workers,
+            "rng_contract": RNG_CONTRACT,
             "quad": {
                 "a": cfg.quad.a,
                 "b": cfg.quad.b,
@@ -319,8 +320,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "passed": report.passed,
         "monotonicity_violations": list(report.monotonicity_violations),
         "notes": [
-            "marginals reuse the pair runs; the CH standard error sums component "
-            "variances, which is conservative under the induced correlations",
+            "marginals reuse the pair runs; the CH standard error uses the exact "
+            "multinomial variance of P_A + P_B - P_AB within the (A, B) run plus "
+            "the independent variances of the other three joints",
             "closed-form references assume suppressed phases; with --phases the "
             "z-scores measure the phase cross-term effect",
         ],

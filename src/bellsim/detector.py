@@ -8,8 +8,8 @@ sensitivity parameter.  A trial is one time window of a run:
   conditionally independent detection draw per side.
 
 * ``HALVES`` -- the window is split in two; each half gets its own source
-  realization and its own pair of detection draws.  Besides the per-half
-  shot flags the trial reports two different coincidence flags:
+  realization and its own pair of detection draws.  A trial has two
+  different coincidence flags:
 
   - ``any_coincidence``: the plain Boolean union, "Alice fired somewhere and
     Bob fired somewhere".  It can never exceed either single rate.
@@ -23,6 +23,9 @@ sensitivity parameter.  A trial is one time window of a run:
     everything else, which is what makes the split-window CH combination go
     negative at large k; the union flag, by contrast, defines a bona fide
     local model and never violates the inequality.
+
+:func:`run_trials` draws a batch of trials and returns only the counts of
+these flags, never the per-trial flags.
 
 The two-half "at least one of two shots" bookkeeping also has a small closed
 algebra over abstract per-half probabilities (p, q); see
@@ -39,19 +42,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .source import FieldSample, intensities, sample_field
+from .source import intensities, sample_field
 
 __all__ = [
+    "COUNT_KEYS",
     "DetectorParams",
     "HalfWindowParams",
-    "TrialBatch",
-    "TrialOutcome",
     "WindowScheme",
     "detect_prob",
     "gain",
     "multi_coincidence_prob",
     "multi_single_prob",
-    "run_trial",
     "run_trials",
 ]
 
@@ -82,59 +83,31 @@ def detect_prob(params: DetectorParams, intensity: float | np.ndarray) -> float 
     arr = np.asarray(intensity, dtype=float)
     if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
         raise InvalidInputError("intensity must be finite and >= 0")
-    out = -np.expm1(-params.k * arr)
-    if np.isscalar(intensity) or arr.ndim == 0:
-        return float(out)
-    return out
+    if arr.ndim == 0:
+        return float(-np.expm1(-params.k * arr))
+    # In place: one n-sized allocation per call instead of three.
+    out = np.multiply(arr, -params.k)
+    np.expm1(out, out=out)
+    return np.negative(out, out=out)
 
 
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Flags of a single trial.
-
-    ``alice_shot``/``bob_shot`` hold the recorded per-half shots (second
-    entry always False in the single-window scheme).  ``any_*`` are window
-    totals; the two coincidence flavors are described in the module
-    docstring.
-    """
-
-    alice_shot: tuple[bool, bool]
-    bob_shot: tuple[bool, bool]
-    any_alice: bool
-    any_bob: bool
-    any_coincidence: bool
-    any_paired_coincidence: bool
-
-
-@dataclass(frozen=True)
-class TrialBatch:
-    """Vectorized trial flags (one boolean array entry per trial)."""
-
-    alice1: np.ndarray
-    alice2: np.ndarray
-    bob1: np.ndarray
-    bob2: np.ndarray
-    any_alice: np.ndarray
-    any_bob: np.ndarray
-    any_coincidence: np.ndarray
-    any_paired_coincidence: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.alice1.size
-
-    def counts(self) -> dict[str, int]:
-        """Event totals over the batch, keyed like the report columns."""
-        return {
-            "any_alice": int(self.any_alice.sum()),
-            "any_bob": int(self.any_bob.sum()),
-            "any_coincidence": int(self.any_coincidence.sum()),
-            "any_paired_coincidence": int(self.any_paired_coincidence.sum()),
-        }
+#: Keys of the counts returned by :func:`run_trials`.
+COUNT_KEYS = (
+    "any_alice",
+    "any_bob",
+    "any_coincidence",
+    "any_paired_coincidence",
+    "paired_and_alice",
+    "paired_and_bob",
+)
 
 
 def _bernoulli(rng: np.random.Generator, prob: np.ndarray) -> np.ndarray:
     return rng.random(prob.shape) < prob
+
+
+def _counts(*flags: np.ndarray) -> dict[str, int]:
+    return {key: int(np.count_nonzero(f)) for key, f in zip(COUNT_KEYS, flags, strict=True)}
 
 
 def run_trials(
@@ -145,9 +118,8 @@ def run_trials(
     rng: np.random.Generator,
     n: int,
     phase_mode: str = "suppressed",
-    suppress_second_shot: bool = False,
-) -> TrialBatch:
-    """Run ``n`` independent trials with a fixed draw order.
+) -> dict[str, int]:
+    """Run ``n`` independent trials with a fixed draw order; return counts.
 
     Parameters
     ----------
@@ -156,107 +128,73 @@ def run_trials(
     theta, phi:
         Alice's and Bob's analyzer angles (radians).
     rng:
-        Seeded generator; all randomness of the batch comes from it in a
-        documented, scheme-dependent order, so equal generator states give
-        bit-identical batches.
+        Seeded generator; all randomness of the batch comes from it in the
+        order below, so equal generator states give identical counts.
     n:
         Number of trials, >= 1.
     phase_mode:
-        Passed to :func:`bellsim.source.intensities`.
-    suppress_second_shot:
-        Model a dead time longer than the window: a recorded first-half shot
-        blanks the recorded second-half shot of the same detector.  Only the
-        recorded per-half flags change; window totals and both coincidence
-        flags are built from the underlying events and are bit-identical
-        with the flag on or off (the "at least one" statistics are immune to
-        dead time).
+        Passed to :func:`bellsim.source.intensities`.  Phases are drawn only
+        when it is ``"sampled"``.
+
+    Returns
+    -------
+    dict[str, int]
+        Number of trials with each event, keyed by :data:`COUNT_KEYS`:
+        Alice fired (``any_alice``), Bob fired (``any_bob``), both fired
+        (``any_coincidence``, the Boolean union), a pairing channel fired
+        (``any_paired_coincidence``), and the paired coincidence together
+        with Alice's or Bob's shot (``paired_and_alice``/``paired_and_bob``,
+        which the CH standard error needs).
 
     Notes
     -----
-    Draw order: single window samples one field batch then Alice/Bob
-    uniforms.  Halves sample half-1 field, half-2 field, four shot uniform
-    batches, then per cross channel a fresh field batch per side and its two
-    uniform batches.
+    Draw order (RNG contract 2, see
+    :data:`bellsim.montecarlo.RNG_CONTRACT`); each item is ``n`` values, and
+    the bracketed phases are drawn only with ``phase_mode="sampled"``:
+
+    * single: x, y, [chi, xi]; Alice's uniforms; Bob's uniforms.
+    * halves: the single-window draws for half 1, then the same for half 2;
+      then for channel (1,2) and after it channel (2,1): Alice's side x, y,
+      [chi], Alice's uniforms; Bob's side x, y, [xi], Bob's uniforms.
+
+    Every field draw is thus followed by the uniforms of the shots it
+    drives, which keeps few ``n``-sized arrays alive at a time.
+
+    In suppressed mode that is 4 values per trial on single and 20 on
+    halves.
     """
     if n < 1:
         raise InvalidInputError(f"n must be >= 1, got {n}")
     scheme = WindowScheme(scheme)
+    sampled = phase_mode == "sampled"
 
-    def shot_pair(sample: FieldSample) -> tuple[np.ndarray, np.ndarray]:
-        pair = intensities(sample, theta, phi, phase_mode)
-        a = _bernoulli(rng, detect_prob(params, pair.i_a))
-        b = _bernoulli(rng, detect_prob(params, pair.i_b))
-        return a, b
+    def shots(alice: float | None, bob: float | None, chi: bool, xi: bool) -> list:
+        # One fresh field draw projected onto the given sides (None: side not
+        # projected), then a uniform batch per projected side, Alice first.
+        pair = intensities(sample_field(rng, n, chi, xi), alice, bob, phase_mode)
+        return [
+            None if i is None else _bernoulli(rng, detect_prob(params, i))
+            for i in (pair.i_a, pair.i_b)
+        ]
 
     if scheme is WindowScheme.SINGLE:
-        a1, b1 = shot_pair(sample_field(rng, n))
-        false = np.zeros(n, dtype=bool)
-        coinc = a1 & b1
-        return TrialBatch(
-            alice1=a1, alice2=false, bob1=b1, bob2=false,
-            any_alice=a1, any_bob=b1,
-            any_coincidence=coinc, any_paired_coincidence=coinc,
-        )
+        a, b = shots(theta, phi, sampled, sampled)
+        coinc = a & b
+        return _counts(a, b, coinc, coinc, coinc, coinc)
 
-    s1 = sample_field(rng, n)
-    s2 = sample_field(rng, n)
-    i1 = intensities(s1, theta, phi, phase_mode)
-    i2 = intensities(s2, theta, phi, phase_mode)
-    a1 = _bernoulli(rng, detect_prob(params, i1.i_a))
-    b1 = _bernoulli(rng, detect_prob(params, i1.i_b))
-    a2 = _bernoulli(rng, detect_prob(params, i2.i_a))
-    b2 = _bernoulli(rng, detect_prob(params, i2.i_b))
-
-    # Cross-half pairing channels, each on fresh realizations: Alice's side
-    # of channel (1,2), Bob's side of channel (1,2), then channel (2,1).
-    def cross_channel() -> np.ndarray:
-        ia = intensities(sample_field(rng, n), theta, phi, phase_mode).i_a
-        ib = intensities(sample_field(rng, n), theta, phi, phase_mode).i_b
-        ca = _bernoulli(rng, detect_prob(params, ia))
-        cb = _bernoulli(rng, detect_prob(params, ib))
-        return ca & cb
-
-    c12 = cross_channel()
-    c21 = cross_channel()
-
-    any_alice = a1 | a2
-    any_bob = b1 | b2
-    union = any_alice & any_bob
-    paired = (a1 & b1) | (a2 & b2) | c12 | c21
-
-    rec_a2, rec_b2 = a2, b2
-    if suppress_second_shot:
-        rec_a2 = a2 & ~a1
-        rec_b2 = b2 & ~b1
-    return TrialBatch(
-        alice1=a1, alice2=rec_a2, bob1=b1, bob2=rec_b2,
-        any_alice=any_alice, any_bob=any_bob,
-        any_coincidence=union, any_paired_coincidence=paired,
-    )
-
-
-def run_trial(
-    params: DetectorParams,
-    scheme: WindowScheme,
-    theta: float,
-    phi: float,
-    rng: np.random.Generator,
-    phase_mode: str = "suppressed",
-    suppress_second_shot: bool = False,
-) -> TrialOutcome:
-    """Run one trial; scalar view of :func:`run_trials` (same draw order)."""
-    batch = run_trials(
-        params, scheme, theta, phi, rng, 1,
-        phase_mode=phase_mode, suppress_second_shot=suppress_second_shot,
-    )
-    return TrialOutcome(
-        alice_shot=(bool(batch.alice1[0]), bool(batch.alice2[0])),
-        bob_shot=(bool(batch.bob1[0]), bool(batch.bob2[0])),
-        any_alice=bool(batch.any_alice[0]),
-        any_bob=bool(batch.any_bob[0]),
-        any_coincidence=bool(batch.any_coincidence[0]),
-        any_paired_coincidence=bool(batch.any_paired_coincidence[0]),
-    )
+    a1, b1 = shots(theta, phi, sampled, sampled)
+    a2, b2 = shots(theta, phi, sampled, sampled)
+    paired = a1 & b1
+    paired |= a2 & b2
+    # Cross-half pairing channels (1,2) then (2,1), each on fresh
+    # realizations: one for Alice's side, one for Bob's.
+    for _ in range(2):
+        ca, _ = shots(theta, None, sampled, False)
+        _, cb = shots(None, phi, False, sampled)
+        paired |= ca & cb
+    alice = a1 | a2
+    bob = b1 | b2
+    return _counts(alice, bob, alice & bob, paired, paired & alice, paired & bob)
 
 
 @dataclass(frozen=True)

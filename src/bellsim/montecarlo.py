@@ -9,6 +9,8 @@ configuration by simulating each of the four setting pairs with
   spawn_key=(p, c)))``, a counter-based stream keyed only by the
   configuration seed and those indices, never by the worker executing it.
 * Chunk counts are integers and summing them is order-independent.
+* Within a chunk the draw order is the one documented in
+  :func:`bellsim.detector.run_trials`, versioned as :data:`RNG_CONTRACT`.
 
 Together these make the estimates bit-identical for a fixed seed whatever
 ``workers`` is, which is verified in the test suite at 1/2/8 workers.
@@ -16,9 +18,11 @@ Together these make the estimates bit-identical for a fixed seed whatever
 Marginal estimates reuse the pair runs instead of extra dedicated runs: P_A
 and P_B come from the (A, B) run, the primed marginals from the (A', B')
 run.  Within one run the marginal and joint estimates share trials and are
-therefore correlated; the CH standard error below simply sums all component
-variances, which is conservative under that correlation structure and keeps
-the error bar honest.
+therefore correlated, so the CH standard error takes the exact multinomial
+variance of P_A + P_B - P_AB over the (A, B) run's trials and adds the
+independent binomial variances of the other three joints (the four pair
+runs use disjoint streams).  Both variances are plug-in estimates from the
+observed counts.
 """
 
 from __future__ import annotations
@@ -31,13 +35,14 @@ from typing import Iterable
 import numpy as np
 
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
-from .detector import DetectorParams, WindowScheme, run_trials
+from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
 from .errors import InvalidInputError
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable
 from .source import PHASE_MODES
 
 __all__ = [
     "CHUNK_TRIALS",
+    "RNG_CONTRACT",
     "ComparisonReport",
     "ComparisonRow",
     "EstimateWithCI",
@@ -50,6 +55,11 @@ __all__ = [
 #: Trials per RNG chunk; fixed so the chunk grid (hence every random number)
 #: does not depend on the worker count.
 CHUNK_TRIALS = 1 << 16
+
+#: Version of the documented draw order (the chunk seeding above plus the
+#: order in :func:`bellsim.detector.run_trials`).  Seeded results change
+#: between versions only when this number changes.
+RNG_CONTRACT = 2
 
 _Z_LIMIT = 5.0
 
@@ -69,16 +79,18 @@ class RunConfig:
     def __post_init__(self) -> None:
         DetectorParams(self.k)  # validates k
         object.__setattr__(self, "scheme", WindowScheme(self.scheme))
-        if self.n_trials < 1:
-            raise InvalidInputError(f"n_trials must be >= 1, got {self.n_trials}")
-        if self.workers < 1:
-            raise InvalidInputError(f"workers must be >= 1, got {self.workers}")
+        for name, minimum in (("n_trials", 1), ("workers", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if (
+                isinstance(value, bool)
+                or not isinstance(value, (int, np.integer))
+                or value < minimum
+            ):
+                raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
         if self.phase_mode not in PHASE_MODES:
             raise InvalidInputError(
                 f"phase_mode must be one of {PHASE_MODES}, got {self.phase_mode!r}"
             )
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise InvalidInputError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -176,19 +188,18 @@ def _run_chunk(cfg: RunConfig, pair_idx: int, chunk_idx: int, size: int) -> dict
     ss = np.random.SeedSequence(cfg.seed, spawn_key=(pair_idx, chunk_idx))
     rng = np.random.Generator(np.random.Philox(ss))
     theta, phi = _pair_angles(cfg.quad)[pair_idx]
-    batch = run_trials(
+    return run_trials(
         DetectorParams(cfg.k), cfg.scheme, theta, phi, rng, size,
         phase_mode=cfg.phase_mode,
     )
-    return batch.counts()
 
 
 def estimate_table(cfg: RunConfig) -> EstimatedTable:
     """Estimate the CH probability table for one configuration.
 
     Runs ``cfg.n_trials`` trials for each of the four setting pairs and
-    assembles marginals, joints, the CH breakdown and its (conservative)
-    standard error.  Bit-identical for fixed (cfg minus workers).
+    assembles marginals, joints, the CH breakdown and its standard error
+    (see the module docstring).  Bit-identical for fixed (cfg minus workers).
     """
     sizes = _chunk_sizes(cfg.n_trials)
     tasks = [
@@ -201,10 +212,7 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
         pair_idx, chunk_idx, size = task
         return pair_idx, _run_chunk(cfg, pair_idx, chunk_idx, size)
 
-    totals: list[dict[str, int]] = [
-        {"any_alice": 0, "any_bob": 0, "any_coincidence": 0, "any_paired_coincidence": 0}
-        for _ in range(4)
-    ]
+    totals: list[dict[str, int]] = [dict.fromkeys(COUNT_KEYS, 0) for _ in range(4)]
     if cfg.workers == 1:
         results: Iterable[tuple[int, dict[str, int]]] = map(run, tasks)
         for pair_idx, counts in results:
@@ -235,7 +243,7 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
         p_a_prime=est(totals[3]["any_alice"]),
         p_b_prime=est(totals[3]["any_bob"]),
         ch=_ch_from_joint_estimates(joints, totals, n),
-        ch_std_error=_ch_std_error(joints, totals, n),
+        ch_std_error=_ch_std_error(totals, n),
         union_joints={
             name: est(totals[i]["any_coincidence"]) for i, name in enumerate(_PAIRS)
         }
@@ -263,15 +271,24 @@ def _ch_from_joint_estimates(
     return CHBreakdown(p_s=p_s, p_c=p_c, ch=p_s - p_c)
 
 
-def _ch_std_error(
-    joints: dict[str, EstimateWithCI], totals: list[dict[str, int]], n: int
-) -> float:
-    components = [
-        EstimateWithCI.from_count(totals[0]["any_alice"], n),
-        EstimateWithCI.from_count(totals[0]["any_bob"], n),
-        *joints.values(),
-    ]
-    return math.sqrt(sum(c.std_error**2 for c in components))
+def _ch_std_error(totals: list[dict[str, int]], n: int) -> float:
+    """Standard error of CH = (P_A + P_B - P_AB) - P_AB' - P_A'B + P_A'B'.
+
+    Per (A, B) trial z = a + b - c with indicators a, b (Alice, Bob fired)
+    and c (paired coincidence), so z^2 = a + b + c + 2ab - 2ac - 2bc.  The
+    variance of the mean of z is (n*sum(z^2) - sum(z)^2) / n^3, kept in
+    exact integers so it is never negative; a binomial count m adds
+    (n*m - m^2) / n^3.
+    """
+    t = totals[0]
+    a, b, c = t["any_alice"], t["any_bob"], t["any_paired_coincidence"]
+    sum_z = a + b - c
+    sum_z2 = a + b + c + 2 * (t["any_coincidence"] - t["paired_and_alice"] - t["paired_and_bob"])
+    scaled = n * sum_z2 - sum_z**2
+    for other in totals[1:]:
+        m = other["any_paired_coincidence"]
+        scaled += n * m - m * m
+    return math.sqrt(scaled / n**3)
 
 
 @dataclass(frozen=True)

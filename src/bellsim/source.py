@@ -41,14 +41,14 @@ class FieldSample:
     """One (or a batch of) source realizations.
 
     ``x``/``y`` are the squared mode amplitudes, exponential with unit mean;
-    ``chi``/``xi`` are the relative phases seen by the two observers.  Fields
-    are scalars or equal-shape arrays.
+    ``chi``/``xi`` are the relative phases seen by the two observers, or
+    None when they were not drawn.  Fields are scalars or equal-shape arrays.
     """
 
     x: float | np.ndarray
     y: float | np.ndarray
-    chi: float | np.ndarray
-    xi: float | np.ndarray
+    chi: float | np.ndarray | None = None
+    xi: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
         for name in ("x", "y"):
@@ -58,7 +58,10 @@ class FieldSample:
 
 
 def sample_field(
-    rng: np.random.Generator, size: int | None = None
+    rng: np.random.Generator,
+    size: int | None = None,
+    chi: bool = True,
+    xi: bool = True,
 ) -> FieldSample:
     """Draw source realizations from a seeded generator.
 
@@ -68,13 +71,17 @@ def sample_field(
         numpy Generator; the only source of randomness.
     size:
         None for a scalar sample, otherwise the batch length.
+    chi, xi:
+        Whether to draw Alice's and Bob's relative phase; a phase that is
+        not drawn is None in the sample and consumes no random numbers.
 
     Returns
     -------
     FieldSample
         ``x``/``y`` independent Exponential(mean=1), ``chi``/``xi``
-        independent Uniform[0, 2*pi).  Draw order is fixed (x, y, chi, xi)
-        so a given generator state always yields the same sample.
+        independent Uniform[0, 2*pi).  Draw order is fixed (x, y, then chi
+        and xi if requested) so a given generator state always yields the
+        same sample.
 
     Raises
     ------
@@ -83,27 +90,46 @@ def sample_field(
     """
     if size is not None and (not isinstance(size, (int, np.integer)) or size < 1):
         raise InvalidInputError(f"size must be None or a positive integer, got {size!r}")
-    x = rng.exponential(1.0, size=size)
-    y = rng.exponential(1.0, size=size)
-    chi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    xi = rng.uniform(0.0, 2.0 * np.pi, size=size)
-    if size is None:
-        return FieldSample(x=float(x), y=float(y), chi=float(chi), xi=float(xi))
-    return FieldSample(x=x, y=y, chi=chi, xi=xi)
+    # With size=None every draw is already a Python float.
+    x = rng.standard_exponential(size)
+    y = rng.standard_exponential(size)
+    return FieldSample(
+        x=x,
+        y=y,
+        chi=rng.uniform(0.0, 2.0 * np.pi, size=size) if chi else None,
+        xi=rng.uniform(0.0, 2.0 * np.pi, size=size) if xi else None,
+    )
 
 
 @dataclass(frozen=True)
 class IntensityPair:
-    """Cycle-averaged intensities at the two analyzers."""
+    """Cycle-averaged intensities at the two analyzers (None: not projected)."""
 
-    i_a: float | np.ndarray
-    i_b: float | np.ndarray
+    i_a: float | np.ndarray | None
+    i_b: float | np.ndarray | None
+
+
+def _project(
+    sample: FieldSample, angle: float, phase: float | np.ndarray | None, phase_mode: str
+) -> float | np.ndarray:
+    c, s = np.cos(angle), np.sin(angle)
+    if phase_mode == "suppressed":
+        i = sample.x * c**2
+        i += sample.y * s**2
+        return i
+    # |sqrt(x) cos + sqrt(y) e^{i phase} sin|^2 expanded as a sum of two
+    # squares: algebraically equal to the cos^2/sin^2 form plus the
+    # 2 sqrt(xy) cos(phase) cross term, but nonnegative even under
+    # floating-point rounding (the expanded form can cancel to a tiny
+    # negative when the two amplitudes nearly interfere away).
+    rx, ry = np.sqrt(sample.x), np.sqrt(sample.y)
+    return (rx * c + ry * s * np.cos(phase)) ** 2 + (ry * s * np.sin(phase)) ** 2
 
 
 def intensities(
     sample: FieldSample,
-    theta: float,
-    phi: float,
+    theta: float | None,
+    phi: float | None,
     phase_mode: str = "suppressed",
 ) -> IntensityPair:
     """Project a source sample onto analyzer angles theta (Alice), phi (Bob).
@@ -113,22 +139,24 @@ def intensities(
     sample:
         Realization(s) from :func:`sample_field`.
     theta, phi:
-        Analyzer angles in radians.
+        Analyzer angles in radians; None skips that side, whose intensity
+        is then None.
     phase_mode:
         ``"suppressed"`` drops the interference cross terms (the phase
         average used by the closed forms); ``"sampled"`` keeps them with the
-        sampled ``chi``/``xi``.
+        sampled ``chi`` (Alice) / ``xi`` (Bob).
 
     Returns
     -------
     IntensityPair
-        Non-negative intensities; both equal x*cos^2 + y*sin^2 of their own
+        Non-negative intensities; each equals x*cos^2 + y*sin^2 of its own
         angle, plus 2*sqrt(x*y)*cos(phase)*cos*sin when sampled.
 
     Raises
     ------
     InvalidInputError
-        Unknown ``phase_mode``, or a non-finite angle.
+        Unknown ``phase_mode``, a non-finite angle, or ``"sampled"`` on a
+        side whose phase was not drawn.
     NumericalInconsistencyError
         If any computed intensity is negative.  The sampled form is a
         squared modulus, so this is impossible for correct inputs and
@@ -138,26 +166,22 @@ def intensities(
         raise InvalidInputError(
             f"phase_mode must be one of {PHASE_MODES}, got {phase_mode!r}"
         )
-    if not (np.isfinite(theta) and np.isfinite(phi)):
+    if not all(angle is None or np.isfinite(angle) for angle in (theta, phi)):
         raise InvalidInputError(
             f"analyzer angles must be finite, got theta={theta!r}, phi={phi!r}"
         )
-    ct, st = np.cos(theta), np.sin(theta)
-    cp, sp = np.cos(phi), np.sin(phi)
-    if phase_mode == "sampled":
-        # |sqrt(x) cos + sqrt(y) e^{i phase} sin|^2 expanded as a sum of two
-        # squares: algebraically equal to the cos^2/sin^2 form plus the
-        # 2 sqrt(xy) cos(phase) cross term, but nonnegative even under
-        # floating-point rounding (the expanded form can cancel to a tiny
-        # negative when the two amplitudes nearly interfere away).
-        rx, ry = np.sqrt(sample.x), np.sqrt(sample.y)
-        i_a = (rx * ct + ry * st * np.cos(sample.chi)) ** 2 + (ry * st * np.sin(sample.chi)) ** 2
-        i_b = (rx * cp + ry * sp * np.cos(sample.xi)) ** 2 + (ry * sp * np.sin(sample.xi)) ** 2
-    else:
-        i_a = sample.x * ct**2 + sample.y * st**2
-        i_b = sample.x * cp**2 + sample.y * sp**2
-    if np.any(np.asarray(i_a) < 0.0) or np.any(np.asarray(i_b) < 0.0):
-        raise NumericalInconsistencyError(
-            "negative intensity: squared-modulus algebra was violated"
-        )
-    return IntensityPair(i_a=i_a, i_b=i_b)
+    out = []
+    for angle, phase_name in ((theta, "chi"), (phi, "xi")):
+        if angle is None:
+            out.append(None)
+            continue
+        phase = getattr(sample, phase_name)
+        if phase_mode == "sampled" and phase is None:
+            raise InvalidInputError(f"sampled phase_mode needs {phase_name}, which was not drawn")
+        i = _project(sample, angle, phase, phase_mode)
+        if np.any(np.asarray(i) < 0.0):
+            raise NumericalInconsistencyError(
+                "negative intensity: squared-modulus algebra was violated"
+            )
+        out.append(i)
+    return IntensityPair(i_a=out[0], i_b=out[1])

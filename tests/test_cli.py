@@ -7,6 +7,7 @@ import math
 import pytest
 
 from bellsim.cli import main, parse_angle
+from bellsim.montecarlo import RNG_CONTRACT
 
 
 def run(capsys, *argv):
@@ -139,7 +140,8 @@ class TestSimulate:
                      "--out", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == 1
+        assert payload["schema_version"] == 2
+        assert payload["config"]["rng_contract"] == RNG_CONTRACT
         assert payload["passed"] is True
         assert payload["config"]["scheme"] == "single"
         assert len(payload["rows"]) == 8

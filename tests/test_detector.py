@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim.detector import (
+    COUNT_KEYS,
     DetectorParams,
     HalfWindowParams,
-    TrialBatch,
     WindowScheme,
     detect_prob,
     gain,
@@ -79,31 +79,31 @@ class TestDetectProb:
 
 class TestRunTrialsSingle:
     def test_counts_keys(self):
-        batch = run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
-                           make_rng(0), 100)
-        counts = batch.counts()
-        assert set(counts) == {
+        counts = run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
+                            make_rng(0), 100)
+        assert tuple(counts) == COUNT_KEYS == (
             "any_alice", "any_bob", "any_coincidence", "any_paired_coincidence",
-        }
+            "paired_and_alice", "paired_and_bob",
+        )
 
     def test_single_union_equals_paired(self):
         """With one window per trial there is only one pairing, so the union
         and paired coincidence counts coincide."""
-        batch = run_trials(DetectorParams(k=2.0), WindowScheme.SINGLE, A, B,
-                           make_rng(3), 20_000)
-        counts = batch.counts()
+        counts = run_trials(DetectorParams(k=2.0), WindowScheme.SINGLE, A, B,
+                            make_rng(3), 20_000)
         assert counts["any_coincidence"] == counts["any_paired_coincidence"]
+        assert counts["paired_and_alice"] == counts["paired_and_bob"] == counts["any_coincidence"]
 
     def test_deterministic_under_seed(self):
         c1 = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
-                        make_rng(11), 5000).counts()
+                        make_rng(11), 5000)
         c2 = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
-                        make_rng(11), 5000).counts()
+                        make_rng(11), 5000)
         assert c1 == c2
 
     def test_tiny_k_detects_nothing(self):
         counts = run_trials(DetectorParams(k=1e-6), WindowScheme.SINGLE, A, B,
-                            make_rng(1), 100_000).counts()
+                            make_rng(1), 100_000)
         assert counts["any_alice"] <= 2
         assert counts["any_coincidence"] == 0
 
@@ -112,7 +112,7 @@ class TestRunTrialsSingle:
         # Q = 1/(1+4+16*(3/4)*(1/4)) = 1/8, P = 7/8.
         n = 200_000
         counts = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
-                            make_rng(21), n).counts()
+                            make_rng(21), n)
         p_hat = counts["any_alice"] / n
         se = math.sqrt(0.875 * 0.125 / n)
         assert abs(p_hat - 0.875) <= 5 * se
@@ -121,30 +121,27 @@ class TestRunTrialsSingle:
 class TestRunTrialsHalves:
     def test_union_never_exceeds_marginals(self):
         counts = run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B,
-                            make_rng(2), 50_000).counts()
+                            make_rng(2), 50_000)
         assert counts["any_coincidence"] <= counts["any_alice"]
         assert counts["any_coincidence"] <= counts["any_bob"]
         assert counts["any_coincidence"] <= counts["any_paired_coincidence"]
 
-    def test_dead_time_flag_does_not_change_counts(self):
-        """Suppressing the second half-window shot after a first-half click
-        must not change any union-based count: a trial already counted by
-        its first click stays counted."""
-        kwargs = dict(theta=A, phi=B, n=30_000)
-        base = run_trials(DetectorParams(k=4.0), WindowScheme.HALVES,
-                          rng=make_rng(9), **kwargs).counts()
-        dead = run_trials(DetectorParams(k=4.0), WindowScheme.HALVES,
-                          rng=make_rng(9), suppress_second_shot=True, **kwargs).counts()
-        assert base["any_alice"] == dead["any_alice"]
-        assert base["any_bob"] == dead["any_bob"]
-        assert base["any_coincidence"] == dead["any_coincidence"]
+    def test_dead_time_blanking_leaves_union_unchanged(self):
+        """A dead time that blanks a detector's second-half shot after a
+        first-half shot records a1 | (a2 & ~a1), which is a1 | a2: every
+        "at least one shot" count, and so the union coincidence, is immune
+        to it."""
+        rng = np.random.default_rng(9)
+        for p in (0.1, 0.5, 0.9):
+            a1, a2 = rng.random((2, 10_000)) < p
+            assert np.array_equal(a1 | (a2 & ~a1), a1 | a2)
 
     def test_strong_response_rates_match_closed_forms(self):
         """k = 4 halves scheme versus the closed forms:
         P_A = 0.984375, paired coincidence 0.9975775..., union 0.970350...."""
         n = 1_000_000
         counts = run_trials(DetectorParams(k=4.0), WindowScheme.HALVES, A, B,
-                            make_rng(42), n).counts()
+                            make_rng(42), n)
 
         def check(label, expected):
             p_hat = counts[label] / n
@@ -161,17 +158,55 @@ class TestRunTrialsHalves:
                        make_rng(0), 10, phase_mode="bogus")
 
 
-class TestTrialBatch:
+class TestTrialCounts:
     def test_counts_are_ints(self):
-        batch = run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
-                           make_rng(5), 1000)
-        for v in batch.counts().values():
-            assert isinstance(v, int)
+        for scheme in WindowScheme:
+            counts = run_trials(DetectorParams(k=1.0), scheme, A, B, make_rng(5), 1000)
+            for v in counts.values():
+                assert type(v) is int
 
-    def test_n_recorded(self):
-        batch = run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B,
-                           make_rng(5), 1234)
-        assert batch.n == 1234
+    def test_counts_bounded_by_n(self):
+        n = 1234
+        for phase_mode in ("suppressed", "sampled"):
+            c = run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B,
+                           make_rng(5), n, phase_mode=phase_mode)
+            assert all(0 <= v <= n for v in c.values())
+            assert c["paired_and_alice"] <= min(c["any_paired_coincidence"], c["any_alice"])
+            assert c["paired_and_bob"] <= min(c["any_paired_coincidence"], c["any_bob"])
+            assert c["any_coincidence"] <= min(c["any_alice"], c["any_bob"])
+
+
+class TestDrawOrder:
+    """run_trials consumes exactly the documented draws (RNG contract 2):
+    replaying them by hand leaves the generator in the same state, so the
+    next draws agree."""
+
+    @staticmethod
+    def replay(rng, n, scheme, sampled):
+        def field(phases):
+            rng.standard_exponential(n)
+            rng.standard_exponential(n)
+            for _ in range(phases if sampled else 0):
+                rng.uniform(0.0, 2.0 * np.pi, size=n)
+
+        field(2)
+        rng.random(n), rng.random(n)
+        if scheme is WindowScheme.SINGLE:
+            return
+        field(2)
+        rng.random(n), rng.random(n)
+        for _ in range(4):  # both sides of both cross channels
+            field(1)
+            rng.random(n)
+
+    @pytest.mark.parametrize("scheme", list(WindowScheme))
+    @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
+    def test_generator_state_matches_documented_order(self, scheme, phase_mode):
+        n = 777
+        used, replayed = make_rng(13), make_rng(13)
+        run_trials(DetectorParams(k=2.0), scheme, A, B, used, n, phase_mode=phase_mode)
+        self.replay(replayed, n, scheme, phase_mode == "sampled")
+        assert np.array_equal(used.random(16), replayed.random(16))
 
 
 class TestHalfWindowAlgebra:

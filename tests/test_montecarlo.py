@@ -2,16 +2,21 @@
 with the closed forms."""
 
 import math
+import statistics
 
+import numpy as np
 import pytest
 
 from bellsim.detector import WindowScheme
 from bellsim.errors import InvalidInputError
 from bellsim.montecarlo import (
     CHUNK_TRIALS,
+    RNG_CONTRACT,
     ComparisonReport,
     EstimateWithCI,
     RunConfig,
+    _ch_std_error,
+    _run_chunk,
     compare_to_analytic,
     estimate_table,
 )
@@ -54,6 +59,17 @@ class TestRunConfig:
             RunConfig(k=1.0, seed=-1)
         with pytest.raises(ValueError):
             RunConfig(k=1.0, scheme="diagonal")
+
+    @pytest.mark.parametrize("name", ["seed", "n_trials", "workers"])
+    def test_rejects_bools_and_non_integers(self, name):
+        """bool is an int subclass, so True would otherwise pass as 1."""
+        for bad in (True, False, 2.0, "3"):
+            with pytest.raises(InvalidInputError, match=name):
+                RunConfig(k=1.0, **{name: bad})
+
+    def test_accepts_numpy_integers(self):
+        cfg = RunConfig(k=1.0, seed=np.int64(3), n_trials=np.int32(10), workers=np.uint8(2))
+        assert (cfg.seed, cfg.n_trials, cfg.workers) == (3, 10, 2)
 
 
 class TestEstimateWithCI:
@@ -127,6 +143,57 @@ class TestEstimateTable:
         assert table.conditional_b_given_a == pytest.approx(expected, abs=0.005)
         assert 0.0 <= table.conditional_b_given_a <= 1.0
 
+    def test_single_window_std_error_formula(self):
+        """On the single window the paired coincidence is a & b, so
+        P_A + P_B - P_AB is the frequency of a | b: its variance is binomial,
+        and the other three joints add their binomial variances."""
+        n = 5000
+        t = estimate_table(RunConfig(k=2.0, seed=8, n_trials=n))
+        either = (t.p_a.count + t.p_b.count - t.p_ab.count) / n
+        var = either * (1 - either) / n + sum(
+            e.std_error**2 for e in (t.p_ab_prime, t.p_a_prime_b, t.p_a_prime_b_prime)
+        )
+        assert t.ch_std_error == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    def test_ch_std_error_is_exact_multinomial(self):
+        """The SE from counts equals the directly computed variance of the
+        per-trial CH contribution a + b - c of the (A, B) run plus the
+        binomial variances of the other three joints, for correlated
+        indicators of any kind."""
+        rng = np.random.default_rng(4)
+        n = 999
+        shared = rng.random(n)
+        a = shared < 0.6
+        b = (shared + 0.3 * rng.random(n)) < 0.7
+        c = (a & (rng.random(n) < 0.8)) | (rng.random(n) < 0.1)
+        others = [rng.random(n) < p for p in (0.2, 0.5, 0.9)]
+        totals = [{
+            "any_alice": a.sum(), "any_bob": b.sum(), "any_coincidence": (a & b).sum(),
+            "any_paired_coincidence": c.sum(), "paired_and_alice": (c & a).sum(),
+            "paired_and_bob": (c & b).sum(),
+        }] + [{"any_paired_coincidence": o.sum()} for o in others]
+        totals = [{key: int(v) for key, v in t.items()} for t in totals]
+        z = a.astype(int) + b.astype(int) - c.astype(int)
+        var = z.var() / n + sum(o.var() / n for o in others)
+        assert _ch_std_error(totals, n) == pytest.approx(math.sqrt(var), rel=1e-12)
+
+    @pytest.mark.parametrize("scheme", ["single", "halves"])
+    def test_ch_std_error_matches_spread(self, scheme):
+        """Over seeds, the spread of CH matches the reported standard error
+        (its root mean square, since at large k many runs report a near-zero
+        plug-in SE).  Summing the component variances instead ignores the
+        correlation of P_A, P_B and P_AB within the (A, B) run and gives a
+        ratio of about 0.81 on the single window at k = 4."""
+        reps, n = 400, 500
+        for k in (0.1, 4.0, 20.0):
+            tables = [
+                estimate_table(RunConfig(k=k, scheme=scheme, seed=seed, n_trials=n))
+                for seed in range(reps)
+            ]
+            sd = statistics.stdev(t.ch.ch for t in tables)
+            se = math.sqrt(statistics.fmean(t.ch_std_error**2 for t in tables))
+            assert sd / se == pytest.approx(1.0, abs=0.1), (scheme, k, sd, se)
+
     def test_to_probability_table_round_trip(self):
         table = estimate_table(RunConfig(k=1.0, seed=3, n_trials=5000))
         pt = table.to_probability_table()
@@ -181,3 +248,31 @@ class TestCompareToAnalytic:
             z_limit=1e-6,
         )
         assert not strict.passed
+
+
+class TestRngContract:
+    """Counts of chunk 2 of setting pair 1 (A, B'), 1000 trials, seed 2024,
+    pinned per RNG contract.  A change to the draw order fails here and
+    needs a new :data:`RNG_CONTRACT` with new pins."""
+
+    PINNED = {
+        2: {
+            "single": (1.0, {
+                "any_alice": 541, "any_bob": 532, "any_coincidence": 303,
+                "any_paired_coincidence": 303, "paired_and_alice": 303,
+                "paired_and_bob": 303,
+            }),
+            "halves": (4.0, {
+                "any_alice": 988, "any_bob": 962, "any_coincidence": 951,
+                "any_paired_coincidence": 997, "paired_and_alice": 985,
+                "paired_and_bob": 961,
+            }),
+        },
+    }
+
+    @pytest.mark.parametrize("scheme", ["single", "halves"])
+    def test_pinned_chunk_counts(self, scheme):
+        assert RNG_CONTRACT in self.PINNED, "new RNG contract: pin its counts"
+        k, expected = self.PINNED[RNG_CONTRACT][scheme]
+        cfg = RunConfig(k=k, scheme=scheme, seed=2024)
+        assert _run_chunk(cfg, 1, 2, 1000) == expected

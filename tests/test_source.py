@@ -45,6 +45,20 @@ class TestSampleField:
         with pytest.raises(InvalidInputError):
             sample_field(make_rng(0), -3)
 
+    def test_phases_drawn_only_on_request(self):
+        """Undrawn phases are None and consume no random numbers: x and y
+        are the same, and a requested phase is the next draw."""
+        full = sample_field(make_rng(5), 300)
+        bare = sample_field(make_rng(5), 300, chi=False, xi=False)
+        bob = sample_field(make_rng(5), 300, chi=False)
+        assert bare.chi is None and bare.xi is None and bob.chi is None
+        assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
+        assert np.array_equal(bob.xi, full.chi)
+
+    def test_scalar_sample(self):
+        s = sample_field(make_rng(1), xi=False)
+        assert isinstance(s.x, float) and isinstance(s.chi, float) and s.xi is None
+
 
 class TestIntensities:
     def test_suppressed_closed_form(self):
@@ -130,6 +144,23 @@ class TestIntensities:
         s = sample_field(make_rng(0), 10)
         with pytest.raises(InvalidInputError, match="phase_mode"):
             intensities(s, 0.0, 0.0, phase_mode="exotic")
+
+    @pytest.mark.parametrize("mode", ["suppressed", "sampled"])
+    def test_one_sided_projection(self, mode):
+        s = sample_field(make_rng(6), 500)
+        both = intensities(s, 0.4, 1.2, phase_mode=mode)
+        alice = intensities(s, 0.4, None, phase_mode=mode)
+        bob = intensities(s, None, 1.2, phase_mode=mode)
+        assert alice.i_b is None and bob.i_a is None
+        assert np.array_equal(alice.i_a, both.i_a)
+        assert np.array_equal(bob.i_b, both.i_b)
+
+    def test_sampled_needs_the_side_phase(self):
+        s = sample_field(make_rng(0), 10, chi=True, xi=False)
+        intensities(s, 0.3, None, phase_mode="sampled")
+        intensities(s, 0.3, 0.5, phase_mode="suppressed")
+        with pytest.raises(InvalidInputError, match="xi"):
+            intensities(s, 0.3, 0.5, phase_mode="sampled")
 
     def test_non_finite_angles_rejected(self):
         s = sample_field(make_rng(0), 10)
