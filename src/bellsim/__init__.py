@@ -71,6 +71,7 @@ from .inequalities import (
     CorrelatorSet,
     DiscreteLHVModel,
     ProbabilityTable,
+    batched_ch,
     ch_to_chsh,
     ch_value,
     chsh_value,
@@ -146,6 +147,7 @@ __all__ = [
     "Waveform",
     "WindowScheme",
     "__version__",
+    "batched_ch",
     "ch_curve_value",
     "ch_multiwindow",
     "ch_multiwindow_two_term",

@@ -77,11 +77,20 @@ def _check_k(k: float) -> float:
     return float(k)
 
 
+# Above this k, k*k can overflow to inf (from ~1.3e154 on) and inf * 0 gives
+# NaN at an on-axis angle, so the denominators are evaluated in the factored
+# form 1 + k*(c + k*x).  Below it the expanded form is kept, because its
+# rounding is what the sweep CSVs hold.
+_FACTORED_K = 1e150
+
+
 def q_single(k: float, theta: float) -> float:
     """No-detection probability of one detector at analyzer angle theta."""
     k = _check_k(k)
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
+    if k > _FACTORED_K:
+        return 1.0 / (1.0 + k * (1.0 + k * c2 * s2))
     return 1.0 / (1.0 + k + k * k * c2 * s2)
 
 
@@ -95,6 +104,8 @@ def q_joint(k: float, theta: float, phi: float) -> float:
     k = _check_k(k)
     c2t, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2
     c2p, s2p = math.cos(phi) ** 2, math.sin(phi) ** 2
+    if k > _FACTORED_K:
+        return 1.0 / (1.0 + k * (2.0 + k * (c2t + c2p) * (s2t + s2p)))
     return 1.0 / (1.0 + 2.0 * k + k * k * (c2t + c2p) * (s2t + s2p))
 
 

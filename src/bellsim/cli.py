@@ -40,6 +40,7 @@ from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
     DiscreteLHVModel,
+    batched_ch,
     ch_value,
     eval_discrete_lhv,
     pointwise_ch_inequality_check,
@@ -60,6 +61,12 @@ __all__ = ["main", "parse_angle"]
 
 _SCHEMA_VERSION = 2
 _LHV_TOLERANCE = 1e-12
+# lhv-check screens this many models per batched_ch call: large enough to
+# amortize the per-call overhead, small enough that a block stays ~1 MB.
+_LHV_BLOCK = 256
+# Models screened within this of a block's lowest CH are re-evaluated
+# exactly; it is far above the screen's float error (~1e-15).
+_LHV_SCREEN_MARGIN = 1e-9
 
 _EXIT_OK = 0
 _EXIT_CONFIG = 1
@@ -451,6 +458,8 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 def cmd_lhv_check(args: argparse.Namespace) -> int:
     if args.models < 1:
         raise _ConfigError(f"--models must be >= 1, got {args.models}")
+    if args.max_states < 1:
+        raise _ConfigError(f"--max-states must be >= 1, got {args.max_states}")
     if args.adversarial:
         # Negative control: a response outside [0, 1] must be rejected at
         # model construction, surfacing as a config error (exit 1).
@@ -463,12 +472,24 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
     min_ch = math.inf
     min_info = ""
-    for index in range(args.models):
-        model = random_discrete_model(rng, max_states=args.max_states)
-        ch = ch_value(eval_discrete_lhv(model)).ch
-        if ch < min_ch:
-            min_ch = ch
-            min_info = f"model {index}, n_states={model.n_states}"
+    for start in range(0, args.models, _LHV_BLOCK):
+        models = [
+            random_discrete_model(rng, max_states=args.max_states)
+            for _ in range(min(_LHV_BLOCK, args.models - start))
+        ]
+        screened = batched_ch(models)
+        floor = float(screened.min())
+        if floor > min_ch + _LHV_SCREEN_MARGIN:
+            continue
+        # The screen is within ~1e-15 of the exact value, so every model that
+        # can hold or tie the minimum lies within the margin of the floor.
+        # Re-evaluating those exactly, in index order, reports the same value
+        # and index as evaluating every model exactly.
+        for j in np.flatnonzero(screened <= floor + _LHV_SCREEN_MARGIN):
+            ch = ch_value(eval_discrete_lhv(models[j])).ch
+            if ch < min_ch:
+                min_ch = ch
+                min_info = f"model {start + j}, n_states={models[j].n_states}"
     pointwise = pointwise_ch_inequality_check()
     passed = min_ch >= -_LHV_TOLERANCE and pointwise.all_nonnegative
     lines = [

@@ -9,7 +9,8 @@ two analyzer settings per side, A/A' and B/B'.  The CH combination
 is non-negative for every local hidden-variable model in which the hidden
 state fixes, for each side separately, the probability of a detection given
 that side's setting.  :func:`eval_discrete_lhv` evaluates such a model with a
-finite hidden-state set exactly, and :func:`pointwise_ch_inequality_check`
+finite hidden-state set exactly, :func:`batched_ch` screens many such models
+in one array call, and :func:`pointwise_ch_inequality_check`
 verifies the underlying scalar inequality on all sixteen 0/1 assignments.
 
 The CHSH form is obtained from the same table through the change of variables
@@ -37,6 +38,7 @@ __all__ = [
     "PointwiseCase",
     "PointwiseReport",
     "ProbabilityTable",
+    "batched_ch",
     "ch_to_chsh",
     "ch_value",
     "chsh_value",
@@ -260,15 +262,21 @@ class DiscreteLHVModel:
             raise ModelInvalidError("response rows must match the number of hidden states")
         if ra.shape[1] == 0 or rb.shape[1] == 0:
             raise ModelInvalidError("each side needs at least one setting column")
-        if not (np.all(np.isfinite(w)) and np.all(np.isfinite(ra)) and np.all(np.isfinite(rb))):
+        # min/max propagate NaN and see +-inf, so the six extremes decide
+        # both finiteness and range.
+        w_lo, w_hi = float(w.min()), float(w.max())
+        ra_lo, ra_hi = float(ra.min()), float(ra.max())
+        rb_lo, rb_hi = float(rb.min()), float(rb.max())
+        if not all(map(math.isfinite, (w_lo, w_hi, ra_lo, ra_hi, rb_lo, rb_hi))):
             raise ModelInvalidError("model arrays must be finite")
-        if np.any(w < 0.0):
+        if w_lo < 0.0:
             raise ModelInvalidError("weights must be non-negative")
-        if abs(float(w.sum()) - 1.0) > _WEIGHT_TOL:
+        total = float(w.sum())
+        if abs(total - 1.0) > _WEIGHT_TOL:
             raise ModelInvalidError(
-                f"weights must sum to 1 within {_WEIGHT_TOL}, got {float(w.sum())!r}"
+                f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}"
             )
-        if np.any(ra < 0.0) or np.any(ra > 1.0) or np.any(rb < 0.0) or np.any(rb > 1.0):
+        if ra_lo < 0.0 or ra_hi > 1.0 or rb_lo < 0.0 or rb_hi > 1.0:
             raise ModelInvalidError("response probabilities must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "response_a", ra)
@@ -326,6 +334,43 @@ def eval_discrete_lhv(
         p_a_prime=float(np.dot(w, map_)),
         p_b_prime=float(np.dot(w, mbp)),
     )
+
+
+def batched_ch(models: Sequence[DiscreteLHVModel]) -> np.ndarray:
+    """CH of many discrete models at the default settings, in one array call.
+
+    The models are padded with zero-weight states to a common state count,
+    and one ``einsum`` contracts the weights with the pointwise form
+    ``a0 + b0 - a0*b0 - a0*b1 - a1*b0 + a1*b1`` of each state (``a0``/``a1``
+    are ``response_a`` columns 0/1, ``b0``/``b1`` those of ``response_b``),
+    which is the CH combination of :func:`eval_discrete_lhv` at settings
+    ``(0, 0, 1, 1)``.  The summation order differs from
+    ``ch_value(eval_discrete_lhv(m)).ch``, so the two agree to float noise
+    (~1e-15), not bit for bit: use this to screen many models and the exact
+    path to report a value.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``models`` is empty or a model has fewer than two setting columns
+        on a side.
+    """
+    if not models:
+        raise InvalidInputError("batched_ch needs at least one model")
+    if min(min(m.response_a.shape[1], m.response_b.shape[1]) for m in models) < 2:
+        raise InvalidInputError("batched_ch needs two setting columns per side")
+    a = np.concatenate([m.response_a[:, :2] for m in models])
+    b = np.concatenate([m.response_b[:, :2] for m in models])
+    a0, a1, b0, b1 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    sizes = np.array([m.n_states for m in models])
+    # (model, state) position of every state of the concatenated models.
+    rows = np.repeat(np.arange(sizes.size), sizes)
+    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    w = np.zeros((sizes.size, sizes.max()))
+    pointwise = np.zeros_like(w)
+    w[rows, cols] = np.concatenate([m.weights for m in models])
+    pointwise[rows, cols] = a0 + b0 - a0 * b0 - a0 * b1 - a1 * b0 + a1 * b1
+    return np.einsum("ms,ms->m", w, pointwise)
 
 
 @dataclass(frozen=True)
@@ -390,18 +435,33 @@ def random_discrete_model(
 
     ``n_states`` defaults to a uniform draw from 1..``max_states``.  Useful
     for randomized sweeps over the model class; every returned model passes
-    validation by construction.
+    validation by construction.  After the optional state-count draw, one
+    ``rng.random`` call supplies the weights, then ``response_a`` and
+    ``response_b`` row by row: the same stream as three separate calls in
+    that order.
+
+    Raises
+    ------
+    InvalidInputError
+        If ``max_states`` or ``n_states`` is below 1, or a setting count is
+        negative.
     """
+    if max_states < 1:
+        raise InvalidInputError(f"max_states must be >= 1, got {max_states!r}")
+    if n_settings_a < 0 or n_settings_b < 0:
+        raise InvalidInputError("setting counts must be >= 0")
     if n_states is None:
         n_states = int(rng.integers(1, max_states + 1))
     if n_states < 1:
         raise InvalidInputError("n_states must be >= 1")
-    raw = rng.random(n_states) + 1e-12  # keep the sum strictly positive
+    draw = rng.random(n_states * (1 + n_settings_a + n_settings_b))
+    end_a = n_states * (1 + n_settings_a)
+    raw = draw[:n_states] + 1e-12  # keep the sum strictly positive
     weights = raw / raw.sum()
     # Renormalization can leave the sum one ulp off; nudge the largest weight.
-    weights[np.argmax(weights)] += 1.0 - weights.sum()
+    weights[weights.argmax()] += 1.0 - weights.sum()
     return DiscreteLHVModel(
         weights=weights,
-        response_a=rng.random((n_states, n_settings_a)),
-        response_b=rng.random((n_states, n_settings_b)),
+        response_a=draw[n_states:end_a].reshape(n_states, n_settings_a),
+        response_b=draw[end_a:].reshape(n_states, n_settings_b),
     )

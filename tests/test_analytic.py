@@ -333,6 +333,27 @@ class TestDomain:
             with pytest.raises(InvalidInputError):
                 fn()
 
+    def test_overflowing_k_on_axis(self):
+        """k*k overflows from ~1.3e154 on; the on-axis Q must not turn NaN."""
+        assert q_single(1e200, 0.0) == pytest.approx(1e-200, rel=1e-15)
+        assert q_joint(1e200, 0.0, 0.0) == pytest.approx(5e-201, rel=1e-15)
+        ch = ch_standard(1e200).ch
+        assert math.isfinite(ch) and ch >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=300.0), angles, angles)
+    def test_q_in_unit_interval_up_to_1e300(self, log_k, theta, phi):
+        k = 10.0 ** log_k
+        for q in (q_single(k, theta), q_joint(k, theta, phi)):
+            assert math.isfinite(q) and 0.0 <= q <= 1.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(min_value=-3.0, max_value=300.0))
+    def test_ch_finite_up_to_1e300(self, log_k):
+        k = 10.0 ** log_k
+        for mode in CH_CURVE_MODES:
+            assert math.isfinite(ch_curve_value(k, DEFAULT_QUAD, mode))
+
     def test_large_k_limit(self):
         """CH approaches zero from below as the response constant grows."""
         values = [ch_multiwindow(float(k)).ch for k in (1e2, 1e3, 1e4)]

@@ -4,9 +4,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bellsim.cli import main, parse_angle
+from bellsim.inequalities import ch_value, eval_discrete_lhv, random_discrete_model
 from bellsim.montecarlo import RNG_CONTRACT
 
 
@@ -60,6 +62,12 @@ class TestAnalytic:
             next(r for r in footers if r[1].startswith("multiwindow-exact"))[0]
         )
         assert exact_root == pytest.approx(1.0359500170058693, abs=1e-9)
+
+    def test_overflowing_k_sweep_exits_0(self, capsys):
+        code, out, _ = run(capsys, "analytic", "--start", "1e200", "--stop", "1e300",
+                           "--points", "3", "--modes", "standard")
+        assert code == 0
+        assert "nan" not in out
 
     def test_byte_identical_runs(self, tmp_path):
         args = ["analytic", "--grid", "log", "--start", "0.05", "--stop", "50",
@@ -246,6 +254,47 @@ class TestLhvCheck:
     def test_bad_models_exits_1(self, capsys):
         code, _, _ = run(capsys, "lhv-check", "--models", "0")
         assert code == 1
+
+    @pytest.mark.parametrize("max_states", ["0", "-3"])
+    def test_bad_max_states_exits_1(self, capsys, max_states):
+        code, out, err = run(capsys, "lhv-check", "--max-states", max_states)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "--max-states" in err
+
+    # Line 2 as printed before the screen was batched (one exact evaluation
+    # per model); the batched screen must reproduce it byte for byte.
+    @pytest.mark.parametrize("argv, line", [
+        (["--models", "20000", "--seed", "7"],
+         "min_ch=0.064327127102198123 (model 12038, n_states=1)"),
+        (["--models", "2000", "--seed", "0"],
+         "min_ch=0.16011825975742311 (model 922, n_states=1)"),
+        (["--models", "3000", "--seed", "123", "--max-states", "3"],
+         "min_ch=0.046997636659460336 (model 2545, n_states=1)"),
+        (["--models", "500", "--seed", "9", "--max-states", "1"],
+         "min_ch=0.077375825113458238 (model 216, n_states=1)"),
+    ])
+    def test_golden_min_ch_line(self, capsys, argv, line):
+        code, out, _ = run(capsys, "lhv-check", *argv)
+        assert code == 0
+        assert out.splitlines()[1] == line
+        assert out.splitlines()[-1] == "result=PASS"
+
+    @pytest.mark.parametrize("seed, max_states", [(0, 64), (1, 4), (2, 1)])
+    def test_matches_exact_loop(self, capsys, seed, max_states):
+        """The block screen reports what exact evaluation of every model does
+        (first index wins ties), across block boundaries."""
+        n = 600
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+        best, info = math.inf, ""
+        for index in range(n):
+            model = random_discrete_model(rng, max_states=max_states)
+            ch = ch_value(eval_discrete_lhv(model)).ch
+            if ch < best:
+                best, info = ch, f"model {index}, n_states={model.n_states}"
+        _, out, _ = run(capsys, "lhv-check", "--models", str(n), "--seed", str(seed),
+                        "--max-states", str(max_states))
+        assert out.splitlines()[1] == f"min_ch={best:.17g} ({info})"
 
 
 class TestTopLevel:

@@ -14,6 +14,7 @@ from bellsim.inequalities import (
     CorrelatorSet,
     DiscreteLHVModel,
     ProbabilityTable,
+    batched_ch,
     ch_to_chsh,
     ch_value,
     chsh_value,
@@ -233,6 +234,29 @@ class TestDiscreteLHVModel:
             DiscreteLHVModel(weights=[1.5, -0.5], response_a=[[0.1], [0.2]],
                              response_b=[[0.3], [0.4]])
 
+    @pytest.mark.parametrize("weights, response_a, response_b, message", [
+        ([math.nan, 1.0], [[0.1], [0.2]], [[0.3], [0.4]], "finite"),
+        ([math.inf, 0.0], [[0.1], [0.2]], [[0.3], [0.4]], "finite"),
+        ([-math.inf, 1.0], [[0.1], [0.2]], [[0.3], [0.4]], "finite"),
+        ([0.5, 0.5], [[math.nan], [0.2]], [[0.3], [0.4]], "finite"),
+        ([0.5, 0.5], [[0.1], [math.inf]], [[0.3], [0.4]], "finite"),
+        ([0.5, 0.5], [[0.1], [-math.inf]], [[0.3], [0.4]], "finite"),
+        ([0.5, 0.5], [[0.1], [0.2]], [[math.nan], [0.4]], "finite"),
+        ([0.5, 0.5], [[0.1], [0.2]], [[0.3], [math.inf]], "finite"),
+        ([0.5, 0.5], [[0.1], [0.2]], [[-math.inf], [0.4]], "finite"),
+        ([0.5, 0.5], [[0.1], [0.2]], [[0.3], [-0.1]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1], [0.2]], [[1.3], [0.4]], r"\[0, 1\]"),
+        ([1.2, -0.2], [[0.1], [0.2]], [[0.3], [0.4]], "non-negative"),
+        ([0.5, 0.5 + 1e-9], [[0.1], [0.2]], [[0.3], [0.4]], "sum to 1"),
+        # When several checks fail, the earlier one wins.
+        ([-0.5, 1.5], [[0.1], [0.2]], [[0.3], [math.nan]], "finite"),
+        ([-0.5, 1.5], [[0.1], [0.2]], [[1.3], [0.4]], "non-negative"),
+        ([0.6, 0.5], [[0.1], [0.2]], [[1.3], [0.4]], "sum to 1"),
+    ])
+    def test_every_rejection(self, weights, response_a, response_b, message):
+        with pytest.raises(ModelInvalidError, match=message):
+            DiscreteLHVModel(weights=weights, response_a=response_a, response_b=response_b)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelInvalidError):
             DiscreteLHVModel(weights=[1.0], response_a=[[0.1], [0.2]], response_b=[[0.3]])
@@ -276,6 +300,63 @@ class TestDiscreteLHVModel:
         for _ in range(100):
             total = float(random_discrete_model(rng).weights.sum())
             assert abs(total - 1.0) <= 1e-12
+
+
+class TestRandomDiscreteModel:
+    @pytest.mark.parametrize("max_states", [0, -3])
+    def test_rejects_max_states_below_one(self, max_states):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+        with pytest.raises(InvalidInputError, match="max_states"):
+            random_discrete_model(rng, max_states=max_states)
+
+    def test_rejects_negative_setting_count(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(0)))
+        with pytest.raises(InvalidInputError, match="setting counts"):
+            random_discrete_model(rng, n_states=3, n_settings_a=-1, n_settings_b=3)
+
+    @pytest.mark.parametrize("n_states, n_a, n_b, max_states", [
+        (None, 2, 2, 64), (None, 3, 1, 5), (4, 2, 2, 64), (1, 1, 4, 64), (6, 5, 3, 64),
+    ])
+    def test_single_draw_replays_three_draws(self, n_states, n_a, n_b, max_states):
+        """One rng.random call is the same stream as random(n),
+        random((n, a)), random((n, b)) in that order."""
+        new = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
+        old = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
+        for _ in range(20):
+            m = random_discrete_model(new, n_states=n_states, n_settings_a=n_a,
+                                      n_settings_b=n_b, max_states=max_states)
+            n = n_states if n_states is not None else int(old.integers(1, max_states + 1))
+            raw = old.random(n) + 1e-12
+            weights = raw / raw.sum()
+            weights[np.argmax(weights)] += 1.0 - weights.sum()
+            assert np.array_equal(m.weights, weights)
+            assert np.array_equal(m.response_a, old.random((n, n_a)))
+            assert np.array_equal(m.response_b, old.random((n, n_b)))
+        assert np.array_equal(new.random(8), old.random(8))
+
+
+class TestBatchedCH:
+    def test_matches_exact_path_for_every_state_count(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(64)))
+        models = [random_discrete_model(rng, n_states=n) for n in range(1, 65) for _ in range(4)]
+        screened = batched_ch(models)
+        assert screened.shape == (len(models),)
+        for m, ch in zip(models, screened):
+            assert abs(ch - ch_value(eval_discrete_lhv(m)).ch) <= 1e-13
+
+    def test_uses_first_two_columns(self):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(65)))
+        models = [random_discrete_model(rng, n_states=5, n_settings_a=3, n_settings_b=4),
+                  random_discrete_model(rng, n_states=2)]
+        for m, ch in zip(models, batched_ch(models)):
+            assert abs(ch - ch_value(eval_discrete_lhv(m)).ch) <= 1e-13
+
+    def test_rejections(self):
+        with pytest.raises(InvalidInputError, match="at least one model"):
+            batched_ch([])
+        one_column = DiscreteLHVModel(weights=[1.0], response_a=[[0.5]], response_b=[[0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="two setting columns"):
+            batched_ch([one_column])
 
 
 class TestPointwiseInequality:
