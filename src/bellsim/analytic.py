@@ -246,8 +246,13 @@ def ch_multiwindow_two_term(k: float, quad: AngleQuad = DEFAULT_QUAD) -> float:
     they are not equal, so this curve differs from the full paper-law table;
     both are exposed on purpose.
     """
+    plus, minus = _two_term_parts(k, quad)
+    return plus - minus
+
+
+def _two_term_parts(k: float, quad: AngleQuad) -> tuple[float, float]:
     q = qset(k, quad)
-    return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4 - 2.0 * q.q_a**2
+    return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4, 2.0 * q.q_a**2
 
 
 def table_for_mode(
@@ -265,11 +270,19 @@ def table_for_mode(
 
 def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact") -> float:
     """Scalar CH(k) for any curve mode, including the two-term and union laws."""
+    plus, minus = _ch_parts(k, quad, mode)
+    return plus - minus
+
+
+def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
+    """CH(k) of a curve mode as (positive part, subtracted part)."""
     if mode == "multiwindow-two-term":
-        return ch_multiwindow_two_term(k, quad)
+        return _two_term_parts(k, quad)
     if mode == "multiwindow-union":
-        return ch_union(k, quad).ch
-    return ch_value(table_for_mode(k, quad, mode)).ch
+        b = ch_union(k, quad)
+    else:
+        b = ch_value(table_for_mode(k, quad, mode))
+    return b.p_s, b.p_c
 
 
 def ch_zero_crossing(
@@ -281,11 +294,17 @@ def ch_zero_crossing(
 ) -> float | None:
     """Locate the k where CH(k) changes sign, or None if it never does.
 
-    A log-spaced scan over ``bracket`` finds a sign change first; bisection
-    (robust, no derivatives) then refines it to relative tolerance ``rtol``.
-    Modes whose CH keeps one sign on the bracket (the single-window curve,
-    the union law, or a quad that never violates) yield None rather than an
-    exception.
+    A log-spaced scan over ``bracket`` finds the first sign change between
+    scanned values that stand above rounding, i.e. |CH| > 16 eps (|Ps| +
+    |Pc|) for CH = Ps - Pc; bisection (robust, no derivatives) then refines
+    it to relative tolerance ``rtol``.  Where the scan has values within
+    rounding of 0 between the two signs, bisection runs across them and
+    returns a point where the computed CH changes sign inside that band.  A
+    curve that cancels to rounding noise without changing sign (the
+    standard CH ~ 0.085/k^2 past k ~ 1e7, every mode near k = 1e100) has no
+    crossing.  Modes whose CH keeps one sign on the bracket (the
+    single-window curve, the union law, or a quad that never violates)
+    yield None rather than an exception.
     """
     if mode not in CH_CURVE_MODES:
         raise InvalidInputError(f"mode must be one of {CH_CURVE_MODES}, got {mode!r}")
@@ -297,15 +316,16 @@ def ch_zero_crossing(
         return ch_curve_value(k, quad, mode)
 
     ks = np.geomspace(lo, hi, scan_points)
-    values = np.array([f(k) for k in ks])
-    signs = np.sign(values)
-    if np.any(values == 0.0):
-        return float(ks[np.nonzero(values == 0.0)[0][0]])
-    change = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    plus, minus = np.array([_ch_parts(float(k), quad, mode) for k in ks]).T
+    values = plus - minus
+    noise = 16.0 * np.finfo(float).eps * (np.abs(plus) + np.abs(minus))
+    clear = np.flatnonzero(np.abs(values) > noise)
+    signs = np.sign(values[clear])
+    change = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if change.size == 0:
         return None
-    i = int(change[0])
-    return float(bisect(f, ks[i], ks[i + 1], rtol=rtol, xtol=1e-15))
+    i, j = int(clear[change[0]]), int(clear[change[0] + 1])
+    return float(bisect(f, ks[i], ks[j], rtol=rtol, xtol=1e-15))
 
 
 @dataclass(frozen=True)

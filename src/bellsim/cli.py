@@ -48,10 +48,11 @@ from .inequalities import (
 )
 from .montecarlo import RNG_CONTRACT, RunConfig, compare_to_analytic
 from .waveform import (
+    DelayStatistics,
     Waveform,
-    delay_statistics,
     harmonic_expansion,
     intensity_stats,
+    nearest_delays,
     sample_events,
     sample_homogeneous_events,
     windowed_coincidences,
@@ -407,14 +408,16 @@ def cmd_waveform(args: argparse.Namespace) -> int:
     shared_a, shared_b, indep_a, indep_b = _paired_streams(w, args.span, args.rate, args.seed)
 
     if args.waveform_command == "delays":
-        shared = delay_statistics(shared_a, shared_b, bins=args.bins)
+        # One search per pair; both histograms share the larger delay limit.
+        shared_d = nearest_delays(shared_a, shared_b)
+        indep_d = nearest_delays(indep_a, indep_b)
         limit = max(
-            float(np.max(np.abs(shared.delays), initial=0.0)),
-            float(np.max(np.abs(delay_statistics(indep_a, indep_b, bins=args.bins).delays), initial=0.0)),
+            float(np.max(np.abs(shared_d), initial=0.0)),
+            float(np.max(np.abs(indep_d), initial=0.0)),
         ) or 1.0
         histogram_range = (-limit, limit)
-        shared = delay_statistics(shared_a, shared_b, bins=args.bins, histogram_range=histogram_range)
-        indep = delay_statistics(indep_a, indep_b, bins=args.bins, histogram_range=histogram_range)
+        shared = DelayStatistics.from_delays(shared_d, args.bins, histogram_range)
+        indep = DelayStatistics.from_delays(indep_d, args.bins, histogram_range)
         rows = []
         for case, stats in (("independent", indep), ("shared", shared)):
             for left, right, count in zip(stats.bin_edges[:-1], stats.bin_edges[1:], stats.counts):

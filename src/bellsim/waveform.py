@@ -352,6 +352,73 @@ def _as_stream(times: np.ndarray, rate_scale: float) -> EventStream:
     return EventStream(times=np.unique(times), rate_scale=rate_scale)
 
 
+#: Largest Poisson mean that ``Generator.poisson`` accepts (numpy's own limit).
+_POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
+#: Candidates per random draw, and per sub-block of the thinning screen.
+_DRAW_BLOCK = 1 << 22
+_SCREEN_BLOCK = 1 << 16
+
+
+def _poisson_count(rng: np.random.Generator, mean: float) -> int:
+    if not mean <= _POISSON_LAM_MAX:
+        raise InvalidInputError(
+            f"expected event count {mean!r} exceeds the Poisson sampler's limit "
+            f"{_POISSON_LAM_MAX:.6g}; reduce the span or the rate"
+        )
+    return int(rng.poisson(mean))
+
+
+def _chebyshev_sum(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
+    """sum_m coeffs[m] * T_m(x) by Clenshaw's recurrence.
+
+    With x = cos(omega t), T_m(x) = cos(m omega t), so a cosine series costs
+    one cosine and len(coeffs) - 1 multiply-adds per point.
+    """
+    if len(coeffs) == 1:
+        return np.full_like(x, coeffs[0])
+    two_x = 2.0 * x
+    b1, b2, tmp = np.full_like(x, coeffs[-1]), np.zeros_like(x), np.empty_like(x)
+    for c in coeffs[-2:0:-1]:
+        np.multiply(two_x, b1, out=tmp)
+        tmp -= b2
+        if c:
+            tmp += c
+        b1, b2, tmp = tmp, b1, b2
+    b1 *= x
+    b1 -= b2
+    b1 += coeffs[0]
+    return b1
+
+
+def _screen_series(
+    w: Waveform, series: HarmonicExpansion, span: float
+) -> tuple[list[float], float]:
+    """Dense Chebyshev coefficients of ``series`` and a bound on its error.
+
+    The bound holds for |series via :func:`_chebyshev_sum` - exact profile| at
+    every t in [0, span), where the exact profile is :func:`intensity_at` (or
+    ``series.value_at`` after a box filter; its coefficients are the same).
+    Both evaluate cosines of the same u = fl(omega t).  With S =
+    |A|^2 (sum_j |c_j|)^2, which bounds |a0| + sum_m |a_m| before and after
+    the filter, and n the larger of the degree M and the component count:
+    rounding m*u costs at most eps/2 * M * omega * span per unit coefficient;
+    the cosine of u, Clenshaw's recurrence, the envelope sum and square, and
+    the product-to-sum coefficients cost O(n^3) eps S together.  The factor
+    2^10 is margin: a wider band only sends a few more candidates to the
+    exact profile.
+    """
+    degree = series.terms[-1][0] if series.terms else 0
+    coeffs = [0.0] * (degree + 1)
+    coeffs[0] = series.a0
+    for m, a in series.terms:
+        coeffs[m] = a
+    scale = w.amplitude**2 * math.fsum(abs(c) for c, _ in w.components) ** 2
+    n = max(degree, len(w.components))
+    tol = 1024.0 * np.finfo(float).eps * scale * (degree * w.omega * span + (n + 1) ** 3)
+    return coeffs, tol
+
+
 def sample_events(
     w: Waveform,
     span: float,
@@ -365,8 +432,23 @@ def sample_events(
     1e-9 relative safety margin so the bound is never an underestimate),
     which keeps the accepted-event distribution exact rather than
     approximate.  ``detection_time`` applies the moving-average pre-filter
-    to the intensity before rates are evaluated.  Deterministic for a given
-    generator state.
+    to the intensity before rates are evaluated.
+
+    Draw order, which makes a stream a pure function of the generator state:
+    one ``poisson`` count, then per block of 2^22 candidates their times
+    ``uniform(0, span, m)`` followed by their m acceptance uniforms
+    ``random`` (drawn in sub-blocks, which is the same stream as one
+    ``random(m)`` call).
+
+    A candidate (t, u) is kept when u * bound < rate_scale * I(t), with I
+    the exact profile (:func:`intensity_at`, or the box-filtered series).
+    To decide that cheaply, the intensity's cosine series is first evaluated
+    from one cosine per candidate (a Chebyshev series in cos(omega t)).  Its
+    gap to the exact profile has a rigorous bound; every candidate within
+    that band of its threshold, typically a handful per stream, is decided
+    again with the exact profile.  So the accepted times are those of
+    exact thinning, bit for bit.  Raises :class:`InvalidInputError` when the
+    expected candidate count is beyond what ``rng.poisson`` accepts.
     """
     if not (math.isfinite(span) and span > 0):
         raise InvalidInputError(f"span must be positive and finite, got {span!r}")
@@ -374,24 +456,47 @@ def sample_events(
         raise InvalidInputError(
             f"rate_scale must be positive and finite, got {rate_scale!r}"
         )
+    series = harmonic_expansion(w)
     if detection_time is None:
         profile = lambda t: intensity_at(w, t)  # noqa: E731
     else:
-        profile = harmonic_expansion(w).box_filtered(detection_time).value_at
+        series = series.box_filtered(detection_time)
+        profile = series.value_at
     i_max, _ = _profile_max(profile, w.period, 4096)
     if i_max <= 0.0:
         return EventStream(times=np.empty(0), rate_scale=rate_scale)
     bound = rate_scale * i_max * (1.0 + 1e-9)
+    n_candidates = _poisson_count(rng, bound * span)
 
-    n_candidates = int(rng.poisson(bound * span))
+    coeffs, tol = _screen_series(w, series, span)
+    margin = rate_scale * tol
+    # Within these float limits none of the screen's steps overflows or
+    # rounds to a subnormal, so its error bound holds as derived.  Outside
+    # them, or with a band as wide as the bound, every candidate is a close
+    # call.
+    screen = 1e-300 < tol < 1e290 and 1e-300 < margin < min(bound, 1e290)
     accepted: list[np.ndarray] = []
-    block = 1 << 22
-    for start in range(0, n_candidates, block):
-        m = min(block, n_candidates - start)
+    keep = np.empty(min(_DRAW_BLOCK, n_candidates), dtype=bool)
+    u = np.empty(min(_SCREEN_BLOCK, n_candidates))
+    for start in range(0, n_candidates, _DRAW_BLOCK):
+        m = min(_DRAW_BLOCK, n_candidates - start)
         t = rng.uniform(0.0, span, m)
-        u = rng.random(m)
-        keep = u * bound < rate_scale * np.asarray(profile(t), dtype=float)
-        accepted.append(t[keep])
+        for lo in range(0, m, _SCREEN_BLOCK):
+            hi = min(lo + _SCREEN_BLOCK, m)
+            ts, ks = t[lo:hi], keep[lo:hi]
+            p = rng.random(out=u[: hi - lo])
+            p *= bound
+            if screen:
+                d = _chebyshev_sum(coeffs, np.cos(np.multiply(w.omega, ts)))
+                d *= rate_scale
+                np.less(p, d, out=ks)
+                d -= p
+                close = np.flatnonzero(np.abs(d, out=d) <= margin)
+            else:
+                close = np.arange(hi - lo)
+            if close.size:
+                ks[close] = p[close] < rate_scale * np.asarray(profile(ts[close]), dtype=float)
+        accepted.append(t[keep[:m]])
     times = np.concatenate(accepted) if accepted else np.empty(0)
     return _as_stream(times, rate_scale)
 
@@ -399,12 +504,16 @@ def sample_events(
 def sample_homogeneous_events(
     rate: float, span: float, rng: np.random.Generator
 ) -> EventStream:
-    """Constant-rate Poisson events over [0, span) (unit-intensity stream)."""
+    """Constant-rate Poisson events over [0, span) (unit-intensity stream).
+
+    Raises :class:`InvalidInputError` when rate * span is beyond what
+    ``rng.poisson`` accepts.
+    """
     if not (math.isfinite(rate) and rate > 0):
         raise InvalidInputError(f"rate must be positive and finite, got {rate!r}")
     if not (math.isfinite(span) and span > 0):
         raise InvalidInputError(f"span must be positive and finite, got {span!r}")
-    n = int(rng.poisson(rate * span))
+    n = _poisson_count(rng, rate * span)
     return _as_stream(rng.uniform(0.0, span, n), rate)
 
 
@@ -426,23 +535,69 @@ class DelayStatistics:
     def n(self) -> int:
         return int(self.delays.size)
 
+    @classmethod
+    def from_delays(
+        cls,
+        delays: np.ndarray,
+        bins: int = 64,
+        histogram_range: tuple[float, float] | None = None,
+    ) -> "DelayStatistics":
+        """Histogram and median of precomputed delays.
+
+        Without ``histogram_range`` the bins span +-max|delay| (+-1 when that
+        is 0 or there are no delays).  A given range must be finite with
+        lo < hi.
+        """
+        if bins < 1:
+            raise InvalidInputError(f"bins must be >= 1, got {bins}")
+        if histogram_range is not None:
+            lo, hi = histogram_range
+            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+                raise InvalidInputError(
+                    f"histogram_range must be finite with lo < hi, got {histogram_range!r}"
+                )
+        if delays.size == 0:
+            lo, hi = (-1.0, 1.0) if histogram_range is None else histogram_range
+            return cls(
+                delays=delays,
+                median_abs_delay=None,
+                bin_edges=np.linspace(lo, hi, bins + 1),
+                counts=np.zeros(bins, dtype=int),
+            )
+        if histogram_range is None:
+            limit = float(np.max(np.abs(delays))) or 1.0
+            histogram_range = (-limit, limit)
+        counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
+        return cls(
+            delays=delays,
+            median_abs_delay=float(np.median(np.abs(delays))),
+            bin_edges=edges,
+            counts=counts,
+        )
+
+
+def _neighbours(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each time in ``a``: the first ``b`` at or after it, and the last
+    ``b`` before it, from one search of the sorted ``b``.  A missing
+    neighbour reads as +inf after the last B-event and -inf before the first.
+    """
+    padded = np.concatenate(([-np.inf], b, [np.inf]))
+    idx = np.searchsorted(b, a)
+    return padded[1:][idx], padded[idx]
+
 
 def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
-    """Signed delay from each Alice event to its nearest Bob event."""
+    """Signed delay from each Alice event to its nearest Bob event.
+
+    The later neighbour wins a tie.
+    """
     a, b = stream_a.times, stream_b.times
     if a.size == 0 or b.size == 0:
         return np.empty(0)
-    idx = np.searchsorted(b, a)
-    right = np.minimum(idx, b.size - 1)
-    left = np.maximum(idx - 1, 0)
-    d_right = b[right] - a
-    d_left = b[left] - a
-    take_right = np.abs(d_right) <= np.abs(d_left)
-    # Ends: when idx == 0 only the right candidate exists; when idx == b.size
-    # only the left one does.
-    take_right = np.where(idx == 0, True, take_right)
-    take_right = np.where(idx == b.size, False, take_right)
-    return np.where(take_right, d_right, d_left)
+    after, before = _neighbours(a, b)
+    d_after = after - a
+    d_before = before - a
+    return np.where(np.abs(d_after) <= np.abs(d_before), d_after, d_before)
 
 
 def delay_statistics(
@@ -452,29 +607,7 @@ def delay_statistics(
     histogram_range: tuple[float, float] | None = None,
 ) -> DelayStatistics:
     """Histogram and median of nearest-neighbor delays from A-events to B-events."""
-    if bins < 1:
-        raise InvalidInputError(f"bins must be >= 1, got {bins}")
-    delays = nearest_delays(stream_a, stream_b)
-    if delays.size == 0:
-        edges = np.linspace(-1.0, 1.0, bins + 1) if histogram_range is None else np.linspace(
-            histogram_range[0], histogram_range[1], bins + 1
-        )
-        return DelayStatistics(
-            delays=delays,
-            median_abs_delay=None,
-            bin_edges=edges,
-            counts=np.zeros(bins, dtype=int),
-        )
-    if histogram_range is None:
-        limit = float(np.max(np.abs(delays))) or 1.0
-        histogram_range = (-limit, limit)
-    counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
-    return DelayStatistics(
-        delays=delays,
-        median_abs_delay=float(np.median(np.abs(delays))),
-        bin_edges=edges,
-        counts=counts,
-    )
+    return DelayStatistics.from_delays(nearest_delays(stream_a, stream_b), bins, histogram_range)
 
 
 def windowed_coincidences(
@@ -490,9 +623,10 @@ def windowed_coincidences(
     if a.size == 0 or b.size == 0:
         return 0
     half = 0.5 * window
-    lo = np.searchsorted(b, a - half, side="left")
-    hi = np.searchsorted(b, a + half, side="right")
-    return int(np.count_nonzero(hi > lo))
+    # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
+    # window exactly when the nearest one on either side does.
+    after, before = _neighbours(a, b)
+    return int(np.count_nonzero((after <= a + half) | (before >= a - half)))
 
 
 def serialize_streams(streams: Mapping[str, EventStream]) -> str:

@@ -299,6 +299,41 @@ class TestZeroCrossing:
         root = ch_zero_crossing()
         assert 0.5 < root < 1.5
 
+    def test_rounding_noise_is_not_a_crossing(self):
+        """Past k ~ 1e7 the standard CH (~0.085/k^2) is below the rounding
+        of Ps - Pc ~ 2 and flickers between +-2.2e-16 and 0.0."""
+        assert ch_zero_crossing(mode="standard", bracket=(1e3, 1e12)) is None
+
+    @pytest.mark.parametrize("mode", CH_CURVE_MODES)
+    def test_all_zero_scan_has_no_crossing(self, mode):
+        assert ch_zero_crossing(mode=mode, bracket=(1e100, 1e300)) is None
+
+    @pytest.mark.parametrize(
+        "mode, root",
+        [
+            ("multiwindow-exact", ROOT_MULTIWINDOW_EXACT),
+            ("multiwindow-two-term", ROOT_TWO_TERM),
+            ("multiwindow-paper", ROOT_PAPER_FULL),
+        ],
+    )
+    def test_wide_bracket_finds_the_same_root(self, mode, root):
+        assert ch_zero_crossing(mode=mode, bracket=(1e-3, 1e30)) == pytest.approx(root, abs=1e-9)
+
+    def test_scan_points_within_rounding_are_bisected_across(self, monkeypatch):
+        """CH = 1 - (1 + 1e-14 (k - 2)) is within rounding of 0 (|CH| <=
+        16 eps * 2) for |k - 2| < 0.71, so the scan over [1, 3] reads +,
+        noise, noise, noise, - and bisection must run across the noise."""
+        import bellsim.analytic as an
+
+        monkeypatch.setattr(an, "_ch_parts", lambda k, quad, mode: (1.0, 1.0 + 1e-14 * (k - 2.0)))
+        ks = np.geomspace(1.0, 3.0, 5)
+        parts = np.array([an._ch_parts(k, None, None) for k in ks])
+        noise = 16 * np.finfo(float).eps * parts.sum(axis=1)
+        assert list(np.abs(parts[:, 0] - parts[:, 1]) > noise) == [True, False, False, False, True]
+        root = ch_zero_crossing(bracket=(1.0, 3.0), scan_points=5)
+        assert root == pytest.approx(2.0, abs=0.03)
+        assert abs(ch_curve_value(root)) <= 16 * np.finfo(float).eps * 2
+
 
 class TestSmallK:
     def test_slopes(self):

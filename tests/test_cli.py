@@ -1,6 +1,7 @@
 """Command-line interface: argument handling, exit codes, and output formats."""
 
 import csv
+import hashlib
 import json
 import math
 
@@ -310,3 +311,150 @@ class TestTopLevel:
     def test_no_command_exits_1(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+
+#: stdout of ``waveform windows --seed S`` and ``waveform delays --seed S
+#: --bins 8``, from the plain thinning loop and two-search window count that
+#: preceded the thinning screen and the one-search count.
+WINDOWS_GOLDEN = {
+    "0": (
+        "window,shared,independent\n"
+        "0.05,2678,995\n"
+        "0.1,4926,2008\n"
+        "0.2,8257,3757\n"
+        "0.5,13453,8044\n"
+        "1.0,16417,12886\n"
+        "2.0,18158,17559\n"
+        "5.0,20012,20177\n"
+    ),
+    "7": (
+        "window,shared,independent\n"
+        "0.05,2662,994\n"
+        "0.1,4797,1918\n"
+        "0.2,8155,3624\n"
+        "0.5,13371,7839\n"
+        "1.0,16382,12636\n"
+        "2.0,18205,17390\n"
+        "5.0,19830,19985\n"
+    ),
+}
+DELAYS_GOLDEN = {
+    "0": (
+        "quantity,case,bin_left,bin_right,value\n"
+        "bin,independent,-5.475060046765066,-4.106295035073799,1\n"
+        "bin,independent,-4.106295035073799,-2.737530023382533,27\n"
+        "bin,independent,-2.737530023382533,-1.3687650116912664,603\n"
+        "bin,independent,-1.3687650116912664,0.0,9543\n"
+        "bin,independent,0.0,1.3687650116912664,9464\n"
+        "bin,independent,1.3687650116912664,2.737530023382533,612\n"
+        "bin,independent,2.737530023382533,4.106295035073799,16\n"
+        "bin,independent,4.106295035073799,5.475060046765066,4\n"
+        "bin,shared,-5.475060046765066,-4.106295035073799,8\n"
+        "bin,shared,-4.106295035073799,-2.737530023382533,20\n"
+        "bin,shared,-2.737530023382533,-1.3687650116912664,437\n"
+        "bin,shared,-1.3687650116912664,0.0,9725\n"
+        "bin,shared,0.0,1.3687650116912664,9506\n"
+        "bin,shared,1.3687650116912664,2.737530023382533,355\n"
+        "bin,shared,2.737530023382533,4.106295035073799,8\n"
+        "bin,shared,4.106295035073799,5.475060046765066,8\n"
+        "n_events,independent,,,20270\n"
+        "median_abs_delay,independent,,,0.34315966183112323\n"
+        "n_events,shared,,,20067\n"
+        "median_abs_delay,shared,,,0.1372890196107619\n"
+        "median_ratio,shared/independent,,,0.4000733037157642\n"
+    ),
+    "7": (
+        "quantity,case,bin_left,bin_right,value\n"
+        "bin,independent,-5.619341339670427,-4.2145060047528204,4\n"
+        "bin,independent,-4.2145060047528204,-2.8096706698352136,30\n"
+        "bin,independent,-2.8096706698352136,-1.4048353349176068,576\n"
+        "bin,independent,-1.4048353349176068,0.0,9467\n"
+        "bin,independent,0.0,1.4048353349176068,9432\n"
+        "bin,independent,1.4048353349176068,2.8096706698352136,593\n"
+        "bin,independent,2.8096706698352136,4.2145060047528204,38\n"
+        "bin,independent,4.2145060047528204,5.619341339670427,4\n"
+        "bin,shared,-5.619341339670427,-4.2145060047528204,12\n"
+        "bin,shared,-4.2145060047528204,-2.8096706698352136,5\n"
+        "bin,shared,-2.8096706698352136,-1.4048353349176068,280\n"
+        "bin,shared,-1.4048353349176068,0.0,9647\n"
+        "bin,shared,0.0,1.4048353349176068,9617\n"
+        "bin,shared,1.4048353349176068,2.8096706698352136,292\n"
+        "bin,shared,2.8096706698352136,4.2145060047528204,9\n"
+        "bin,shared,4.2145060047528204,5.619341339670427,16\n"
+        "n_events,independent,,,20144\n"
+        "median_abs_delay,independent,,,0.3498814397312344\n"
+        "n_events,shared,,,19878\n"
+        "median_abs_delay,shared,,,0.13807213373365812\n"
+        "median_ratio,shared/independent,,,0.3946254875357775\n"
+    ),
+}
+
+#: sha256 of stdout at the default settings, from the same code.
+WAVEFORM_SHA256 = {
+    ("delays", "0"): "971de41a6b7c19e44c81f6acfebf040be1a9bbd9ff0bbedca8113d7827bb21ac",
+    ("delays", "7"): "d1c277ba10f6ad7e5c7d9f9e5b4a91e88558ed5e99a5a4c2e9750d4da78d3e2c",
+}
+ANALYTIC_SHA256 = {
+    (): "f2b495e00682529e984d3e86a96155fc96d93d132109f4c52c00391ac1302479",
+    ("--points", "2001"): "1eec648f8c81c04a99f0d6c95783588fa7747a7e6249dd084236e4908f3811a9",
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_waveform_windows(self, capsys, seed):
+        code, out, _ = run(capsys, "waveform", "windows", "--seed", seed)
+        assert code == 0
+        assert out == WINDOWS_GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", ["0", "7"])
+    def test_waveform_delays(self, capsys, seed):
+        code, out, _ = run(capsys, "waveform", "delays", "--seed", seed, "--bins", "8")
+        assert code == 0
+        assert out == DELAYS_GOLDEN[seed]
+        code, out, _ = run(capsys, "waveform", "delays", "--seed", seed)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == WAVEFORM_SHA256[("delays", seed)]
+
+    @pytest.mark.parametrize("argv", list(ANALYTIC_SHA256))
+    def test_analytic_csv(self, capsys, argv):
+        code, out, _ = run(capsys, "analytic", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == ANALYTIC_SHA256[argv]
+
+
+class TestNoFalseZeroCrossing:
+    """A CH curve that cancels to rounding noise has no crossing footer."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--start", "1e3", "--stop", "1e12", "--points", "10", "--modes", "standard"),
+            ("--start", "1e100", "--stop", "1e300"),
+        ],
+    )
+    def test_no_footer(self, capsys, argv):
+        code, out, _ = run(capsys, "analytic", *argv)
+        assert code == 0
+        assert "zero-crossing" not in out
+
+    def test_default_footers_kept(self, capsys):
+        code, out, _ = run(capsys, "analytic")
+        assert code == 0
+        footers = [line for line in out.splitlines() if "zero-crossing" in line]
+        assert [line.split(",")[1] for line in footers] == [
+            "multiwindow-exact:zero-crossing",
+            "multiwindow-paper:zero-crossing",
+        ]
+
+
+class TestPoissonLimitExits:
+    @pytest.mark.parametrize(
+        "argv", [("--span", "1e300"), ("--span", "100", "--rate", "1e300")]
+    )
+    @pytest.mark.parametrize("command", ["delays", "windows"])
+    def test_exits_1_with_error(self, capsys, command, argv):
+        code, out, err = run(capsys, "waveform", command, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "Poisson" in err

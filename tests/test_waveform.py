@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from bellsim import waveform as wf
 from bellsim.errors import InvalidInputError
 from bellsim.waveform import (
     THREE_WAVE_COEFFS,
+    DelayStatistics,
     EventStream,
     Waveform,
     delay_statistics,
@@ -418,3 +420,286 @@ class TestSerialization:
     def test_parse_rejects_garbage(self):
         with pytest.raises(InvalidInputError):
             parse_streams("not-a-number\tx\n")
+
+
+# ---------------------------------------------------------------------------
+# Exactness of the fast paths against plain references
+
+
+def reference_thinning(w, span, rate_scale, rng, detection_time=None):
+    """Plain thinning: every candidate decided with the exact profile."""
+    if detection_time is None:
+        profile = lambda t: intensity_at(w, t)  # noqa: E731
+    else:
+        profile = harmonic_expansion(w).box_filtered(detection_time).value_at
+    i_max, _ = wf._profile_max(profile, w.period, 4096)
+    if i_max <= 0.0:
+        return np.empty(0)
+    bound = rate_scale * i_max * (1.0 + 1e-9)
+    n_candidates = int(rng.poisson(bound * span))
+    accepted = []
+    block = 1 << 22
+    for start in range(0, n_candidates, block):
+        m = min(block, n_candidates - start)
+        t = rng.uniform(0.0, span, m)
+        u = rng.random(m)
+        keep = u * bound < rate_scale * np.asarray(profile(t), dtype=float)
+        accepted.append(t[keep])
+    return np.unique(np.concatenate(accepted) if accepted else np.empty(0))
+
+
+#: (waveform, span, rate_scale, detection_time): the three-wave at small and
+#: large spans (up to 1e7, where cosine arguments reach 6e7 rad), a box
+#: filter, a single harmonic, and a sparse high-harmonic wave.
+THINNING_CASES = [
+    (three_wave(), 2e4, 1.0 / 3.0, None),
+    (three_wave(omega=2 * math.pi), 300.0, 10.0 / 3.0, None),
+    (three_wave(), 1e7, 0.004, None),
+    (three_wave(omega=2.5, amplitude=0.7), 3e4, 1.0, 0.05),
+    (three_wave(), 1e6, 0.05, 0.9),
+    (Waveform(((1.3, 4),)), 5e4, 1.0, None),
+    (Waveform.from_coefficients((0.3, 0, -1.2, 0, 0, 0.7)), 1e5, 1.0, None),
+    (Waveform.from_coefficients((0.3, 0, -1.2, 0, 0, 0.7)), 1e7, 0.01, 0.2),
+]
+
+
+def _same_generator_state(r1, r2):
+    return str(r1.bit_generator.state) == str(r2.bit_generator.state)
+
+
+class TestThinningMatchesReference:
+    @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_times_and_generator_state(self, case, seed):
+        w, span, rate_scale, detection_time = THINNING_CASES[case]
+        r_ref, r_new = make_rng(seed), make_rng(seed)
+        expected = reference_thinning(w, span, rate_scale, r_ref, detection_time)
+        got = sample_events(w, span, rate_scale, r_new, detection_time=detection_time)
+        assert got.n > 100
+        assert np.array_equal(got.times, expected)
+        assert _same_generator_state(r_ref, r_new)
+
+    def test_more_than_one_draw_block(self):
+        """A count above 2^22 spans two draw blocks of the documented order."""
+        w = three_wave()
+        args = (w, 1.2e6, 0.25)
+        r_ref, r_new = make_rng(5), make_rng(5)
+        expected = reference_thinning(*args, r_ref)
+        assert 16 * 0.25 * 1.2e6 > (1 << 22)
+        assert np.array_equal(sample_events(*args, r_new).times, expected)
+        assert _same_generator_state(r_ref, r_new)
+
+    def test_high_degree_wave(self):
+        """Harmonic 400 makes an 800-degree series, screened with a wide
+        band; the close calls still give the reference stream."""
+        w = Waveform(((1.0, 1), (1.0, 400)))
+        r_ref, r_new = make_rng(3), make_rng(3)
+        expected = reference_thinning(w, 2e3, 1.0, r_ref)
+        assert np.array_equal(sample_events(w, 2e3, 1.0, r_new).times, expected)
+        assert _same_generator_state(r_ref, r_new)
+
+    @pytest.mark.parametrize("tol", [1e-301, 1e291, 20.0])
+    def test_tolerance_outside_float_limits_decides_every_candidate(self, monkeypatch, tol):
+        """A tolerance too small or too large for the screen's rounding
+        analysis, or a band as wide as the bound (16 for the three-wave),
+        skips the screen: every candidate is decided with the exact profile."""
+        real_screen = wf._screen_series
+        sums = []
+        monkeypatch.setattr(wf, "_screen_series", lambda *args: (real_screen(*args)[0], tol))
+        monkeypatch.setattr(wf, "_chebyshev_sum", lambda *args: sums.append(1))
+        r_ref, r_new = make_rng(4), make_rng(4)
+        expected = reference_thinning(three_wave(), 2e3, 1.0, r_ref)
+        assert np.array_equal(sample_events(three_wave(), 2e3, 1.0, r_new).times, expected)
+        assert _same_generator_state(r_ref, r_new)
+        assert sums == []
+
+    def test_confirmation_repairs_a_bad_screen(self, monkeypatch):
+        """Perturb the fast series by up to 0.9 of a widened tolerance: the
+        band then holds ~10% of the candidates, and their exact re-decision
+        must still give the reference stream."""
+        w = three_wave()
+        real_screen, real_sum = wf._screen_series, wf._chebyshev_sum
+        wide = 0.8
+
+        def screen_series(*args):
+            coeffs, _ = real_screen(*args)
+            return coeffs, wide
+
+        def chebyshev_sum(coeffs, x):
+            return real_sum(coeffs, x) + 0.9 * wide * np.sin(1e3 * x)
+
+        monkeypatch.setattr(wf, "_screen_series", screen_series)
+        monkeypatch.setattr(wf, "_chebyshev_sum", chebyshev_sum)
+        r_ref, r_new = make_rng(8), make_rng(8)
+        expected = reference_thinning(w, 2e4, 1.0 / 3.0, r_ref)
+        assert np.array_equal(sample_events(w, 2e4, 1.0 / 3.0, r_new).times, expected)
+
+    def test_few_candidates_reach_the_exact_profile(self, monkeypatch):
+        """Besides the peak search (a 4096-point grid and scalar refinement),
+        the exact profile sees only the rare close calls."""
+        seen = []
+        real = wf.intensity_at
+
+        def counting(w, t):
+            if np.ndim(t) and np.size(t) != 4096:
+                seen.append(np.size(t))
+            return real(w, t)
+
+        monkeypatch.setattr(wf, "intensity_at", counting)
+        s = sample_events(three_wave(), 5e5, 1.0 / 3.0, make_rng(11))
+        assert s.n > 400_000
+        assert sum(seen) < 200
+
+
+class TestFastSeries:
+    @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
+    def test_within_a_hundredth_of_the_tolerance(self, case):
+        w, span, _, detection_time = THINNING_CASES[case]
+        series = harmonic_expansion(w)
+        if detection_time is None:
+            exact = lambda t: intensity_at(w, t)  # noqa: E731
+        else:
+            series = series.box_filtered(detection_time)
+            exact = series.value_at
+        coeffs, tol = wf._screen_series(w, series, span)
+        rng = make_rng(case)
+        t = np.concatenate([rng.uniform(0.0, span, 200_000), [0.0, span * (1 - 1e-16)]])
+        fast = wf._chebyshev_sum(coeffs, np.cos(np.multiply(w.omega, t)))
+        gap = np.max(np.abs(fast - exact(t)))
+        assert gap <= tol / 100, (gap, tol)
+        assert tol < 1e-3 * float(np.max(exact(t)))
+
+    def test_clenshaw_matches_cosine_sum(self):
+        x = np.linspace(-1.0, 1.0, 101)
+        theta = np.arccos(x)
+        for coeffs in ([2.5], [0.5, -1.0], [1.0, 0.0, -2.0, 0.0, 0.25, 3.0]):
+            direct = sum(c * np.cos(m * theta) for m, c in enumerate(coeffs))
+            assert np.allclose(wf._chebyshev_sum(coeffs, x), direct, atol=1e-13)
+
+
+class TestPoissonLimit:
+    """Expected counts beyond the sampler's limit fail before any draw."""
+
+    def test_sample_events(self):
+        w = three_wave()
+        with pytest.raises(InvalidInputError, match="Poisson"):
+            sample_events(w, span=1e300, rate_scale=1.0, rng=make_rng(0))
+        with pytest.raises(InvalidInputError, match="Poisson"):
+            sample_events(w, span=100.0, rate_scale=1e300, rng=make_rng(0))
+
+    def test_sample_homogeneous_events(self):
+        with pytest.raises(InvalidInputError, match="Poisson"):
+            sample_homogeneous_events(rate=1.0, span=1e300, rng=make_rng(0))
+        with pytest.raises(InvalidInputError, match="Poisson"):
+            sample_homogeneous_events(rate=1e300, span=1e10, rng=make_rng(0))
+
+    def test_generator_untouched(self):
+        rng = make_rng(0)
+        before = str(rng.bit_generator.state)
+        with pytest.raises(InvalidInputError):
+            sample_homogeneous_events(rate=1e20, span=1.0, rng=rng)
+        assert str(rng.bit_generator.state) == before
+
+
+def brute_force_windows(a, b, window):
+    half = 0.5 * window
+    return sum(bool(np.any((b >= x - half) & (b <= x + half))) for x in a)
+
+
+def brute_force_delays(a, b):
+    out = []
+    for x in a:
+        d = b - x
+        best = np.min(np.abs(d))
+        out.append(np.max(d[np.abs(d) == best]))  # the later neighbour wins a tie
+    return np.asarray(out)
+
+
+def _pairs():
+    rng = make_rng(404)
+
+    def stream(t):
+        return EventStream(times=np.unique(np.asarray(t, dtype=float)), rate_scale=1.0)
+
+    pairs = [
+        (stream([]), stream([1.0, 2.0])),
+        (stream([1.0, 2.0]), stream([])),
+        (stream([0.5]), stream([0.4])),
+        (stream([0.5]), stream([0.6])),
+        (stream([3.0]), stream([1.0, 2.0, 4.0, 5.0])),
+        (stream([0.0, 1.0, 2.0]), stream([0.0, 1.0, 2.0])),  # shared events
+        (stream([1.0, 1.5, 9.0]), stream([-3.0, 1.25, 8.0, 10.0])),  # exact ties
+    ]
+    for _ in range(60):
+        n_a, n_b = rng.integers(0, 40, size=2)
+        grid = rng.integers(0, 30, size=n_a + n_b) * 0.25  # shared events, ties
+        mixed = rng.uniform(0.0, 8.0, size=n_a + n_b)
+        t = np.where(rng.random(n_a + n_b) < 0.5, grid, mixed)
+        pairs.append((stream(t[:n_a]), stream(t[n_a:])))
+    return pairs
+
+
+PAIRS = _pairs()
+
+
+class TestNeighbourSearchMatchesBruteForce:
+    @pytest.mark.parametrize("window", [1e-3, 0.25, 0.5, 1.0, 2.5, 50.0])
+    def test_windowed_coincidences(self, window):
+        for a, b in PAIRS:
+            expected = brute_force_windows(a.times, b.times, window) if b.n else 0
+            assert windowed_coincidences(a, b, window) == expected
+
+    def test_b_events_exactly_at_the_window_edges(self):
+        half = 0.5
+        a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
+        for sign in (-1.0, 1.0):
+            b = EventStream(times=a_times + sign * half, rate_scale=1.0)
+            a = EventStream(times=a_times, rate_scale=1.0)
+            expected = brute_force_windows(a.times, b.times, 2 * half)
+            assert windowed_coincidences(a, b, 2 * half) == expected
+            # Just past the edges nothing matches.
+            outside = EventStream(times=a_times + sign * half * (1 + 1e-9), rate_scale=1.0)
+            assert windowed_coincidences(a, outside, 2 * half) == 0
+
+    def test_nearest_delays(self):
+        for a, b in PAIRS:
+            got = nearest_delays(a, b)
+            if a.n == 0 or b.n == 0:
+                assert got.size == 0
+                continue
+            assert np.array_equal(got, brute_force_delays(a.times, b.times))
+
+    def test_one_event_each_side(self):
+        a = EventStream(times=np.array([2.0]), rate_scale=1.0)
+        assert nearest_delays(a, EventStream(times=np.array([1.0]), rate_scale=1.0))[0] == -1.0
+        assert nearest_delays(a, EventStream(times=np.array([3.5]), rate_scale=1.0))[0] == 1.5
+        tie = EventStream(times=np.array([1.0, 3.0]), rate_scale=1.0)
+        assert nearest_delays(a, tie)[0] == 1.0
+
+
+class TestHistogramRange:
+    @pytest.mark.parametrize(
+        "bad", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 0.0)]
+    )
+    def test_rejected_for_empty_and_full_streams(self, bad):
+        empty = EventStream(times=np.array([]), rate_scale=1.0)
+        full = EventStream(times=np.array([0.0, 1.0, 2.5]), rate_scale=1.0)
+        for a, b in ((empty, empty), (full, empty), (full, full)):
+            with pytest.raises(InvalidInputError, match="histogram_range"):
+                delay_statistics(a, b, histogram_range=bad)
+
+    def test_valid_range_on_empty_streams(self):
+        empty = EventStream(times=np.array([]), rate_scale=1.0)
+        s = delay_statistics(empty, empty, bins=4, histogram_range=(-2.0, 2.0))
+        assert np.array_equal(s.bin_edges, [-2.0, -1.0, 0.0, 1.0, 2.0])
+
+    def test_from_delays_matches_delay_statistics(self):
+        rng = make_rng(6)
+        a = sample_homogeneous_events(rate=2.0, span=300.0, rng=rng)
+        b = sample_homogeneous_events(rate=2.0, span=300.0, rng=rng)
+        for histogram_range in (None, (-0.7, 0.4)):
+            s = delay_statistics(a, b, bins=9, histogram_range=histogram_range)
+            t = DelayStatistics.from_delays(nearest_delays(a, b), 9, histogram_range)
+            assert np.array_equal(s.counts, t.counts)
+            assert np.array_equal(s.bin_edges, t.bin_edges)
+            assert s.median_abs_delay == t.median_abs_delay
