@@ -26,6 +26,13 @@ Q_XY).  For the split-window scheme three laws are provided:
 coincidence ("both sides fired somewhere"), ``1 - Q_X^2 - Q_Y^2 + Q_XY^2``;
 its CH combination is non-negative for every k, which localizes the
 split-window violation entirely in the pairing-channel bookkeeping.
+
+Each counting law is one entry of the registry ``_LAWS``: a table mode
+mapped to its marginal ``single(Q_X)`` and joint ``pair(Q_X, Q_Y, Q_XY)``.
+:func:`table_for_mode` is the one table builder and takes every table law,
+``multiwindow-union`` included; :func:`standard_table`,
+:func:`multiwindow_table` and :func:`union_coincidence_table` call it.  The
+``analytic`` CLI's ``--modes`` stays :data:`SWEEP_MODES`.
 """
 
 from __future__ import annotations
@@ -137,66 +144,67 @@ def qset(k: float, quad: AngleQuad = DEFAULT_QUAD) -> QSet:
     )
 
 
-def _table_from_joints(q: QSet, joint) -> ProbabilityTable:
+def _split_single(qx: float) -> float:
+    # Detection in either of two independent halves.
+    return 1.0 - qx * qx
+
+
+def _exact_pair(qx: float, qy: float, qxy: float) -> float:
+    same_half = qx + qy - qxy          # 1 - P_XY of one half
+    cross_half = qx + qy - qx * qy     # 1 - P_X * P_Y
+    return 1.0 - (same_half * cross_half) ** 2
+
+
+#: The counting laws: table mode -> (single(q_x), pair(q_x, q_y, q_xy)),
+#: the marginal and the joint detection probability from the Q closed forms.
+_LAWS = {
+    # One shared window: P_X + P_Y - 1 + Q_XY.
+    "standard": (
+        lambda qx: 1.0 - qx,
+        lambda qx, qy, qxy: (1.0 - qx) + (1.0 - qy) - 1.0 + qxy,
+    ),
+    "multiwindow-exact": (_split_single, _exact_pair),
+    "multiwindow-paper": (_split_single, lambda qx, qy, qxy: 1.0 - (qx + qy - qxy) ** 4),
+    # P(any_X and any_Y) over two independent halves.
+    "multiwindow-union": (
+        _split_single,
+        lambda qx, qy, qxy: 1.0 - qx * qx - qy * qy + qxy * qxy,
+    ),
+}
+
+
+def table_for_mode(
+    k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact"
+) -> ProbabilityTable:
+    """Probability table under one counting law.
+
+    ``mode`` is a sweep mode or ``"multiwindow-union"``.  A joint that
+    cancels to a negative value (-2e-16 to -9e-16 at k below ~1e-8) is
+    rounding of a positive probability and is returned as 0.0.
+    """
+    law = _LAWS.get(mode) if isinstance(mode, str) else None
+    if law is None:
+        raise InvalidInputError(f"mode must be one of {tuple(_LAWS)}, got {mode!r}")
+    single, pair = law
+    q = qset(k, quad)
+    joints = [
+        0.0 if p < 0.0 else p
+        for p in (
+            pair(q.q_a, q.q_b, q.q_ab),
+            pair(q.q_a, q.q_b_prime, q.q_ab_prime),
+            pair(q.q_a_prime, q.q_b, q.q_a_prime_b),
+            pair(q.q_a_prime, q.q_b_prime, q.q_a_prime_b_prime),
+        )
+    ]
+    # Field order: p_a, p_b, the four joints, p_a_prime, p_b_prime.
     return ProbabilityTable(
-        p_a=joint.single(q.q_a),
-        p_b=joint.single(q.q_b),
-        p_ab=joint.pair(q.q_a, q.q_b, q.q_ab),
-        p_ab_prime=joint.pair(q.q_a, q.q_b_prime, q.q_ab_prime),
-        p_a_prime_b=joint.pair(q.q_a_prime, q.q_b, q.q_a_prime_b),
-        p_a_prime_b_prime=joint.pair(q.q_a_prime, q.q_b_prime, q.q_a_prime_b_prime),
-        p_a_prime=joint.single(q.q_a_prime),
-        p_b_prime=joint.single(q.q_b_prime),
+        single(q.q_a), single(q.q_b), *joints, single(q.q_a_prime), single(q.q_b_prime)
     )
-
-
-class _SingleWindowLaw:
-    @staticmethod
-    def single(qx: float) -> float:
-        return 1.0 - qx
-
-    @staticmethod
-    def pair(qx: float, qy: float, qxy: float) -> float:
-        # P_X + P_Y - 1 + Q_XY
-        return (1.0 - qx) + (1.0 - qy) - 1.0 + qxy
-
-
-class _MultiWindowExactLaw:
-    @staticmethod
-    def single(qx: float) -> float:
-        return 1.0 - qx * qx
-
-    @staticmethod
-    def pair(qx: float, qy: float, qxy: float) -> float:
-        same_half = qx + qy - qxy          # 1 - P_XY of one half
-        cross_half = qx + qy - qx * qy     # 1 - P_X * P_Y
-        return 1.0 - (same_half * cross_half) ** 2
-
-
-class _MultiWindowPaperLaw:
-    @staticmethod
-    def single(qx: float) -> float:
-        return 1.0 - qx * qx
-
-    @staticmethod
-    def pair(qx: float, qy: float, qxy: float) -> float:
-        return 1.0 - (qx + qy - qxy) ** 4
-
-
-class _UnionLaw:
-    @staticmethod
-    def single(qx: float) -> float:
-        return 1.0 - qx * qx
-
-    @staticmethod
-    def pair(qx: float, qy: float, qxy: float) -> float:
-        # P(any_X and any_Y) over two independent halves.
-        return 1.0 - qx * qx - qy * qy + qxy * qxy
 
 
 def standard_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
     """Single-window probability table (marginals included)."""
-    return _table_from_joints(qset(k, quad), _SingleWindowLaw)
+    return table_for_mode(k, quad, "standard")
 
 
 def multiwindow_table(
@@ -207,18 +215,14 @@ def multiwindow_table(
     ``mode="exact"`` uses the exact cross-channel factor, ``mode="paper"``
     the published fourth-power form (see module docstring).
     """
-    if mode == "exact":
-        law = _MultiWindowExactLaw
-    elif mode == "paper":
-        law = _MultiWindowPaperLaw
-    else:
+    if mode not in ("exact", "paper"):
         raise InvalidInputError(f"mode must be 'exact' or 'paper', got {mode!r}")
-    return _table_from_joints(qset(k, quad), law)
+    return table_for_mode(k, quad, f"multiwindow-{mode}")
 
 
 def union_coincidence_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
     """Split-window table for the plain Boolean coincidence."""
-    return _table_from_joints(qset(k, quad), _UnionLaw)
+    return table_for_mode(k, quad, "multiwindow-union")
 
 
 def ch_standard(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
@@ -246,26 +250,7 @@ def ch_multiwindow_two_term(k: float, quad: AngleQuad = DEFAULT_QUAD) -> float:
     they are not equal, so this curve differs from the full paper-law table;
     both are exposed on purpose.
     """
-    plus, minus = _two_term_parts(k, quad)
-    return plus - minus
-
-
-def _two_term_parts(k: float, quad: AngleQuad) -> tuple[float, float]:
-    q = qset(k, quad)
-    return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4, 2.0 * q.q_a**2
-
-
-def table_for_mode(
-    k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact"
-) -> ProbabilityTable:
-    """Probability table for one of the sweep modes."""
-    if mode == "standard":
-        return standard_table(k, quad)
-    if mode == "multiwindow-exact":
-        return multiwindow_table(k, quad, "exact")
-    if mode == "multiwindow-paper":
-        return multiwindow_table(k, quad, "paper")
-    raise InvalidInputError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    return ch_curve_value(k, quad, "multiwindow-two-term")
 
 
 def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact") -> float:
@@ -277,11 +262,9 @@ def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiw
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     """CH(k) of a curve mode as (positive part, subtracted part)."""
     if mode == "multiwindow-two-term":
-        return _two_term_parts(k, quad)
-    if mode == "multiwindow-union":
-        b = ch_union(k, quad)
-    else:
-        b = ch_value(table_for_mode(k, quad, mode))
+        q = qset(k, quad)
+        return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4, 2.0 * q.q_a**2
+    b = ch_value(table_for_mode(k, quad, mode))
     return b.p_s, b.p_c
 
 

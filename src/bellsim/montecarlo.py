@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterable
 
 import numpy as np
@@ -153,27 +153,11 @@ class EstimatedTable:
     conditional_b_given_a: float | None = None
 
     def entry_estimates(self) -> dict[str, EstimateWithCI]:
-        return {
-            "p_a": self.p_a,
-            "p_b": self.p_b,
-            "p_ab": self.p_ab,
-            "p_ab_prime": self.p_ab_prime,
-            "p_a_prime_b": self.p_a_prime_b,
-            "p_a_prime_b_prime": self.p_a_prime_b_prime,
-            "p_a_prime": self.p_a_prime,
-            "p_b_prime": self.p_b_prime,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(ProbabilityTable)}
 
     def to_probability_table(self) -> ProbabilityTable:
         return ProbabilityTable(
-            p_a=self.p_a.value,
-            p_b=self.p_b.value,
-            p_ab=self.p_ab.value,
-            p_ab_prime=self.p_ab_prime.value,
-            p_a_prime_b=self.p_a_prime_b.value,
-            p_a_prime_b_prime=self.p_a_prime_b_prime.value,
-            p_a_prime=self.p_a_prime.value,
-            p_b_prime=self.p_b_prime.value,
+            **{name: est.value for name, est in self.entry_estimates().items()}
         )
 
 
@@ -236,10 +220,7 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
         config=cfg,
         p_a=est(totals[0]["any_alice"]),
         p_b=est(totals[0]["any_bob"]),
-        p_ab=joints["ab"],
-        p_ab_prime=joints["ab_prime"],
-        p_a_prime_b=joints["a_prime_b"],
-        p_a_prime_b_prime=joints["a_prime_b_prime"],
+        **{f"p_{name}": joint for name, joint in joints.items()},
         p_a_prime=est(totals[3]["any_alice"]),
         p_b_prime=est(totals[3]["any_bob"]),
         ch=_ch_from_joint_estimates(joints, totals, n),
@@ -373,16 +354,7 @@ def compare_to_analytic(
     else:
         reference = multiwindow_table(k_ref, cfg.quad, "exact")
 
-    expected = {
-        "p_a": reference.p_a,
-        "p_b": reference.p_b,
-        "p_ab": reference.p_ab,
-        "p_ab_prime": reference.p_ab_prime,
-        "p_a_prime_b": reference.p_a_prime_b,
-        "p_a_prime_b_prime": reference.p_a_prime_b_prime,
-        "p_a_prime": reference.p_a_prime,
-        "p_b_prime": reference.p_b_prime,
-    }
+    expected = asdict(reference)
     rows = [
         ComparisonRow(
             name=name,
@@ -396,12 +368,7 @@ def compare_to_analytic(
 
     if scheme is WindowScheme.HALVES:
         union_ref = union_coincidence_table(k_ref, cfg.quad)
-        union_expected = {
-            "ab": union_ref.p_ab,
-            "ab_prime": union_ref.p_ab_prime,
-            "a_prime_b": union_ref.p_a_prime_b,
-            "a_prime_b_prime": union_ref.p_a_prime_b_prime,
-        }
+        union_expected = {name: getattr(union_ref, f"p_{name}") for name in _PAIRS}
         for name, est in estimated.union_joints.items():
             rows.append(
                 ComparisonRow(

@@ -7,6 +7,8 @@ library must reproduce them in float64.
 """
 
 import math
+from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,25 +233,85 @@ class TestUnionTable:
 
 class TestTableForMode:
     def test_modes_route_correctly(self):
-        k = 4.0
-        assert table_for_mode(k, mode="standard").p_ab == standard_table(k).p_ab
-        assert (
-            table_for_mode(k, mode="multiwindow-exact").p_ab
-            == multiwindow_table(k, mode="exact").p_ab
-        )
-        assert (
-            table_for_mode(k, mode="multiwindow-paper").p_ab
-            == multiwindow_table(k, mode="paper").p_ab
-        )
+        builders = {
+            "standard": standard_table,
+            "multiwindow-exact": lambda k: multiwindow_table(k, mode="exact"),
+            "multiwindow-paper": lambda k: multiwindow_table(k, mode="paper"),
+            "multiwindow-union": union_coincidence_table,
+        }
+        for mode, builder in builders.items():
+            for k in (0.3, 4.0, 1e6):
+                assert asdict(table_for_mode(k, mode=mode)) == asdict(builder(k))
+
+    def test_marginals_follow_their_settings(self):
+        # No two settings share cos^2 sin^2, so a swapped marginal shows.
+        quad = AngleQuad(a=0.1, b=0.4, a_prime=0.7, b_prime=1.2)
+        for mode in ("standard", "multiwindow-exact", "multiwindow-paper", "multiwindow-union"):
+            table = table_for_mode(2.0, quad, mode)
+            power = 1 if mode == "standard" else 2
+            for name in ("a", "b", "a_prime", "b_prime"):
+                expected = 1.0 - q_single(2.0, getattr(quad, name)) ** power
+                assert getattr(table, f"p_{name}") == pytest.approx(expected, abs=1e-15)
+
+    def test_registry_covers_the_table_modes(self):
+        import bellsim.analytic as an
+
+        assert set(an._LAWS) == set(CH_CURVE_MODES) - {"multiwindow-two-term"}
 
     def test_unknown_mode_rejected(self):
+        for mode in ("imaginary", "multiwindow-two-term", ["standard"], None):
+            with pytest.raises(InvalidInputError, match="mode"):
+                table_for_mode(1.0, mode=mode)
+
+    def test_split_window_helpers_keep_their_own_modes(self):
         with pytest.raises(InvalidInputError, match="mode"):
-            table_for_mode(1.0, mode="imaginary")
+            multiwindow_table(4.0, mode="union")
+        with pytest.raises(InvalidInputError, match="mode"):
+            ch_multiwindow(4.0, mode="multiwindow-exact")
 
     def test_mode_tuples(self):
-        assert set(SWEEP_MODES) <= set(CH_CURVE_MODES)
-        assert "multiwindow-two-term" in CH_CURVE_MODES
-        assert "multiwindow-union" in CH_CURVE_MODES
+        assert SWEEP_MODES == ("standard", "multiwindow-exact", "multiwindow-paper")
+        assert CH_CURVE_MODES == SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
+
+
+def _exact_joint(mode, qx, qy, qxy):
+    """The joint of one law evaluated exactly from the float Q values."""
+    qx, qy, qxy = Fraction(qx), Fraction(qy), Fraction(qxy)
+    if mode == "standard":
+        return 1 - qx - qy + qxy
+    if mode == "multiwindow-exact":
+        return 1 - ((qx + qy - qxy) * (qx + qy - qx * qy)) ** 2
+    if mode == "multiwindow-paper":
+        return 1 - (qx + qy - qxy) ** 4
+    return 1 - qx * qx - qy * qy + qxy * qxy
+
+
+class TestSmallKJoints:
+    """At k below ~1e-8 the joints cancel to ~1e-16 and used to round to
+    -2e-16 (about 15% of log-spaced k for every law), which ``ch_value``
+    rejected."""
+
+    @pytest.mark.parametrize("mode", [m for m in CH_CURVE_MODES if m != "multiwindow-two-term"])
+    def test_tables_validate_and_match_exact_joints(self, mode):
+        eps = Fraction(np.finfo(float).eps)
+        worst = Fraction(0)
+        for k in np.geomspace(1e-18, 1e-4, 4000):
+            table = table_for_mode(float(k), mode=mode)
+            table.validate()
+            q = qset(float(k))
+            for joint, qx, qy, qxy in (
+                (table.p_ab, q.q_a, q.q_b, q.q_ab),
+                (table.p_ab_prime, q.q_a, q.q_b_prime, q.q_ab_prime),
+                (table.p_a_prime_b, q.q_a_prime, q.q_b, q.q_a_prime_b),
+                (table.p_a_prime_b_prime, q.q_a_prime, q.q_b_prime, q.q_a_prime_b_prime),
+            ):
+                worst = max(worst, abs(Fraction(joint) - _exact_joint(mode, qx, qy, qxy)))
+        assert worst <= 16 * eps
+
+    @pytest.mark.parametrize("mode", CH_CURVE_MODES)
+    def test_ch_curve_defined_at_tiny_k(self, mode):
+        for k in np.geomspace(1e-12, 1e-6, 5):
+            assert math.isfinite(ch_curve_value(float(k), mode=mode))
 
 
 class TestChCurveValue:

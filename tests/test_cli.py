@@ -397,6 +397,19 @@ WAVEFORM_SHA256 = {
 ANALYTIC_SHA256 = {
     (): "f2b495e00682529e984d3e86a96155fc96d93d132109f4c52c00391ac1302479",
     ("--points", "2001"): "1eec648f8c81c04a99f0d6c95783588fa7747a7e6249dd084236e4908f3811a9",
+    ("--start", "1e-3", "--stop", "1e30", "--points", "301"):
+        "f78daddfcb37d512b8250f5bea198bd36b50791b3200ad18d12e6d70a46e7ab3",
+    (
+        "--grid", "linear", "--start", "0.5", "--stop", "9", "--points", "77",
+        "--angle-a", "10deg", "--angle-b", "0.4", "--angle-a-prime", "1",
+        "--angle-b-prime", "80deg",
+    ): "0a5ca1f4270d12693dfb617f3037f07567ce068f378e89cffd7794ad4166ae0f",
+}
+#: sha256 of the ``simulate --k 4 --trials 70000 --seed 3`` report without
+#: ``runtime_seconds``, re-serialized with sorted keys.
+SIMULATE_SHA256 = {
+    "single": "050dfdfe31d1c907a2e43bcbf444979508e295ea985b96069da0930f3c8bf75e",
+    "halves": "43a1228f3b9b3955aeaf24fc0ad8533263e5883b1ea8afe5139ef0706e95b45d",
 }
 
 
@@ -422,6 +435,17 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == ANALYTIC_SHA256[argv]
 
+    @pytest.mark.parametrize("scheme", list(SIMULATE_SHA256))
+    def test_simulate_report(self, capsys, scheme):
+        code, out, _ = run(
+            capsys, "simulate", "--scheme", scheme, "--k", "4", "--trials", "70000", "--seed", "3"
+        )
+        assert code == 0
+        payload = json.loads(out)
+        del payload["runtime_seconds"]
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        assert digest == SIMULATE_SHA256[scheme]
+
 
 class TestNoFalseZeroCrossing:
     """A CH curve that cancels to rounding noise has no crossing footer."""
@@ -436,6 +460,17 @@ class TestNoFalseZeroCrossing:
     def test_no_footer(self, capsys, argv):
         code, out, _ = run(capsys, "analytic", *argv)
         assert code == 0
+        assert "zero-crossing" not in out
+
+    @pytest.mark.parametrize("mode", ["standard", "multiwindow-exact", "multiwindow-paper"])
+    def test_small_k_sweep(self, capsys, mode):
+        """Joints that cancel below rounding at k < 1e-8 used to reach the
+        crossing scan as -2e-16 and exit 1."""
+        code, out, err = run(
+            capsys, "analytic", "--start", "1e-12", "--stop", "1e-6", "--points", "5",
+            "--modes", mode,
+        )
+        assert (code, err) == (0, "")
         assert "zero-crossing" not in out
 
     def test_default_footers_kept(self, capsys):
