@@ -109,6 +109,7 @@ from .waveform import (
     sample_events,
     sample_homogeneous_events,
     three_wave,
+    windowed_coincidence_counts,
     windowed_coincidences,
 )
 
@@ -185,5 +186,6 @@ __all__ = [
     "table_for_mode",
     "three_wave",
     "union_coincidence_table",
+    "windowed_coincidence_counts",
     "windowed_coincidences",
 ]

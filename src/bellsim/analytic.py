@@ -255,12 +255,19 @@ def ch_multiwindow_two_term(k: float, quad: AngleQuad = DEFAULT_QUAD) -> float:
 
 def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact") -> float:
     """Scalar CH(k) for any curve mode, including the two-term and union laws."""
+    _check_curve_mode(mode)
     plus, minus = _ch_parts(k, quad, mode)
     return plus - minus
 
 
+def _check_curve_mode(mode: str) -> None:
+    if mode not in CH_CURVE_MODES:
+        raise InvalidInputError(f"mode must be one of {CH_CURVE_MODES}, got {mode!r}")
+
+
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
-    """CH(k) of a curve mode as (positive part, subtracted part)."""
+    """CH(k) of a curve mode as (positive part, subtracted part); the mode is
+    checked by the callers, since the crossing scan calls this per point."""
     if mode == "multiwindow-two-term":
         q = qset(k, quad)
         return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4, 2.0 * q.q_a**2
@@ -289,8 +296,7 @@ def ch_zero_crossing(
     single-window curve, the union law, or a quad that never violates)
     yield None rather than an exception.
     """
-    if mode not in CH_CURVE_MODES:
-        raise InvalidInputError(f"mode must be one of {CH_CURVE_MODES}, got {mode!r}")
+    _check_curve_mode(mode)
     lo, hi = bracket
     if not (0.0 < lo < hi and math.isfinite(hi)):
         raise InvalidInputError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")

@@ -55,7 +55,7 @@ from .waveform import (
     nearest_delays,
     sample_events,
     sample_homogeneous_events,
-    windowed_coincidences,
+    windowed_coincidence_counts,
 )
 
 __all__ = ["main", "parse_angle"]
@@ -445,12 +445,11 @@ def cmd_waveform(args: argparse.Namespace) -> int:
         ) from None
     if any(width <= 0 for width in windows):
         raise _ConfigError("window widths must be positive")
-    rows = [
-        [width,
-         windowed_coincidences(shared_a, shared_b, width),
-         windowed_coincidences(indep_a, indep_b, width)]
-        for width in windows
-    ]
+    rows = list(zip(
+        windows,
+        windowed_coincidence_counts(shared_a, shared_b, windows),
+        windowed_coincidence_counts(indep_a, indep_b, windows),
+    ))
     _emit_csv(("window", "shared", "independent"), rows, args.out)
     return _EXIT_OK
 

@@ -148,9 +148,10 @@ def run_trials(
 
     Notes
     -----
-    Draw order (RNG contract 2, see
-    :data:`bellsim.montecarlo.RNG_CONTRACT`); each item is ``n`` values, and
-    the bracketed phases are drawn only with ``phase_mode="sampled"``:
+    Draw order (RNG contract 3, see
+    :data:`bellsim.montecarlo.RNG_CONTRACT`; it keeps contract 2's order and
+    changes only the bit generator); each item is ``n`` values, and the
+    bracketed phases are drawn only with ``phase_mode="sampled"``:
 
     * single: x, y, [chi, xi]; Alice's uniforms; Bob's uniforms.
     * halves: the single-window draws for half 1, then the same for half 2;

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -45,11 +45,10 @@ __all__ = [
     "harmonic_expansion",
     "intensity_at",
     "intensity_stats",
-    "parse_streams",
     "sample_events",
     "sample_homogeneous_events",
-    "serialize_streams",
     "three_wave",
+    "windowed_coincidence_counts",
     "windowed_coincidences",
 ]
 
@@ -617,44 +616,25 @@ def windowed_coincidences(
 
     Monotone nondecreasing in the window width for fixed streams.
     """
-    if not (math.isfinite(window) and window > 0):
-        raise InvalidInputError(f"window must be positive and finite, got {window!r}")
+    return windowed_coincidence_counts(stream_a, stream_b, [window])[0]
+
+
+def windowed_coincidence_counts(
+    stream_a: EventStream, stream_b: EventStream, windows: Sequence[float]
+) -> list[int]:
+    """:func:`windowed_coincidences` at each width of ``windows``, in order,
+    from one neighbour search shared by all widths."""
+    for window in windows:
+        if not (math.isfinite(window) and window > 0):
+            raise InvalidInputError(f"window must be positive and finite, got {window!r}")
     a, b = stream_a.times, stream_b.times
     if a.size == 0 or b.size == 0:
-        return 0
-    half = 0.5 * window
+        return [0] * len(windows)
     # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
     # window exactly when the nearest one on either side does.
     after, before = _neighbours(a, b)
-    return int(np.count_nonzero((after <= a + half) | (before >= a - half)))
-
-
-def serialize_streams(streams: Mapping[str, EventStream]) -> str:
-    """Merge streams into two-column text: time, stream-id; sorted by time."""
-    rows: list[tuple[float, str]] = []
-    for stream_id, stream in streams.items():
-        if "\t" in stream_id or "\n" in stream_id:
-            raise InvalidInputError(f"stream id may not contain tab/newline: {stream_id!r}")
-        rows.extend((float(t), stream_id) for t in stream.times)
-    rows.sort()
-    return "".join(f"{t:.17g}\t{sid}\n" for t, sid in rows)
-
-
-def parse_streams(text: str, rate_scale: float = 1.0) -> dict[str, EventStream]:
-    """Inverse of :func:`serialize_streams` (rate_scale is not serialized)."""
-    by_id: dict[str, list[float]] = {}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise InvalidInputError(f"line {line_no}: expected 'time<TAB>id', got {line!r}")
-        try:
-            t = float(parts[0])
-        except ValueError as exc:
-            raise InvalidInputError(f"line {line_no}: bad time {parts[0]!r}") from exc
-        by_id.setdefault(parts[1], []).append(t)
-    return {
-        sid: EventStream(times=np.asarray(sorted(ts)), rate_scale=rate_scale)
-        for sid, ts in by_id.items()
-    }
+    counts = []
+    for window in windows:
+        half = 0.5 * window
+        counts.append(int(np.count_nonzero((after <= a + half) | (before >= a - half))))
+    return counts

@@ -330,6 +330,14 @@ class TestChCurveValue:
             CH_UNION_K4, abs=1e-12
         )
 
+    def test_unknown_mode_names_every_curve_mode(self):
+        for call in (
+            lambda: ch_curve_value(1.0, mode="bogus"),
+            lambda: small_k_expansion(mode="bogus"),
+        ):
+            with pytest.raises(InvalidInputError, match="multiwindow-two-term"):
+                call()
+
 
 class TestZeroCrossing:
     def test_exact_multiwindow_root(self):

@@ -177,7 +177,8 @@ class TestTrialCounts:
 
 
 class TestDrawOrder:
-    """run_trials consumes exactly the documented draws (RNG contract 2):
+    """run_trials consumes exactly the documented draws (the order of RNG
+    contracts 2 and 3, which differ only in the bit generator):
     replaying them by hand leaves the generator in the same state, so the
     next draws agree."""
 

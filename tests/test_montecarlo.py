@@ -7,7 +7,7 @@ import statistics
 import numpy as np
 import pytest
 
-from bellsim.detector import WindowScheme
+from bellsim.detector import DetectorParams, WindowScheme, run_trials
 from bellsim.errors import InvalidInputError
 from bellsim.montecarlo import (
     CHUNK_TRIALS,
@@ -268,6 +268,18 @@ class TestRngContract:
                 "paired_and_bob": 961,
             }),
         },
+        3: {
+            "single": (1.0, {
+                "any_alice": 528, "any_bob": 490, "any_coincidence": 280,
+                "any_paired_coincidence": 280, "paired_and_alice": 280,
+                "paired_and_bob": 280,
+            }),
+            "halves": (4.0, {
+                "any_alice": 990, "any_bob": 962, "any_coincidence": 953,
+                "any_paired_coincidence": 991, "paired_and_alice": 983,
+                "paired_and_bob": 957,
+            }),
+        },
     }
 
     @pytest.mark.parametrize("scheme", ["single", "halves"])
@@ -276,3 +288,19 @@ class TestRngContract:
         k, expected = self.PINNED[RNG_CONTRACT][scheme]
         cfg = RunConfig(k=k, scheme=scheme, seed=2024)
         assert _run_chunk(cfg, 1, 2, 1000) == expected
+
+    @pytest.mark.parametrize("scheme, k", [("single", 1.0), ("halves", 4.0)])
+    @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
+    def test_chunk_seeding_is_the_documented_one(self, scheme, k, phase_mode):
+        """Chunk (p, c) runs the setting pair p on
+        ``SFC64(SeedSequence(seed, spawn_key=(p, c)))``, whatever the pins."""
+        cfg = RunConfig(k=k, scheme=scheme, seed=99, phase_mode=phase_mode)
+        q = cfg.quad
+        angles = [(q.a, q.b), (q.a, q.b_prime), (q.a_prime, q.b), (q.a_prime, q.b_prime)]
+        for p, c in [(0, 0), (1, 2), (2, 7), (3, 1)]:
+            ss = np.random.SeedSequence(cfg.seed, spawn_key=(p, c))
+            rng = np.random.Generator(np.random.SFC64(ss))
+            expected = run_trials(
+                DetectorParams(k), scheme, *angles[p], rng, 500, phase_mode=phase_mode
+            )
+            assert _run_chunk(cfg, p, c, 500) == expected

@@ -19,11 +19,10 @@ from bellsim.waveform import (
     intensity_at,
     intensity_stats,
     nearest_delays,
-    parse_streams,
     sample_events,
     sample_homogeneous_events,
-    serialize_streams,
     three_wave,
+    windowed_coincidence_counts,
     windowed_coincidences,
 )
 
@@ -397,31 +396,6 @@ class TestWindowedCoincidences:
         assert wins >= 18, f"shared beat independent only {wins}/{trials} times"
 
 
-class TestSerialization:
-    def test_round_trip(self):
-        w = three_wave()
-        rng = make_rng(33)
-        streams = {
-            "alice": sample_events(w, span=50.0, rate_scale=1.0, rng=rng),
-            "bob": sample_events(w, span=50.0, rate_scale=1.0, rng=rng),
-        }
-        text = serialize_streams(streams)
-        parsed = parse_streams(text)
-        assert set(parsed) == {"alice", "bob"}
-        assert np.allclose(parsed["alice"].times, streams["alice"].times, atol=0)
-        assert np.allclose(parsed["bob"].times, streams["bob"].times, atol=0)
-
-    def test_format_is_time_sorted_tsv(self):
-        a = EventStream(times=np.array([1.0, 3.0]), rate_scale=1.0)
-        b = EventStream(times=np.array([2.0]), rate_scale=1.0)
-        lines = serialize_streams({"a": a, "b": b}).splitlines()
-        assert lines == ["1\ta", "2\tb", "3\ta"]
-
-    def test_parse_rejects_garbage(self):
-        with pytest.raises(InvalidInputError):
-            parse_streams("not-a-number\tx\n")
-
-
 # ---------------------------------------------------------------------------
 # Exactness of the fast paths against plain references
 
@@ -660,6 +634,28 @@ class TestNeighbourSearchMatchesBruteForce:
             # Just past the edges nothing matches.
             outside = EventStream(times=a_times + sign * half * (1 + 1e-9), rate_scale=1.0)
             assert windowed_coincidences(a, outside, 2 * half) == 0
+
+    def test_counts_for_all_widths(self):
+        """One shared search gives every width's count, including B-events
+        exactly at a +- half and just past it."""
+        windows = [1e-3, 0.25, 0.5, 1.0, 2.5, 50.0]
+        a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
+        edges = [
+            (EventStream(times=a_times, rate_scale=1.0), EventStream(times=t, rate_scale=1.0))
+            for t in (a_times - 0.5, a_times + 0.5, a_times + 0.5 * (1 + 1e-9))
+        ]
+        for a, b in PAIRS + edges:
+            expected = [brute_force_windows(a.times, b.times, w) if b.n else 0 for w in windows]
+            assert windowed_coincidence_counts(a, b, windows) == expected
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_counts_reject_the_first_bad_width(self, bad):
+        a = EventStream(times=np.array([1.0]), rate_scale=1.0)
+        empty = EventStream(times=np.array([]), rate_scale=1.0)
+        for b in (a, empty):
+            with pytest.raises(InvalidInputError, match=f"positive and finite, got {bad!r}"):
+                windowed_coincidence_counts(a, b, [0.5, bad, -2.0])
+        assert windowed_coincidence_counts(a, empty, [0.5, 1.0]) == [0, 0]
 
     def test_nearest_delays(self):
         for a, b in PAIRS:
