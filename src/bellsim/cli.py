@@ -27,15 +27,14 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
-from .detector import WindowScheme
-from .errors import BellsimError, InvalidInputError
+from .errors import BellsimError
 from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -176,17 +175,19 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.points)
 
 
-def _quad_from_mapping(raw: dict, base: AngleQuad) -> AngleQuad:
-    known = {"a", "b", "a_prime", "b_prime"}
-    unknown = set(raw) - known
+def _load_quad(args: argparse.Namespace, raw: dict) -> AngleQuad:
+    """Settings from the ``--angle-*`` flags, else from ``raw``, else the defaults."""
+    angles = asdict(DEFAULT_QUAD)
+    unknown = set(raw) - set(angles)
     if unknown:
-        raise _ConfigError(f"unknown quad keys: {sorted(unknown)}; expected {sorted(known)}")
-    return AngleQuad(
-        a=parse_angle(raw["a"]) if "a" in raw else base.a,
-        b=parse_angle(raw["b"]) if "b" in raw else base.b,
-        a_prime=parse_angle(raw["a_prime"]) if "a_prime" in raw else base.a_prime,
-        b_prime=parse_angle(raw["b_prime"]) if "b_prime" in raw else base.b_prime,
-    )
+        raise _ConfigError(f"unknown quad keys: {sorted(unknown)}; expected {sorted(angles)}")
+    from_raw = {name: parse_angle(raw[name]) for name in angles if name in raw}
+    from_flags = {
+        name: parse_angle(text)
+        for name in angles
+        if (text := getattr(args, f"angle_{name}")) is not None
+    }
+    return AngleQuad(**{**angles, **from_raw, **from_flags})
 
 
 def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
@@ -202,11 +203,9 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
             ) from None
         if not isinstance(raw, dict):
             raise _ConfigError("sweep config must be a JSON object")
-        unknown = set(raw) - {"k_grid", "quad", "modes", "mc"}
+        unknown = set(raw) - {"k_grid", "quad", "modes"}
         if unknown:
             raise _ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
-        if "mc" in raw and not isinstance(raw["mc"], dict):
-            raise _ConfigError("'mc' must be a JSON object of RunConfig overrides")
 
     grid = raw.get("k_grid", {})
     if not isinstance(grid, dict):
@@ -219,8 +218,7 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     quad_raw = raw.get("quad", {})
     if not isinstance(quad_raw, dict):
         raise _ConfigError("'quad' must be a JSON object")
-    quad = _quad_from_mapping(quad_raw, DEFAULT_QUAD)
-    quad = _quad_from_flags(args, quad)
+    quad = _load_quad(args, quad_raw)
 
     if args.modes is not None:
         modes = tuple(m for m in (s.strip() for s in args.modes.split(",")) if m)
@@ -231,15 +229,6 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         modes = tuple(str(m) for m in modes_raw)
     return SweepSpec(
         grid_kind=grid_kind, start=start, stop=stop, points=points, quad=quad, modes=modes
-    )
-
-
-def _quad_from_flags(args: argparse.Namespace, base: AngleQuad) -> AngleQuad:
-    return AngleQuad(
-        a=parse_angle(args.angle_a) if args.angle_a is not None else base.a,
-        b=parse_angle(args.angle_b) if args.angle_b is not None else base.b,
-        a_prime=parse_angle(args.angle_a_prime) if args.angle_a_prime is not None else base.a_prime,
-        b_prime=parse_angle(args.angle_b_prime) if args.angle_b_prime is not None else base.b_prime,
     )
 
 
@@ -270,58 +259,25 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.trials < 1:
         raise _ConfigError(f"--trials must be >= 1, got {args.trials}")
-    quad = _quad_from_flags(args, DEFAULT_QUAD)
-    scheme = WindowScheme.SINGLE if args.scheme == "single" else WindowScheme.HALVES
-    try:
-        cfg = RunConfig(
-            k=args.k,
-            quad=quad,
-            scheme=scheme,
-            n_trials=args.trials,
-            seed=args.seed,
-            phase_mode="sampled" if args.phases else "suppressed",
-            workers=args.workers,
-        )
-    except InvalidInputError as exc:
-        raise _ConfigError(str(exc)) from None
+    cfg = RunConfig(
+        k=args.k,
+        quad=_load_quad(args, {}),
+        scheme=args.scheme,
+        n_trials=args.trials,
+        seed=args.seed,
+        phase_mode="sampled" if args.phases else "suppressed",
+        workers=args.workers,
+    )
     started = time.perf_counter()
     report = compare_to_analytic(cfg, analytic_k=args.analytic_k)
     runtime = time.perf_counter() - started
     est = report.estimated
     payload = {
         "schema_version": _SCHEMA_VERSION,
-        "config": {
-            "k": cfg.k,
-            "scheme": cfg.scheme.value,
-            "n_trials": cfg.n_trials,
-            "seed": cfg.seed,
-            "phase_mode": cfg.phase_mode,
-            "workers": cfg.workers,
-            "rng_contract": RNG_CONTRACT,
-            "quad": {
-                "a": cfg.quad.a,
-                "b": cfg.quad.b,
-                "a_prime": cfg.quad.a_prime,
-                "b_prime": cfg.quad.b_prime,
-            },
-        },
+        "config": {**asdict(cfg), "scheme": cfg.scheme.value, "rng_contract": RNG_CONTRACT},
         "analytic_k": report.analytic_k,
-        "rows": [
-            {
-                "name": row.name,
-                "estimate": row.estimate,
-                "expected": row.expected,
-                "std_error": row.std_error,
-                "z": row.z,
-            }
-            for row in report.rows
-        ],
-        "ch": {
-            "p_s": est.ch.p_s,
-            "p_c": est.ch.p_c,
-            "ch": est.ch.ch,
-            "std_error": est.ch_std_error,
-        },
+        "rows": [asdict(row) for row in report.rows],
+        "ch": {**asdict(est.ch), "std_error": est.ch_std_error},
         "conditional_b_given_a": est.conditional_b_given_a,
         "max_abs_z": report.max_abs_z,
         "z_limit": report.z_limit,
@@ -352,10 +308,7 @@ def _parse_wave(args: argparse.Namespace) -> Waveform:
         ) from None
     if not coeffs:
         raise _ConfigError("--wave needs at least one coefficient")
-    try:
-        return Waveform.from_coefficients(coeffs, omega=args.omega, amplitude=args.amplitude)
-    except InvalidInputError as exc:
-        raise _ConfigError(str(exc)) from None
+    return Waveform.from_coefficients(coeffs, omega=args.omega, amplitude=args.amplitude)
 
 
 def _stream_rngs(seed: int) -> list[np.random.Generator]:
@@ -607,13 +560,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except BellsimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except OSError as exc:
+    except (BellsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
 

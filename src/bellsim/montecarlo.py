@@ -4,7 +4,8 @@ A run estimates the full CH probability table for one (k, quad, scheme)
 configuration by simulating each of the four setting pairs with
 :func:`bellsim.detector.run_trials`.  Reproducibility contract:
 
-* Trials are partitioned into fixed-size chunks (:data:`CHUNK_TRIALS`).
+* Trials are partitioned into fixed-size chunks (:data:`CHUNK_TRIALS`),
+  and every run executes them on a pool of ``workers`` threads.
 * Chunk (pair p, index c) draws from ``SFC64(SeedSequence(seed,
   spawn_key=(p, c)))``.  ``SeedSequence`` hashes (seed, p, c) into the
   generator's state, so the chunk streams are independent and keyed only by
@@ -32,14 +33,13 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Iterable
 
 import numpy as np
 
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
 from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
 from .errors import InvalidInputError
-from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable
+from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
 
 __all__ = [
@@ -202,38 +202,36 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
         return pair_idx, _run_chunk(cfg, pair_idx, chunk_idx, size)
 
     totals: list[dict[str, int]] = [dict.fromkeys(COUNT_KEYS, 0) for _ in range(4)]
-    if cfg.workers == 1:
-        results: Iterable[tuple[int, dict[str, int]]] = map(run, tasks)
-        for pair_idx, counts in results:
+    # A pool even for one worker: a pool thread's malloc arena keeps the chunk temporaries.
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        for pair_idx, counts in pool.map(run, tasks):
             for key, value in counts.items():
                 totals[pair_idx][key] += value
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            for pair_idx, counts in pool.map(run, tasks):
-                for key, value in counts.items():
-                    totals[pair_idx][key] += value
 
     n = cfg.n_trials
 
     def est(count: int) -> EstimateWithCI:
         return EstimateWithCI.from_count(count, n)
 
-    joints = {
-        name: est(totals[i]["any_paired_coincidence"]) for i, name in enumerate(_PAIRS)
+    entries = {
+        "p_a": est(totals[0]["any_alice"]),
+        "p_b": est(totals[0]["any_bob"]),
+        **{
+            f"p_{name}": est(totals[i]["any_paired_coincidence"])
+            for i, name in enumerate(_PAIRS)
+        },
+        "p_a_prime": est(totals[3]["any_alice"]),
+        "p_b_prime": est(totals[3]["any_bob"]),
     }
-    table = EstimatedTable(
+    return EstimatedTable(
         config=cfg,
-        p_a=est(totals[0]["any_alice"]),
-        p_b=est(totals[0]["any_bob"]),
-        **{f"p_{name}": joint for name, joint in joints.items()},
-        p_a_prime=est(totals[3]["any_alice"]),
-        p_b_prime=est(totals[3]["any_bob"]),
-        ch=_ch_from_joint_estimates(joints, totals, n),
+        **entries,
+        ch=ch_value(ProbabilityTable(**{name: e.value for name, e in entries.items()})),
         ch_std_error=_ch_std_error(totals, n),
         union_joints={
             name: est(totals[i]["any_coincidence"]) for i, name in enumerate(_PAIRS)
         }
-        if WindowScheme(cfg.scheme) is WindowScheme.HALVES
+        if cfg.scheme is WindowScheme.HALVES
         else {},
         conditional_b_given_a=(
             totals[0]["any_coincidence"] / totals[0]["any_alice"]
@@ -241,20 +239,6 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
             else None
         ),
     )
-    return table
-
-
-def _ch_from_joint_estimates(
-    joints: dict[str, EstimateWithCI], totals: list[dict[str, int]], n: int
-) -> CHBreakdown:
-    p_s = totals[0]["any_alice"] / n + totals[0]["any_bob"] / n
-    p_c = (
-        joints["ab"].value
-        + joints["ab_prime"].value
-        + joints["a_prime_b"].value
-        - joints["a_prime_b_prime"].value
-    )
-    return CHBreakdown(p_s=p_s, p_c=p_c, ch=p_s - p_c)
 
 
 def _ch_std_error(totals: list[dict[str, int]], n: int) -> float:
@@ -353,43 +337,35 @@ def compare_to_analytic(
         estimated = estimate_table(cfg)
     k_ref = cfg.k if analytic_k is None else float(analytic_k)
 
-    scheme = WindowScheme(cfg.scheme)
-    if scheme is WindowScheme.SINGLE:
+    if cfg.scheme is WindowScheme.SINGLE:
         reference = standard_table(k_ref, cfg.quad)
     else:
         reference = multiwindow_table(k_ref, cfg.quad, "exact")
-
-    expected = asdict(reference)
-    rows = [
+    groups = [("", estimated.entry_estimates(), asdict(reference))]
+    if cfg.scheme is WindowScheme.HALVES:
+        union_ref = union_coincidence_table(k_ref, cfg.quad)
+        groups.append((
+            "union_",
+            estimated.union_joints,
+            {name: getattr(union_ref, f"p_{name}") for name in _PAIRS},
+        ))
+    rows = tuple(
         ComparisonRow(
-            name=name,
+            name=prefix + name,
             estimate=est.value,
             expected=expected[name],
             std_error=est.std_error,
             z=_z_score(est, expected[name]),
         )
-        for name, est in estimated.entry_estimates().items()
-    ]
-
-    if scheme is WindowScheme.HALVES:
-        union_ref = union_coincidence_table(k_ref, cfg.quad)
-        union_expected = {name: getattr(union_ref, f"p_{name}") for name in _PAIRS}
-        for name, est in estimated.union_joints.items():
-            rows.append(
-                ComparisonRow(
-                    name=f"union_{name}",
-                    estimate=est.value,
-                    expected=union_expected[name],
-                    std_error=est.std_error,
-                    z=_z_score(est, union_expected[name]),
-                )
-            )
+        for prefix, estimates, expected in groups
+        for name, est in estimates.items()
+    )
 
     max_abs_z = max(abs(row.z) for row in rows)
     return ComparisonReport(
         config=cfg,
         analytic_k=k_ref,
-        rows=tuple(rows),
+        rows=rows,
         max_abs_z=max_abs_z,
         z_limit=z_limit,
         passed=max_abs_z <= z_limit,

@@ -4,13 +4,14 @@ import csv
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bellsim.cli import main, parse_angle
-from bellsim.inequalities import ch_value, eval_discrete_lhv, random_discrete_model
-from bellsim.montecarlo import RNG_CONTRACT
+from bellsim.inequalities import AngleQuad, ch_value, eval_discrete_lhv, random_discrete_model
+from bellsim.montecarlo import RNG_CONTRACT, RunConfig
 
 
 def run(capsys, *argv):
@@ -113,6 +114,14 @@ class TestAnalytic:
         assert code == 0
         assert len(out.splitlines()) == 1 + 4
 
+    def test_spec_rejects_mc_key(self, capsys, tmp_path):
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"modes": ["standard"], "mc": {"n_trials": 10}}))
+        code, out, err = run(capsys, "analytic", "--spec", str(spec))
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown sweep config keys: ['mc']\n"
+
     def test_malformed_spec_reports_location(self, capsys, tmp_path):
         spec = tmp_path / "bad.json"
         spec.write_text('{"k_grid": {"kind": "linear",\n  "start": oops}}')
@@ -156,6 +165,13 @@ class TestSimulate:
         assert len(payload["rows"]) == 8
         assert payload["max_abs_z"] <= 5.0
         assert "ch" in payload and "std_error" in payload["ch"]
+
+    def test_config_mirrors_run_config(self, capsys):
+        code, out, _ = run(capsys, "simulate", "--k", "1.0", "--trials", "2000")
+        assert code == 0
+        config = json.loads(out)["config"]
+        assert set(config) == {f.name for f in fields(RunConfig)} | {"rng_contract"}
+        assert set(config["quad"]) == {f.name for f in fields(AngleQuad)}
 
     def test_halves_run_has_union_rows(self, capsys):
         code, out, _ = run(capsys, "simulate", "--k", "4.0", "--scheme", "halves",
@@ -311,6 +327,26 @@ class TestTopLevel:
     def test_no_command_exits_1(self, capsys):
         code, _, err = run(capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (("simulate", "--k", "0"), "error: k must be finite and > 0, got 0.0"),
+            (
+                ("simulate", "--k", "1", "--workers", "0"),
+                "error: workers must be an integer >= 1, got 0",
+            ),
+            (
+                ("waveform", "stats", "--omega", "0"),
+                "error: omega must be positive and finite, got 0.0",
+            ),
+        ],
+    )
+    def test_library_errors_exit_1_with_one_line(self, capsys, argv, line):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err == line + "\n"
 
 
 #: stdout of ``waveform windows --seed S`` and ``waveform delays --seed S

@@ -9,6 +9,7 @@ import pytest
 
 from bellsim.detector import DetectorParams, WindowScheme, run_trials
 from bellsim.errors import InvalidInputError
+from bellsim.inequalities import ch_value
 from bellsim.montecarlo import (
     CHUNK_TRIALS,
     RNG_CONTRACT,
@@ -133,6 +134,16 @@ class TestEstimateTable:
         table = estimate_table(RunConfig(k=4.0, scheme="halves", seed=2, n_trials=50_000))
         assert table.ch.ch == pytest.approx(table.ch.p_s - table.ch.p_c, abs=1e-15)
         assert table.ch_std_error > 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k", [0.1, 4.0])
+    @pytest.mark.parametrize("scheme", ["single", "halves"])
+    def test_ch_is_ch_value_of_the_table(self, scheme, k, seed):
+        table = estimate_table(RunConfig(k=k, scheme=scheme, seed=seed, n_trials=5000))
+        expected = ch_value(table.to_probability_table())
+        assert (table.ch.p_s, table.ch.p_c, table.ch.ch) == (
+            expected.p_s, expected.p_c, expected.ch
+        )
 
     def test_conditional_detection_probability(self):
         """P(Bob | Alice) at the (A, B) pair approaches its closed-form
