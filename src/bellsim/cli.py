@@ -190,6 +190,22 @@ def _load_quad(args: argparse.Namespace, raw: dict) -> AngleQuad:
     return AngleQuad(**{**angles, **from_raw, **from_flags})
 
 
+def _grid_value(grid: dict, key: str, default: float | int) -> float | int:
+    """``grid[key]``: a JSON integer for ``points``, else a JSON number as a
+    float.  A bool is neither, though Python counts it as an int."""
+    value = grid.get(key, default)
+    if key == "points":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise _ConfigError(f"k_grid points must be an integer, got {value!r}")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise _ConfigError(f"k_grid {key} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        raise _ConfigError("k_grid start/stop must be finite") from None
+
+
 def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     raw: dict = {}
     if args.spec is not None:
@@ -211,9 +227,9 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if not isinstance(grid, dict):
         raise _ConfigError("'k_grid' must be a JSON object")
     grid_kind = args.grid if args.grid is not None else grid.get("kind", "log")
-    start = args.start if args.start is not None else float(grid.get("start", 0.01))
-    stop = args.stop if args.stop is not None else float(grid.get("stop", 100.0))
-    points = args.points if args.points is not None else int(grid.get("points", 121))
+    start = args.start if args.start is not None else _grid_value(grid, "start", 0.01)
+    stop = args.stop if args.stop is not None else _grid_value(grid, "stop", 100.0)
+    points = args.points if args.points is not None else _grid_value(grid, "points", 121)
 
     quad_raw = raw.get("quad", {})
     if not isinstance(quad_raw, dict):

@@ -75,20 +75,28 @@ class WindowScheme(str, enum.Enum):
     HALVES = "halves"
 
 
-def detect_prob(params: DetectorParams, intensity: float | np.ndarray) -> float | np.ndarray:
+def detect_prob(
+    params: DetectorParams,
+    intensity: float | np.ndarray,
+    out: np.ndarray | None = None,
+) -> float | np.ndarray:
     """Detection probability 1 - exp(-k*I) for intensity I >= 0.
 
-    Monotone in both k and I; 0 at I = 0; approaches 1 as k*I grows.
+    Monotone in both k and I; 0 at I = 0; approaches 1 as k*I grows.  For an
+    array ``intensity``, ``out`` is an optional float64 array of its shape
+    (it may be ``intensity`` itself) that receives the probabilities, with
+    the same values as without it.
     """
     arr = np.asarray(intensity, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    # min/max propagate NaN and see +-inf, so one pair decides both
+    # finiteness and sign without a boolean temporary.
+    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
         raise InvalidInputError("intensity must be finite and >= 0")
     if arr.ndim == 0:
         return float(-np.expm1(-params.k * arr))
-    # In place: one n-sized allocation per call instead of three.
-    out = np.multiply(arr, -params.k)
-    np.expm1(out, out=out)
-    return np.negative(out, out=out)
+    p = np.multiply(arr, -params.k, out=out)
+    np.expm1(p, out=p)
+    return np.negative(p, out=p)
 
 
 #: Keys of the counts returned by :func:`run_trials`.
@@ -102,12 +110,8 @@ COUNT_KEYS = (
 )
 
 
-def _bernoulli(rng: np.random.Generator, prob: np.ndarray) -> np.ndarray:
-    return rng.random(prob.shape) < prob
-
-
-def _counts(*flags: np.ndarray) -> dict[str, int]:
-    return {key: int(np.count_nonzero(f)) for key, f in zip(COUNT_KEYS, flags, strict=True)}
+def _counts(*counts: int) -> dict[str, int]:
+    return {key: int(c) for key, c in zip(COUNT_KEYS, counts, strict=True)}
 
 
 def run_trials(
@@ -163,39 +167,62 @@ def run_trials(
 
     In suppressed mode that is 4 values per trial on single and 20 on
     halves.
+
+    Each call allocates one workspace: four float arrays of ``n`` (the field
+    x and y, the intensity, the uniforms) and the shot flags (two arrays of
+    ``n`` on single, five on halves).  Every field draw, projection,
+    detection probability and uniform batch is written into it, so the call
+    draws the contract-3 stream above with no other ``n``-sized allocation
+    in suppressed mode (sampled phases are still allocated by
+    :func:`bellsim.source.sample_field`).
     """
-    if n < 1:
-        raise InvalidInputError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
     scheme = WindowScheme(scheme)
     sampled = phase_mode == "sampled"
+    x, y, i, u = np.empty((4, n))
+    flags = np.empty((5 if scheme is WindowScheme.HALVES else 2, n), dtype=bool)
 
-    def shots(alice: float | None, bob: float | None, chi: bool, xi: bool) -> list:
+    def shots(alice: float | None, bob: float | None, chi: bool, xi: bool,
+              flag_a: np.ndarray | None, flag_b: np.ndarray | None) -> None:
         # One fresh field draw projected onto the given sides (None: side not
-        # projected), then a uniform batch per projected side, Alice first.
-        pair = intensities(sample_field(rng, n, chi, xi), alice, bob, phase_mode)
-        return [
-            None if i is None else _bernoulli(rng, detect_prob(params, i))
-            for i in (pair.i_a, pair.i_b)
-        ]
+        # projected; Bob's intensity reuses x), then a uniform batch per
+        # projected side, Alice first, whose shots land in that side's flags.
+        sample = sample_field(rng, n, chi, xi, out=(x, y))
+        pair = intensities(sample, alice, bob, phase_mode, out=(i, x), work=u)
+        for intensity, flag in ((pair.i_a, flag_a), (pair.i_b, flag_b)):
+            if intensity is not None:
+                prob = detect_prob(params, intensity, out=intensity)
+                np.less(rng.random(out=u), prob, out=flag)
 
     if scheme is WindowScheme.SINGLE:
-        a, b = shots(theta, phi, sampled, sampled)
-        coinc = a & b
-        return _counts(a, b, coinc, coinc, coinc, coinc)
+        a, b = flags
+        shots(theta, phi, sampled, sampled, a, b)
+        n_a, n_b = np.count_nonzero(a), np.count_nonzero(b)
+        coinc = np.count_nonzero(np.logical_and(a, b, out=a))
+        return _counts(n_a, n_b, coinc, coinc, coinc, coinc)
 
-    a1, b1 = shots(theta, phi, sampled, sampled)
-    a2, b2 = shots(theta, phi, sampled, sampled)
-    paired = a1 & b1
-    paired |= a2 & b2
+    alice, bob, shot_a, shot_b, paired = flags
+    shots(theta, phi, sampled, sampled, alice, bob)
+    np.logical_and(alice, bob, out=paired)
+    shots(theta, phi, sampled, sampled, shot_a, shot_b)
+    alice |= shot_a
+    bob |= shot_b
+    paired |= np.logical_and(shot_a, shot_b, out=shot_a)
     # Cross-half pairing channels (1,2) then (2,1), each on fresh
     # realizations: one for Alice's side, one for Bob's.
     for _ in range(2):
-        ca, _ = shots(theta, None, sampled, False)
-        _, cb = shots(None, phi, False, sampled)
-        paired |= ca & cb
-    alice = a1 | a2
-    bob = b1 | b2
-    return _counts(alice, bob, alice & bob, paired, paired & alice, paired & bob)
+        shots(theta, None, sampled, False, shot_a, None)
+        shots(None, phi, False, sampled, None, shot_b)
+        paired |= np.logical_and(shot_a, shot_b, out=shot_a)
+
+    def both(f: np.ndarray, g: np.ndarray) -> int:
+        return np.count_nonzero(np.logical_and(f, g, out=shot_a))
+
+    return _counts(
+        np.count_nonzero(alice), np.count_nonzero(bob), both(alice, bob),
+        np.count_nonzero(paired), both(paired, alice), both(paired, bob),
+    )
 
 
 @dataclass(frozen=True)

@@ -53,7 +53,9 @@ class FieldSample:
     def __post_init__(self) -> None:
         for name in ("x", "y"):
             v = np.asarray(getattr(self, name))
-            if np.any(v < 0.0) or not np.all(np.isfinite(v)):
+            # min/max propagate NaN and see +-inf, so one pair decides both
+            # finiteness and sign without a boolean temporary.
+            if v.size and not (v.min() >= 0.0 and v.max() < np.inf):
                 raise InvalidInputError(f"{name} must be finite and >= 0")
 
 
@@ -62,6 +64,7 @@ def sample_field(
     size: int | None = None,
     chi: bool = True,
     xi: bool = True,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FieldSample:
     """Draw source realizations from a seeded generator.
 
@@ -74,6 +77,10 @@ def sample_field(
     chi, xi:
         Whether to draw Alice's and Bob's relative phase; a phase that is
         not drawn is None in the sample and consumes no random numbers.
+    out:
+        Optional pair of float64 arrays of shape ``(size,)`` that receive
+        ``x`` and ``y`` (the sample then holds these very arrays).  The
+        draws are the same as without it; the phases are still allocated.
 
     Returns
     -------
@@ -88,11 +95,14 @@ def sample_field(
     InvalidInputError
         If ``size`` is neither None nor a positive integer.
     """
-    if size is not None and (not isinstance(size, (int, np.integer)) or size < 1):
+    if size is not None and (
+        isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1
+    ):
         raise InvalidInputError(f"size must be None or a positive integer, got {size!r}")
+    out_x, out_y = (None, None) if out is None else out
     # With size=None every draw is already a Python float.
-    x = rng.standard_exponential(size)
-    y = rng.standard_exponential(size)
+    x = rng.standard_exponential(size, out=out_x)
+    y = rng.standard_exponential(size, out=out_y)
     return FieldSample(
         x=x,
         y=y,
@@ -110,12 +120,18 @@ class IntensityPair:
 
 
 def _project(
-    sample: FieldSample, angle: float, phase: float | np.ndarray | None, phase_mode: str
+    sample: FieldSample,
+    angle: float,
+    phase: float | np.ndarray | None,
+    phase_mode: str,
+    out: np.ndarray | None,
+    work: np.ndarray | None,
 ) -> float | np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     if phase_mode == "suppressed":
-        i = sample.x * c**2
-        i += sample.y * s**2
+        # Two rounded products and one rounded sum, as x*c**2 + y*s**2.
+        i = np.multiply(sample.x, c**2, out=out)
+        i += np.multiply(sample.y, s**2, out=work)
         return i
     # |sqrt(x) cos + sqrt(y) e^{i phase} sin|^2 expanded as a sum of two
     # squares: algebraically equal to the cos^2/sin^2 form plus the
@@ -123,7 +139,11 @@ def _project(
     # floating-point rounding (the expanded form can cancel to a tiny
     # negative when the two amplitudes nearly interfere away).
     rx, ry = np.sqrt(sample.x), np.sqrt(sample.y)
-    return (rx * c + ry * s * np.cos(phase)) ** 2 + (ry * s * np.sin(phase)) ** 2
+    i = (rx * c + ry * s * np.cos(phase)) ** 2 + (ry * s * np.sin(phase)) ** 2
+    if out is None:
+        return i
+    np.copyto(out, i)
+    return out
 
 
 def intensities(
@@ -131,6 +151,8 @@ def intensities(
     theta: float | None,
     phi: float | None,
     phase_mode: str = "suppressed",
+    out: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+    work: np.ndarray | None = None,
 ) -> IntensityPair:
     """Project a source sample onto analyzer angles theta (Alice), phi (Bob).
 
@@ -145,6 +167,15 @@ def intensities(
         ``"suppressed"`` drops the interference cross terms (the phase
         average used by the closed forms); ``"sampled"`` keeps them with the
         sampled ``chi`` (Alice) / ``xi`` (Bob).
+    out:
+        Optional ``(i_a, i_b)`` float64 arrays of the sample's shape that
+        receive the intensities (an entry for a side not projected is
+        unused).  Alice's side is written first, so ``i_b`` may be
+        ``sample.x`` itself: Bob's side reads the sample before writing it.
+    work:
+        Optional float64 scratch array of the sample's shape for the
+        ``y*sin^2`` products; overwritten.  The values are the same with and
+        without ``out``/``work``.
 
     Returns
     -------
@@ -170,18 +201,21 @@ def intensities(
         raise InvalidInputError(
             f"analyzer angles must be finite, got theta={theta!r}, phi={phi!r}"
         )
-    out = []
-    for angle, phase_name in ((theta, "chi"), (phi, "xi")):
+    result = []
+    for angle, phase_name, side_out in zip(
+        (theta, phi), ("chi", "xi"), (None, None) if out is None else out
+    ):
         if angle is None:
-            out.append(None)
+            result.append(None)
             continue
         phase = getattr(sample, phase_name)
         if phase_mode == "sampled" and phase is None:
             raise InvalidInputError(f"sampled phase_mode needs {phase_name}, which was not drawn")
-        i = _project(sample, angle, phase, phase_mode)
-        if np.any(np.asarray(i) < 0.0):
+        i = _project(sample, angle, phase, phase_mode, side_out, work)
+        # fmin skips NaN, so this is any(i < 0) without a boolean temporary.
+        if np.fmin.reduce(i, axis=None, initial=0.0) < 0.0:
             raise NumericalInconsistencyError(
                 "negative intensity: squared-modulus algebra was violated"
             )
-        out.append(i)
-    return IntensityPair(i_a=out[0], i_b=out[1])
+        result.append(i)
+    return IntensityPair(i_a=result[0], i_b=result[1])

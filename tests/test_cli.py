@@ -129,6 +129,22 @@ class TestAnalytic:
         assert code == 1
         assert "line 2" in err
 
+    @pytest.mark.parametrize("grid, message", [
+        ({"start": "abc"}, "k_grid start must be a number, got 'abc'"),
+        ({"stop": False}, "k_grid stop must be a number, got False"),
+        ({"start": int("1" + "0" * 400)}, "k_grid start/stop must be finite"),
+        ({"points": None}, "k_grid points must be an integer, got None"),
+        ({"points": 2.7}, "k_grid points must be an integer, got 2.7"),
+        ({"points": True}, "k_grid points must be an integer, got True"),
+    ])
+    def test_spec_grid_values_must_be_json_numbers(self, capsys, tmp_path, grid, message):
+        """A non-numeric k_grid value is one error line and exit 1, never a
+        traceback, a truncated float or a bool read as 1."""
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"k_grid": grid, "modes": ["standard"]}))
+        code, out, err = run(capsys, "analytic", "--spec", str(spec))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "analytic", "--start", "5", "--stop", "1",
                            "--points", "4")
