@@ -273,8 +273,6 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise _ConfigError(f"--trials must be >= 1, got {args.trials}")
     cfg = RunConfig(
         k=args.k,
         quad=_load_quad(args, {}),

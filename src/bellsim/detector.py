@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInputError
-from .source import intensities, sample_field
+from .source import PHASE_MODES, intensities, sample_field
 
 __all__ = [
     "COUNT_KEYS",
@@ -137,8 +137,9 @@ def run_trials(
     n:
         Number of trials, >= 1.
     phase_mode:
-        Passed to :func:`bellsim.source.intensities`.  Phases are drawn only
-        when it is ``"sampled"``.
+        One of :data:`bellsim.source.PHASE_MODES`, checked before any draw
+        and passed to :func:`bellsim.source.intensities`.  Phases are drawn
+        only when it is ``"sampled"``.
 
     Returns
     -------
@@ -178,6 +179,8 @@ def run_trials(
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
+    if phase_mode not in PHASE_MODES:
+        raise InvalidInputError(f"phase_mode must be one of {PHASE_MODES}, got {phase_mode!r}")
     scheme = WindowScheme(scheme)
     sampled = phase_mode == "sampled"
     x, y, i, u = np.empty((4, n))

@@ -357,6 +357,8 @@ _POISSON_LAM_MAX = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 #: Candidates per random draw, and per sub-block of the thinning screen.
 _DRAW_BLOCK = 1 << 22
 _SCREEN_BLOCK = 1 << 16
+#: Nodes per period of the thinning screen's interpolation table (a power of 2).
+_SCREEN_NODES = 1 << 12
 
 
 def _poisson_count(rng: np.random.Generator, mean: float) -> int:
@@ -368,54 +370,61 @@ def _poisson_count(rng: np.random.Generator, mean: float) -> int:
     return int(rng.poisson(mean))
 
 
-def _chebyshev_sum(coeffs: Sequence[float], x: np.ndarray) -> np.ndarray:
-    """sum_m coeffs[m] * T_m(x) by Clenshaw's recurrence.
+def _screen_tolerance(w: Waveform, series: HarmonicExpansion, span: float) -> float:
+    """Bound on the float rounding of the exact profile and of ``series``.
 
-    With x = cos(omega t), T_m(x) = cos(m omega t), so a cosine series costs
-    one cosine and len(coeffs) - 1 multiply-adds per point.
-    """
-    if len(coeffs) == 1:
-        return np.full_like(x, coeffs[0])
-    two_x = 2.0 * x
-    b1, b2, tmp = np.full_like(x, coeffs[-1]), np.zeros_like(x), np.empty_like(x)
-    for c in coeffs[-2:0:-1]:
-        np.multiply(two_x, b1, out=tmp)
-        tmp -= b2
-        if c:
-            tmp += c
-        b1, b2, tmp = tmp, b1, b2
-    b1 *= x
-    b1 -= b2
-    b1 += coeffs[0]
-    return b1
-
-
-def _screen_series(
-    w: Waveform, series: HarmonicExpansion, span: float
-) -> tuple[list[float], float]:
-    """Dense Chebyshev coefficients of ``series`` and a bound on its error.
-
-    The bound holds for |series via :func:`_chebyshev_sum` - exact profile| at
-    every t in [0, span), where the exact profile is :func:`intensity_at` (or
-    ``series.value_at`` after a box filter; its coefficients are the same).
-    Both evaluate cosines of the same u = fl(omega t).  With S =
-    |A|^2 (sum_j |c_j|)^2, which bounds |a0| + sum_m |a_m| before and after
-    the filter, and n the larger of the degree M and the component count:
-    rounding m*u costs at most eps/2 * M * omega * span per unit coefficient;
-    the cosine of u, Clenshaw's recurrence, the envelope sum and square, and
-    the product-to-sum coefficients cost O(n^3) eps S together.  The factor
-    2^10 is margin: a wider band only sends a few more candidates to the
-    exact profile.
+    Holds over [0, span) for the exact profile (:func:`intensity_at`, or
+    ``series.value_at`` after a box filter; its coefficients are the same)
+    and for ``series`` at the screen's nodes and read from its table.  With
+    S = |A|^2 (sum_j |c_j|)^2, which bounds |a0| + sum_m |a_m| before and
+    after the filter, and n the larger of the degree M and the component
+    count: rounding m*u (u = fl(omega t)) costs at most eps/2 * M * omega *
+    span per unit coefficient; the cosines, the envelope sum and square, the
+    product-to-sum coefficients and the interpolation cost O(n^3) eps S
+    together.  The factor 2^10 is margin.
     """
     degree = series.terms[-1][0] if series.terms else 0
-    coeffs = [0.0] * (degree + 1)
-    coeffs[0] = series.a0
-    for m, a in series.terms:
-        coeffs[m] = a
     scale = w.amplitude**2 * math.fsum(abs(c) for c, _ in w.components) ** 2
     n = max(degree, len(w.components))
-    tol = 1024.0 * np.finfo(float).eps * scale * (degree * w.omega * span + (n + 1) ** 3)
-    return coeffs, tol
+    return 1024.0 * np.finfo(float).eps * scale * (degree * w.omega * span + (n + 1) ** 3)
+
+
+def _screen_table(
+    w: Waveform, series: HarmonicExpansion, span: float, rate_scale: float, bound: float
+) -> tuple[np.ndarray, np.ndarray, float] | None:
+    """Interpolation table of rate_scale * ``series`` over one period, and its margin.
+
+    Node values v_j = rate_scale * series(j h), h = period / G, G =
+    ``_SCREEN_NODES``, are held as ``base[j] = v_j`` and ``slope[j] = v_{j+1}
+    - v_j``; time t reads base[j] + f * slope[j] at x = t * (G / period), f =
+    x - floor(x), j = floor(x) mod G.  The margin is twice a bound on
+    |reading - rate_scale * exact profile| over [0, span), the sum of:
+
+    * interpolation: linear interpolation between nodes h apart is off by at
+      most h^2/8 times the largest |second derivative| of the series, which
+      is at most omega^2 sum_m m^2 |a_m|;
+    * phase: rounding the period and x moves the read point by a few
+      eps * span (bounded with 8 eps * span), and the series moves by at most
+      omega sum_m m |a_m| per unit time;
+    * float: :func:`_screen_tolerance`.
+
+    The factor 2 is margin, as the interpolation term is nearly reached at
+    the peaks; a wider band only sends more candidates to the exact profile.
+    Returns None, so that every candidate is decided exactly, when x can
+    reach 2^52 (f loses its fraction), when the tolerance or the margin lies
+    outside the limits within which no step overflows or rounds to a
+    subnormal, or when the margin is as wide as the bound.
+    """
+    tol = _screen_tolerance(w, series, span)
+    h = w.period / _SCREEN_NODES
+    curvature = (h * w.omega) ** 2 / 8.0 * math.fsum(m * m * abs(a) for m, a in series.terms)
+    gradient = w.omega * math.fsum(m * abs(a) for m, a in series.terms)
+    margin = 2.0 * rate_scale * (curvature + 8.0 * np.finfo(float).eps * span * gradient + tol)
+    in_limits = 1e-300 < tol < 1e290 and 1e-300 < margin < min(bound, 1e290)
+    if not (in_limits and span * (_SCREEN_NODES / w.period) < 2.0**52):
+        return None
+    v = rate_scale * series.value_at(h * np.arange(_SCREEN_NODES + 1))
+    return v[:-1], np.diff(v), margin
 
 
 def sample_events(
@@ -441,13 +450,15 @@ def sample_events(
 
     A candidate (t, u) is kept when u * bound < rate_scale * I(t), with I
     the exact profile (:func:`intensity_at`, or the box-filtered series).
-    To decide that cheaply, the intensity's cosine series is first evaluated
-    from one cosine per candidate (a Chebyshev series in cos(omega t)).  Its
-    gap to the exact profile has a rigorous bound; every candidate within
-    that band of its threshold, typically a handful per stream, is decided
-    again with the exact profile.  So the accepted times are those of
-    exact thinning, bit for bit.  Raises :class:`InvalidInputError` when the
-    expected candidate count is beyond what ``rng.poisson`` accepts.
+    To decide that cheaply, the rate is first read, with no cosine per
+    candidate, by linear interpolation in a table of the intensity's cosine
+    series at 4096 nodes per period.  Its gap to the exact rate has a
+    rigorous bound (curvature, phase and float rounding terms; see
+    :func:`_screen_table`), and every candidate within twice that bound of
+    its threshold, a few dozen per stream, is decided again with the exact
+    profile.  So the accepted times are those of exact thinning, bit for
+    bit.  Raises :class:`InvalidInputError` when the expected candidate
+    count is beyond what ``rng.poisson`` accepts.
     """
     if not (math.isfinite(span) and span > 0):
         raise InvalidInputError(f"span must be positive and finite, got {span!r}")
@@ -467,32 +478,35 @@ def sample_events(
     bound = rate_scale * i_max * (1.0 + 1e-9)
     n_candidates = _poisson_count(rng, bound * span)
 
-    coeffs, tol = _screen_series(w, series, span)
-    margin = rate_scale * tol
-    # Within these float limits none of the screen's steps overflows or
-    # rounds to a subnormal, so its error bound holds as derived.  Outside
-    # them, or with a band as wide as the bound, every candidate is a close
-    # call.
-    screen = 1e-300 < tol < 1e290 and 1e-300 < margin < min(bound, 1e290)
+    table = _screen_table(w, series, span, rate_scale, bound)
+    nodes_per_time = _SCREEN_NODES / w.period
     accepted: list[np.ndarray] = []
     keep = np.empty(min(_DRAW_BLOCK, n_candidates), dtype=bool)
-    u = np.empty(min(_SCREEN_BLOCK, n_candidates))
+    size = min(_SCREEN_BLOCK, n_candidates)
+    (u, x, s), j = np.empty((3, size)), np.empty(size, dtype=np.intp)
     for start in range(0, n_candidates, _DRAW_BLOCK):
         m = min(_DRAW_BLOCK, n_candidates - start)
         t = rng.uniform(0.0, span, m)
         for lo in range(0, m, _SCREEN_BLOCK):
-            hi = min(lo + _SCREEN_BLOCK, m)
-            ts, ks = t[lo:hi], keep[lo:hi]
-            p = rng.random(out=u[: hi - lo])
+            k = min(_SCREEN_BLOCK, m - lo)
+            ts, ks = t[lo : lo + k], keep[lo : lo + k]
+            p = rng.random(out=u[:k])
             p *= bound
-            if screen:
-                d = _chebyshev_sum(coeffs, np.cos(np.multiply(w.omega, ts)))
-                d *= rate_scale
-                np.less(p, d, out=ks)
-                d -= p
-                close = np.flatnonzero(np.abs(d, out=d) <= margin)
+            if table is None:
+                close = np.arange(k)
             else:
-                close = np.arange(hi - lo)
+                base, slope, margin = table
+                f, sk, jk = np.multiply(ts, nodes_per_time, out=x[:k]), s[:k], j[:k]
+                c = np.floor(f, out=sk)
+                f -= c  # exact, since f < 2^52
+                np.copyto(jk, c, casting="unsafe")
+                jk &= _SCREEN_NODES - 1
+                np.take(slope, jk, out=sk)
+                sk *= f
+                sk += np.take(base, jk, out=f)
+                np.less(p, sk, out=ks)
+                sk -= p
+                close = np.flatnonzero(np.abs(sk, out=sk) <= margin)
             if close.size:
                 ks[close] = p[close] < rate_scale * np.asarray(profile(ts[close]), dtype=float)
         accepted.append(t[keep[:m]])

@@ -211,8 +211,10 @@ class TestSimulate:
         assert "error" in err.lower()
 
     def test_bad_trials_exits_1(self, capsys):
+        """`RunConfig` is the one check of the trial count."""
         code, _, err = run(capsys, "simulate", "--k", "1.0", "--trials", "0")
         assert code == 1
+        assert err == "error: n_trials must be an integer >= 1, got 0\n"
 
 
 class TestWaveform:

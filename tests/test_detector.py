@@ -157,9 +157,13 @@ class TestRunTrialsHalves:
         check("any_coincidence", union_coincidence_table(4.0).p_ab)
 
     def test_unknown_phase_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
-                       make_rng(0), 10, phase_mode="bogus")
+        """Rejected with the message of ``intensities``, before any draw."""
+        for scheme in WindowScheme:
+            rng = make_rng(0)
+            before = str(rng.bit_generator.state)
+            with pytest.raises(InvalidInputError, match=r"phase_mode must be one of .*'bogus'"):
+                run_trials(DetectorParams(k=1.0), scheme, A, B, rng, 10, phase_mode="bogus")
+            assert str(rng.bit_generator.state) == before
 
 
 class TestTrialCounts:

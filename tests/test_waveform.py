@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
 
 from bellsim import waveform as wf
@@ -472,41 +474,102 @@ class TestThinningMatchesReference:
         assert np.array_equal(sample_events(w, 2e3, 1.0, r_new).times, expected)
         assert _same_generator_state(r_ref, r_new)
 
+    @staticmethod
+    def _count_exact_decisions(monkeypatch):
+        """Record the candidate count and the sizes of the exact-profile calls
+        made after it (the peak search runs before the count is drawn)."""
+        counts, seen = [], []
+        real_count, real_profile = wf._poisson_count, wf.intensity_at
+
+        def poisson_count(rng, mean):
+            counts.append(real_count(rng, mean))
+            return counts[-1]
+
+        def profile(w, t):
+            if counts and np.ndim(t):
+                seen.append(np.size(t))
+            return real_profile(w, t)
+
+        monkeypatch.setattr(wf, "_poisson_count", poisson_count)
+        monkeypatch.setattr(wf, "intensity_at", profile)
+        return counts, seen
+
     @pytest.mark.parametrize("tol", [1e-301, 1e291, 20.0])
     def test_tolerance_outside_float_limits_decides_every_candidate(self, monkeypatch, tol):
         """A tolerance too small or too large for the screen's rounding
-        analysis, or a band as wide as the bound (16 for the three-wave),
-        skips the screen: every candidate is decided with the exact profile."""
-        real_screen = wf._screen_series
-        sums = []
-        monkeypatch.setattr(wf, "_screen_series", lambda *args: (real_screen(*args)[0], tol))
-        monkeypatch.setattr(wf, "_chebyshev_sum", lambda *args: sums.append(1))
+        analysis, or one that makes the margin as wide as the bound (16 for
+        the three-wave), skips the table: every candidate is decided with the
+        exact profile."""
+        monkeypatch.setattr(wf, "_screen_tolerance", lambda *args: tol)
+        counts, seen = self._count_exact_decisions(monkeypatch)
         r_ref, r_new = make_rng(4), make_rng(4)
         expected = reference_thinning(three_wave(), 2e3, 1.0, r_ref)
         assert np.array_equal(sample_events(three_wave(), 2e3, 1.0, r_new).times, expected)
         assert _same_generator_state(r_ref, r_new)
-        assert sums == []
+        assert sum(seen) == counts[0] > 0
+
+    def test_phase_beyond_2_52_decides_every_candidate(self, monkeypatch):
+        """Past 2^52 nodes the table's read point t * (G / period) has no
+        fraction left, so every candidate is decided with the exact profile.
+        (At such spans the float tolerance alone already makes the margin
+        wider than the bound; the test holds whichever guard fires.)"""
+        w, span, rate_scale = three_wave(), 7e12, 1e-11
+        assert span * wf._SCREEN_NODES / w.period >= 2.0**52
+        counts, seen = self._count_exact_decisions(monkeypatch)
+        r_ref, r_new = make_rng(6), make_rng(6)
+        expected = reference_thinning(w, span, rate_scale, r_ref)
+        assert np.array_equal(sample_events(w, span, rate_scale, r_new).times, expected)
+        assert _same_generator_state(r_ref, r_new)
+        assert sum(seen) == counts[0] > 100
 
     def test_confirmation_repairs_a_bad_screen(self, monkeypatch):
-        """Perturb the fast series by up to 0.9 of a widened tolerance: the
-        band then holds ~10% of the candidates, and their exact re-decision
-        must still give the reference stream."""
+        """Perturb the table by up to 0.9 of a widened margin: the band then
+        holds ~10% of the candidates, and their exact re-decision must still
+        give the reference stream."""
         w = three_wave()
-        real_screen, real_sum = wf._screen_series, wf._chebyshev_sum
+        real_table = wf._screen_table
         wide = 0.8
 
-        def screen_series(*args):
-            coeffs, _ = real_screen(*args)
-            return coeffs, wide
+        def screen_table(*args):
+            base, slope, _ = real_table(*args)
+            return base + 0.9 * wide * np.sin(1e3 * np.arange(base.size)), slope, wide
 
-        def chebyshev_sum(coeffs, x):
-            return real_sum(coeffs, x) + 0.9 * wide * np.sin(1e3 * x)
-
-        monkeypatch.setattr(wf, "_screen_series", screen_series)
-        monkeypatch.setattr(wf, "_chebyshev_sum", chebyshev_sum)
+        monkeypatch.setattr(wf, "_screen_table", screen_table)
         r_ref, r_new = make_rng(8), make_rng(8)
         expected = reference_thinning(w, 2e4, 1.0 / 3.0, r_ref)
         assert np.array_equal(sample_events(w, 2e4, 1.0 / 3.0, r_new).times, expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            # Nonzero coefficients far from underflow, so that the rate
+            # scale below stays finite.
+            st.tuples(
+                st.floats(-3.0, 3.0).filter(lambda c: c == 0.0 or abs(c) > 1e-9),
+                st.integers(1, 8),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        st.floats(0.1, 10.0),
+        st.floats(0.01, 100.0),
+        st.one_of(st.none(), st.floats(1e-3, 2.0)),
+        st.floats(1.0, 1e6),
+        st.integers(100, 20_000),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_waveforms(self, components, omega, amplitude, detection_time,
+                              span, candidates, seed):
+        """Random waves, filtered or not, at up to ~2e4 candidates: the
+        stream and the generator's end state are those of plain thinning."""
+        w = Waveform(tuple(components), omega=omega, amplitude=amplitude)
+        peak_bound = amplitude**2 * sum(abs(c) for c, _ in components) ** 2
+        rate_scale = candidates / (peak_bound * span) if peak_bound > 0 else 1.0
+        r_ref, r_new = make_rng(seed), make_rng(seed)
+        expected = reference_thinning(w, span, rate_scale, r_ref, detection_time)
+        got = sample_events(w, span, rate_scale, r_new, detection_time=detection_time)
+        assert np.array_equal(got.times, expected)
+        assert _same_generator_state(r_ref, r_new)
 
     def test_few_candidates_reach_the_exact_profile(self, monkeypatch):
         """Besides the peak search (a 4096-point grid and scalar refinement),
@@ -525,30 +588,57 @@ class TestThinningMatchesReference:
         assert sum(seen) < 200
 
 
+def read_table(table, w, t):
+    """The screen's reading of its table at times ``t``, as ``sample_events``
+    computes it."""
+    base, slope, _ = table
+    x = t * (wf._SCREEN_NODES / w.period)
+    c = np.floor(x)
+    j = c.astype(np.intp) & (wf._SCREEN_NODES - 1)
+    return base[j] + (x - c) * slope[j]
+
+
+def screen_case(case):
+    """(waveform, span, rate_scale, series, exact profile, table) of a case."""
+    w, span, rate_scale, detection_time = THINNING_CASES[case]
+    series = harmonic_expansion(w)
+    if detection_time is None:
+        exact = lambda t: intensity_at(w, t)  # noqa: E731
+    else:
+        series = series.box_filtered(detection_time)
+        exact = series.value_at
+    table = wf._screen_table(w, series, span, rate_scale, math.inf)
+    return w, span, rate_scale, series, exact, table
+
+
 class TestFastSeries:
     @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
     def test_within_a_hundredth_of_the_tolerance(self, case):
-        w, span, _, detection_time = THINNING_CASES[case]
-        series = harmonic_expansion(w)
-        if detection_time is None:
-            exact = lambda t: intensity_at(w, t)  # noqa: E731
-        else:
-            series = series.box_filtered(detection_time)
-            exact = series.value_at
-        coeffs, tol = wf._screen_series(w, series, span)
-        rng = make_rng(case)
-        t = np.concatenate([rng.uniform(0.0, span, 200_000), [0.0, span * (1 - 1e-16)]])
-        fast = wf._chebyshev_sum(coeffs, np.cos(np.multiply(w.omega, t)))
-        gap = np.max(np.abs(fast - exact(t)))
-        assert gap <= tol / 100, (gap, tol)
-        assert tol < 1e-3 * float(np.max(exact(t)))
+        """The table's nodes carry only float rounding: each is within a
+        hundredth of the float tolerance of the exact rate there."""
+        w, span, rate_scale, series, exact, table = screen_case(case)
+        tol = wf._screen_tolerance(w, series, span)
+        base, slope, _ = table
+        t = np.arange(wf._SCREEN_NODES + 1) * (w.period / wf._SCREEN_NODES)
+        nodes = np.append(base, base[-1] + slope[-1])
+        gap = np.max(np.abs(nodes - rate_scale * exact(t)))
+        assert gap <= rate_scale * tol / 100, (gap, tol)
 
-    def test_clenshaw_matches_cosine_sum(self):
-        x = np.linspace(-1.0, 1.0, 101)
-        theta = np.arccos(x)
-        for coeffs in ([2.5], [0.5, -1.0], [1.0, 0.0, -2.0, 0.0, 0.25, 3.0]):
-            direct = sum(c * np.cos(m * theta) for m, c in enumerate(coeffs))
-            assert np.allclose(wf._chebyshev_sum(coeffs, x), direct, atol=1e-13)
+    @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
+    def test_within_half_the_margin(self, case):
+        """Read at random times, at both ends of the span and at every node,
+        the table is within half the margin of the exact rate, and the margin
+        is a thousandth of the peak rate or less."""
+        w, span, rate_scale, _, exact, table = screen_case(case)
+        margin = table[2]
+        nodes = np.arange(wf._SCREEN_NODES) * (w.period / wf._SCREEN_NODES)
+        t = np.concatenate(
+            [make_rng(case).uniform(0.0, span, 200_000), [0.0, span * (1 - 1e-16)], nodes]
+        )
+        rate = rate_scale * exact(t)
+        gap = np.max(np.abs(read_table(table, w, t) - rate))
+        assert gap <= margin / 2, (gap, margin)
+        assert margin < 1e-3 * float(np.max(rate))
 
 
 class TestPoissonLimit:
