@@ -39,7 +39,6 @@ from .analytic import (
     ch_union,
     ch_zero_crossing,
     multiwindow_table,
-    p_single,
     q_joint,
     q_single,
     qset,
@@ -171,7 +170,6 @@ __all__ = [
     "multi_coincidence_prob",
     "multi_single_prob",
     "multiwindow_table",
-    "p_single",
     "pointwise_ch_inequality_check",
     "q_joint",
     "q_single",

@@ -58,7 +58,6 @@ __all__ = [
     "ch_union",
     "ch_zero_crossing",
     "multiwindow_table",
-    "p_single",
     "q_joint",
     "q_single",
     "qset",
@@ -99,11 +98,6 @@ def q_single(k: float, theta: float) -> float:
     if k > _FACTORED_K:
         return 1.0 / (1.0 + k * (1.0 + k * c2 * s2))
     return 1.0 / (1.0 + k + k * k * c2 * s2)
-
-
-def p_single(k: float, theta: float) -> float:
-    """Single-window detection probability, 1 - q_single."""
-    return 1.0 - q_single(k, theta)
 
 
 def q_joint(k: float, theta: float, phi: float) -> float:
@@ -207,17 +201,13 @@ def standard_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable
     return table_for_mode(k, quad, "standard")
 
 
-def multiwindow_table(
-    k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "exact"
-) -> ProbabilityTable:
-    """Split-window table under the pairing-channel law.
+def multiwindow_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
+    """Split-window table under the exact pairing-channel law.
 
-    ``mode="exact"`` uses the exact cross-channel factor, ``mode="paper"``
-    the published fourth-power form (see module docstring).
+    The published fourth-power law is ``table_for_mode(k, quad,
+    "multiwindow-paper")`` (see module docstring).
     """
-    if mode not in ("exact", "paper"):
-        raise InvalidInputError(f"mode must be 'exact' or 'paper', got {mode!r}")
-    return table_for_mode(k, quad, f"multiwindow-{mode}")
+    return table_for_mode(k, quad, "multiwindow-exact")
 
 
 def union_coincidence_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
@@ -230,11 +220,9 @@ def ch_standard(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
     return ch_value(standard_table(k, quad))
 
 
-def ch_multiwindow(
-    k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "exact"
-) -> CHBreakdown:
-    """Split-window CH under the exact or published pairing-channel law."""
-    return ch_value(multiwindow_table(k, quad, mode))
+def ch_multiwindow(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
+    """Split-window CH under the exact pairing-channel law."""
+    return ch_value(multiwindow_table(k, quad))
 
 
 def ch_union(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
@@ -275,26 +263,28 @@ def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     return b.p_s, b.p_c
 
 
+# Log-spaced points of the crossing scan over the bracket.
+_SCAN_POINTS = 241
+
+
 def ch_zero_crossing(
     quad: AngleQuad = DEFAULT_QUAD,
     mode: str = "multiwindow-exact",
     bracket: tuple[float, float] = (0.01, 100.0),
-    rtol: float = 1e-12,
-    scan_points: int = 241,
 ) -> float | None:
     """Locate the k where CH(k) changes sign, or None if it never does.
 
-    A log-spaced scan over ``bracket`` finds the first sign change between
-    scanned values that stand above rounding, i.e. |CH| > 16 eps (|Ps| +
-    |Pc|) for CH = Ps - Pc; bisection (robust, no derivatives) then refines
-    it to relative tolerance ``rtol``.  Where the scan has values within
-    rounding of 0 between the two signs, bisection runs across them and
-    returns a point where the computed CH changes sign inside that band.  A
-    curve that cancels to rounding noise without changing sign (the
-    standard CH ~ 0.085/k^2 past k ~ 1e7, every mode near k = 1e100) has no
-    crossing.  Modes whose CH keeps one sign on the bracket (the
-    single-window curve, the union law, or a quad that never violates)
-    yield None rather than an exception.
+    A log-spaced scan of 241 values over ``bracket`` finds the first sign
+    change between scanned values that stand above rounding, i.e. |CH| >
+    16 eps (|Ps| + |Pc|) for CH = Ps - Pc; bisection (robust, no
+    derivatives) then refines it to relative tolerance 1e-12.  Where the
+    scan has values within rounding of 0 between the two signs, bisection
+    runs across them and returns a point where the computed CH changes sign
+    inside that band.  A curve that cancels to rounding noise without
+    changing sign (the standard CH ~ 0.085/k^2 past k ~ 1e7, every mode
+    near k = 1e100) has no crossing.  Modes whose CH keeps one sign on the
+    bracket (the single-window curve, the union law, or a quad that never
+    violates) yield None rather than an exception.
     """
     _check_curve_mode(mode)
     lo, hi = bracket
@@ -304,7 +294,7 @@ def ch_zero_crossing(
     def f(k: float) -> float:
         return ch_curve_value(k, quad, mode)
 
-    ks = np.geomspace(lo, hi, scan_points)
+    ks = np.geomspace(lo, hi, _SCAN_POINTS)
     plus, minus = np.array([_ch_parts(float(k), quad, mode) for k in ks]).T
     values = plus - minus
     noise = 16.0 * np.finfo(float).eps * (np.abs(plus) + np.abs(minus))
@@ -314,7 +304,7 @@ def ch_zero_crossing(
     if change.size == 0:
         return None
     i, j = int(clear[change[0]]), int(clear[change[0] + 1])
-    return float(bisect(f, ks[i], ks[j], rtol=rtol, xtol=1e-15))
+    return float(bisect(f, ks[i], ks[j], rtol=1e-12, xtol=1e-15))
 
 
 @dataclass(frozen=True)
@@ -327,24 +317,19 @@ class SmallKReport:
 
 
 def small_k_expansion(
-    mode: str = "multiwindow-exact",
-    quad: AngleQuad = DEFAULT_QUAD,
-    h0: float = 1e-2,
-    levels: int = 8,
+    mode: str = "multiwindow-exact", quad: AngleQuad = DEFAULT_QUAD
 ) -> SmallKReport:
     """Estimate d(CH)/dk at k -> 0+ by Richardson extrapolation.
 
     ``CH -> 0`` at the dark end in every mode (all detection probabilities
-    vanish), so the slope is the limit of CH(h)/h over h0, h0/2, ...
-    h0/2^levels, extrapolated with the standard Neville tableau;
+    vanish), so the slope is the limit of CH(h)/h over h = 1e-2, 1e-2/2,
+    ... 1e-2/2^7, extrapolated with the standard Neville tableau;
     ``ch_at_zero`` is the same extrapolation applied to CH(h) itself (k = 0
     is outside the closed forms' domain and never evaluated directly).  The
     slope is measured, not assumed: all split-window laws give 4 at the
     default quad, the single-window curve gives 2.
     """
-    if levels < 1:
-        raise InvalidInputError("levels must be >= 1")
-    hs = [h0 / 2.0**i for i in range(levels)]
+    hs = [1e-2 / 2.0**i for i in range(8)]
     values = [ch_curve_value(h, quad, mode) for h in hs]
 
     def neville(seq: list[float]) -> float:

@@ -410,8 +410,6 @@ def cmd_waveform(args: argparse.Namespace) -> int:
         raise _ConfigError(
             f"cannot parse --windows {args.windows!r}; expected comma-separated durations"
         ) from None
-    if any(width <= 0 for width in windows):
-        raise _ConfigError("window widths must be positive")
     rows = list(zip(
         windows,
         windowed_coincidence_counts(shared_a, shared_b, windows),
@@ -500,7 +498,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--modes", default=None,
         help=f"comma-separated subset of: {', '.join(SWEEP_MODES)}",
     )
-    p_analytic.add_argument("--seed", type=int, default=0, help="accepted for uniformity; sweep is deterministic")
     _add_angle_flags(p_analytic)
     p_analytic.set_defaults(func=cmd_analytic)
 

@@ -74,12 +74,12 @@ DEFAULT_QUAD = AngleQuad(math.pi / 6, math.pi / 3, 0.0, math.pi / 2)
 
 @dataclass(frozen=True)
 class ProbabilityTable:
-    """Marginals and joints entering the CH combination.
+    """Marginals and joints of the 2x2 experiment.
 
-    ``p_a``/``p_b`` are the single-detection probabilities at settings A and
-    B; the four joints cover the setting pairs AB, AB', A'B and A'B'.  The
-    optional per-setting marginals ``p_a_prime``/``p_b_prime`` are not needed
-    for CH itself but are required to map the table onto CHSH correlators.
+    ``p_a``/``p_b`` and ``p_a_prime``/``p_b_prime`` are the single-detection
+    probabilities at settings A, B, A' and B'; the four joints cover the
+    setting pairs AB, AB', A'B and A'B'.  CH itself reads only ``p_a``,
+    ``p_b`` and the joints; CHSH correlators need all four marginals.
     """
 
     p_a: float
@@ -88,55 +88,33 @@ class ProbabilityTable:
     p_ab_prime: float
     p_a_prime_b: float
     p_a_prime_b_prime: float
-    p_a_prime: float | None = None
-    p_b_prime: float | None = None
-
-    def entries(self) -> dict[str, float]:
-        """The six CH entries by name (marginals first)."""
-        return {
-            "p_a": self.p_a,
-            "p_b": self.p_b,
-            "p_ab": self.p_ab,
-            "p_ab_prime": self.p_ab_prime,
-            "p_a_prime_b": self.p_a_prime_b,
-            "p_a_prime_b_prime": self.p_a_prime_b_prime,
-        }
+    p_a_prime: float
+    p_b_prime: float
 
     def validate(self) -> None:
         """Raise :class:`InvalidInputError` unless every entry lies in [0, 1]."""
-        items = dict(self.entries())
-        if self.p_a_prime is not None:
-            items["p_a_prime"] = self.p_a_prime
-        if self.p_b_prime is not None:
-            items["p_b_prime"] = self.p_b_prime
-        for name, value in items.items():
-            if not math.isfinite(value):
+        # vars() is the eight fields in field order, at a small fraction of
+        # asdict()'s cost; every closed-form table passes through here.
+        for name, value in vars(self).items():
+            if value is None or not math.isfinite(value):
                 raise InvalidInputError(f"{name} must be finite, got {value!r}")
             if not 0.0 <= value <= 1.0:
                 raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
 
-    def monotonicity_violations(self, tol: float = 0.0) -> list[str]:
-        """Names of joints exceeding one of their marginals by more than ``tol``.
+    def monotonicity_violations(self) -> list[str]:
+        """Names of joints exceeding one of their marginals.
 
         A joint produced by counting a single pair of detection flags can
         never exceed either marginal.  Pairing-based coincidence counting
         over split windows can, so violations are reported, never rejected.
-        Marginals that were not supplied are skipped.
         """
-        bounds = {
-            "p_ab": (self.p_a, self.p_b),
-            "p_ab_prime": (self.p_a, self.p_b_prime),
-            "p_a_prime_b": (self.p_a_prime, self.p_b),
-            "p_a_prime_b_prime": (self.p_a_prime, self.p_b_prime),
+        joints = {
+            "p_ab": (self.p_ab, self.p_a, self.p_b),
+            "p_ab_prime": (self.p_ab_prime, self.p_a, self.p_b_prime),
+            "p_a_prime_b": (self.p_a_prime_b, self.p_a_prime, self.p_b),
+            "p_a_prime_b_prime": (self.p_a_prime_b_prime, self.p_a_prime, self.p_b_prime),
         }
-        out = []
-        for joint_name, (m1, m2) in bounds.items():
-            joint = getattr(self, joint_name)
-            for marginal in (m1, m2):
-                if marginal is not None and joint > marginal + tol:
-                    out.append(joint_name)
-                    break
-        return out
+        return [name for name, (joint, m1, m2) in joints.items() if joint > m1 or joint > m2]
 
 
 @dataclass(frozen=True)
@@ -171,12 +149,12 @@ class CorrelatorSet:
             if not math.isfinite(v):
                 raise InvalidInputError(f"correlator {name} must be finite, got {v!r}")
 
-    def range_violations(self, tol: float = 1e-9) -> list[str]:
-        """Entries outside [-1, 1] beyond float noise (warn, never reject)."""
+    def range_violations(self) -> list[str]:
+        """Entries outside [-1, 1] beyond float noise, 1e-9 (warn, never reject)."""
         violations = []
         for name in ("e11", "e12", "e21", "e22"):
             v = getattr(self, name)
-            if abs(v) > 1.0 + tol:
+            if abs(v) > 1.0 + 1e-9:
                 violations.append(f"{name} = {v!r} outside [-1, 1]")
         return violations
 
@@ -208,7 +186,7 @@ def chsh_value(correlators: CorrelatorSet) -> float:
 
 
 def ch_to_chsh(table: ProbabilityTable) -> CorrelatorSet:
-    """Map a probability table with full marginals onto CHSH correlators.
+    """Map a probability table onto CHSH correlators.
 
     Uses e_jk = 4 P_jk - 2 P_j - 2 P_k + 1, the correlator of the +-1
     variables 2*theta - 1.  For every consistent table this satisfies the
@@ -217,13 +195,9 @@ def ch_to_chsh(table: ProbabilityTable) -> CorrelatorSet:
     Raises
     ------
     InvalidInputError
-        If ``p_a_prime`` or ``p_b_prime`` is missing, or entries are invalid.
+        If an entry is invalid.
     """
     table.validate()
-    if table.p_a_prime is None or table.p_b_prime is None:
-        raise InvalidInputError(
-            "ch_to_chsh needs per-setting marginals: p_a_prime and p_b_prime"
-        )
 
     def e(p_jk: float, p_j: float, p_k: float) -> float:
         return 4.0 * p_jk - 2.0 * p_j - 2.0 * p_k + 1.0
@@ -240,10 +214,11 @@ def ch_to_chsh(table: ProbabilityTable) -> CorrelatorSet:
 class DiscreteLHVModel:
     """Local hidden-variable model over a finite hidden-state set.
 
-    ``weights[i]`` is the probability of hidden state i; ``response_a[i, s]``
-    is Alice's detection probability in state i under her setting s, and
-    likewise ``response_b`` for Bob.  Locality is structural: each side's
-    response matrix never sees the other side's setting.
+    ``weights[i]`` is the probability of hidden state i; ``response_a[i]``
+    holds Alice's detection probabilities in state i under settings A and
+    A' (columns 0 and 1), and likewise ``response_b`` for Bob under B and
+    B'.  Locality is structural: each side's responses never see the other
+    side's setting.
     """
 
     weights: np.ndarray
@@ -256,12 +231,11 @@ class DiscreteLHVModel:
         rb = np.asarray(self.response_b, dtype=float)
         if w.ndim != 1 or w.size == 0:
             raise ModelInvalidError("weights must be a non-empty 1-D array")
-        if ra.ndim != 2 or rb.ndim != 2:
-            raise ModelInvalidError("response matrices must be 2-D (state, setting)")
-        if ra.shape[0] != w.size or rb.shape[0] != w.size:
-            raise ModelInvalidError("response rows must match the number of hidden states")
-        if ra.shape[1] == 0 or rb.shape[1] == 0:
-            raise ModelInvalidError("each side needs at least one setting column")
+        if ra.shape != (w.size, 2) or rb.shape != (w.size, 2):
+            raise ModelInvalidError(
+                f"responses must have shape (n_states, 2) = ({w.size}, 2), "
+                f"got {ra.shape} and {rb.shape}"
+            )
         # min/max propagate NaN and see +-inf, so the six extremes decide
         # both finiteness and range.
         w_lo, w_hi = float(w.min()), float(w.max())
@@ -287,39 +261,16 @@ class DiscreteLHVModel:
         return self.weights.size
 
 
-def eval_discrete_lhv(
-    model: DiscreteLHVModel,
-    settings: Sequence[int] = (0, 0, 1, 1),
-) -> ProbabilityTable:
+def eval_discrete_lhv(model: DiscreteLHVModel) -> ProbabilityTable:
     """Exact probability table of a discrete hidden-variable model.
 
-    Parameters
-    ----------
-    model:
-        Validated hidden-state model.
-    settings:
-        Column indices ``(a, b, a_prime, b_prime)``; ``a``/``a_prime`` index
-        ``response_a`` columns and ``b``/``b_prime`` index ``response_b``.
-
-    Returns
-    -------
-    ProbabilityTable
-        Marginals ``sum_i w_i M(i, s)`` and joints
-        ``sum_i w_i M_A(i, s) M_B(i, t)``, with both per-setting marginals
-        filled in, so the result feeds :func:`ch_to_chsh` directly.
+    Marginals are ``sum_i w_i M(i, s)`` and joints
+    ``sum_i w_i M_A(i, s) M_B(i, t)``, with all four marginals filled in, so
+    the result feeds :func:`ch_to_chsh` directly.
     """
-    ia, ib, iap, ibp = (int(s) for s in settings)
-    for idx, n_cols, side in ((ia, model.response_a.shape[1], "a"),
-                              (iap, model.response_a.shape[1], "a_prime"),
-                              (ib, model.response_b.shape[1], "b"),
-                              (ibp, model.response_b.shape[1], "b_prime")):
-        if not 0 <= idx < n_cols:
-            raise InvalidInputError(
-                f"setting index {side}={idx} outside 0..{n_cols - 1}"
-            )
     w = model.weights
-    ma, map_ = model.response_a[:, ia], model.response_a[:, iap]
-    mb, mbp = model.response_b[:, ib], model.response_b[:, ibp]
+    ma, map_ = model.response_a.T
+    mb, mbp = model.response_b.T
 
     def joint(x: np.ndarray, y: np.ndarray) -> float:
         return float(np.dot(w, x * y))
@@ -337,40 +288,31 @@ def eval_discrete_lhv(
 
 
 def batched_ch(models: Sequence[DiscreteLHVModel]) -> np.ndarray:
-    """CH of many discrete models at the default settings, in one array call.
+    """CH of many discrete models, in one array call.
 
-    The models are padded with zero-weight states to a common state count,
-    and one ``einsum`` contracts the weights with the pointwise form
-    ``a0 + b0 - a0*b0 - a0*b1 - a1*b0 + a1*b1`` of each state (``a0``/``a1``
-    are ``response_a`` columns 0/1, ``b0``/``b1`` those of ``response_b``),
-    which is the CH combination of :func:`eval_discrete_lhv` at settings
-    ``(0, 0, 1, 1)``.  The summation order differs from
-    ``ch_value(eval_discrete_lhv(m)).ch``, so the two agree to float noise
-    (~1e-15), not bit for bit: use this to screen many models and the exact
-    path to report a value.
+    The states of all models are concatenated, and one ``np.add.reduceat``
+    sums ``w * pointwise`` over each model's segment, where the pointwise
+    form ``a0 + b0 - a0*b0 - a0*b1 - a1*b0 + a1*b1`` of a state (``a0``/``a1``
+    are its ``response_a`` columns, ``b0``/``b1`` those of ``response_b``)
+    is the CH combination of :func:`eval_discrete_lhv`.  The summation
+    order differs from ``ch_value(eval_discrete_lhv(m)).ch``, so the two
+    agree to float noise (~1e-15), not bit for bit: use this to screen many
+    models and the exact path to report a value.
 
     Raises
     ------
     InvalidInputError
-        If ``models`` is empty or a model has fewer than two setting columns
-        on a side.
+        If ``models`` is empty.
     """
     if not models:
         raise InvalidInputError("batched_ch needs at least one model")
-    if min(min(m.response_a.shape[1], m.response_b.shape[1]) for m in models) < 2:
-        raise InvalidInputError("batched_ch needs two setting columns per side")
-    a = np.concatenate([m.response_a[:, :2] for m in models])
-    b = np.concatenate([m.response_b[:, :2] for m in models])
-    a0, a1, b0, b1 = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
-    sizes = np.array([m.n_states for m in models])
-    # (model, state) position of every state of the concatenated models.
-    rows = np.repeat(np.arange(sizes.size), sizes)
-    cols = np.arange(rows.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    w = np.zeros((sizes.size, sizes.max()))
-    pointwise = np.zeros_like(w)
-    w[rows, cols] = np.concatenate([m.weights for m in models])
-    pointwise[rows, cols] = a0 + b0 - a0 * b0 - a0 * b1 - a1 * b0 + a1 * b1
-    return np.einsum("ms,ms->m", w, pointwise)
+    w = np.concatenate([m.weights for m in models])
+    a0, a1 = np.concatenate([m.response_a for m in models]).T
+    b0, b1 = np.concatenate([m.response_b for m in models]).T
+    # Every model has at least one state, so no segment is empty and each
+    # start index is that model's first state.
+    starts = np.cumsum([0] + [m.n_states for m in models[:-1]])
+    return np.add.reduceat(w * (a0 + b0 - a0 * b0 - a0 * b1 - a1 * b0 + a1 * b1), starts)
 
 
 @dataclass(frozen=True)
@@ -425,43 +367,32 @@ def pointwise_ch_inequality_check() -> PointwiseReport:
 
 
 def random_discrete_model(
-    rng: np.random.Generator,
-    n_states: int | None = None,
-    n_settings_a: int = 2,
-    n_settings_b: int = 2,
-    max_states: int = 64,
+    rng: np.random.Generator, max_states: int = 64
 ) -> DiscreteLHVModel:
     """Draw a random valid model: uniform responses, normalized weights.
 
-    ``n_states`` defaults to a uniform draw from 1..``max_states``.  Useful
-    for randomized sweeps over the model class; every returned model passes
-    validation by construction.  After the optional state-count draw, one
-    ``rng.random`` call supplies the weights, then ``response_a`` and
+    The state count n is a uniform draw from 1..``max_states``.  Useful for
+    randomized sweeps over the model class; every returned model passes
+    validation by construction.  After the state-count draw, one
+    ``rng.random(5 * n)`` call supplies the weights, then ``response_a`` and
     ``response_b`` row by row: the same stream as three separate calls in
     that order.
 
     Raises
     ------
     InvalidInputError
-        If ``max_states`` or ``n_states`` is below 1, or a setting count is
-        negative.
+        If ``max_states`` is below 1.
     """
     if max_states < 1:
         raise InvalidInputError(f"max_states must be >= 1, got {max_states!r}")
-    if n_settings_a < 0 or n_settings_b < 0:
-        raise InvalidInputError("setting counts must be >= 0")
-    if n_states is None:
-        n_states = int(rng.integers(1, max_states + 1))
-    if n_states < 1:
-        raise InvalidInputError("n_states must be >= 1")
-    draw = rng.random(n_states * (1 + n_settings_a + n_settings_b))
-    end_a = n_states * (1 + n_settings_a)
-    raw = draw[:n_states] + 1e-12  # keep the sum strictly positive
+    n = int(rng.integers(1, max_states + 1))
+    draw = rng.random(5 * n)
+    raw = draw[:n] + 1e-12  # keep the sum strictly positive
     weights = raw / raw.sum()
     # Renormalization can leave the sum one ulp off; nudge the largest weight.
     weights[weights.argmax()] += 1.0 - weights.sum()
     return DiscreteLHVModel(
         weights=weights,
-        response_a=draw[n_states:end_a].reshape(n_states, n_settings_a),
-        response_b=draw[end_a:].reshape(n_states, n_settings_b),
+        response_a=draw[n : 3 * n].reshape(n, 2),
+        response_b=draw[3 * n :].reshape(n, 2),
     )

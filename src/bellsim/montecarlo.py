@@ -319,13 +319,8 @@ def _z_score(estimate: EstimateWithCI, expected: float) -> float:
     return (estimate.value - expected) / estimate.std_error
 
 
-def compare_to_analytic(
-    cfg: RunConfig,
-    analytic_k: float | None = None,
-    estimated: EstimatedTable | None = None,
-    z_limit: float = _Z_LIMIT,
-) -> ComparisonReport:
-    """Run (or reuse) an estimate and score it against the closed forms.
+def compare_to_analytic(cfg: RunConfig, analytic_k: float | None = None) -> ComparisonReport:
+    """Run an estimate and score it against the closed forms.
 
     ``analytic_k`` overrides the k used on the closed-form side; passing a
     mismatched value is the negative control (the report must then fail).
@@ -333,14 +328,13 @@ def compare_to_analytic(
     closed forms no longer describe the simulation and the z-scores measure
     the size of the phase cross-term effect instead.
     """
-    if estimated is None:
-        estimated = estimate_table(cfg)
+    estimated = estimate_table(cfg)
     k_ref = cfg.k if analytic_k is None else float(analytic_k)
 
     if cfg.scheme is WindowScheme.SINGLE:
         reference = standard_table(k_ref, cfg.quad)
     else:
-        reference = multiwindow_table(k_ref, cfg.quad, "exact")
+        reference = multiwindow_table(k_ref, cfg.quad)
     groups = [("", estimated.entry_estimates(), asdict(reference))]
     if cfg.scheme is WindowScheme.HALVES:
         union_ref = union_coincidence_table(k_ref, cfg.quad)
@@ -367,8 +361,8 @@ def compare_to_analytic(
         analytic_k=k_ref,
         rows=rows,
         max_abs_z=max_abs_z,
-        z_limit=z_limit,
-        passed=max_abs_z <= z_limit,
+        z_limit=_Z_LIMIT,
+        passed=max_abs_z <= _Z_LIMIT,
         monotonicity_violations=tuple(
             estimated.to_probability_table().monotonicity_violations()
         ),

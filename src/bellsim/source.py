@@ -33,8 +33,6 @@ __all__ = [
 
 PHASE_MODES = ("suppressed", "sampled")
 
-ArrayOrFloat = "float | np.ndarray"
-
 
 @dataclass(frozen=True)
 class FieldSample:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -228,10 +228,23 @@ def _refine_max(
     return value, t
 
 
+def _exact_profile(
+    w: Waveform, detection_time: float | None
+) -> tuple[HarmonicExpansion, Callable]:
+    """The intensity's cosine series and its exact profile: the unexpanded
+    :func:`intensity_at`, or with ``detection_time`` the box-filtered series."""
+    series = harmonic_expansion(w)
+    if detection_time is None:
+        return series, lambda t: intensity_at(w, t)
+    series = series.box_filtered(detection_time)
+    return series, series.value_at
+
+
 def _profile_max(
     func: Callable, period: float, n_grid: int
-) -> tuple[float, tuple[float, ...]]:
-    """Global maximum of a periodic profile and all argmax times in [0, period).
+) -> tuple[float, tuple[float, ...], np.ndarray]:
+    """Global maximum of a periodic profile, all argmax times in [0, period)
+    and the profile on the uniform ``n_grid``-point grid it scanned.
 
     Grid scan followed by bounded local refinement of every grid point whose
     value is within a small relative band of the grid maximum; refined peaks
@@ -242,7 +255,7 @@ def _profile_max(
     v_grid = float(vals.max())
     if v_grid <= 0.0:
         # Nonnegative profile that never exceeds 0: flat zero.
-        return 0.0, (0.0,)
+        return 0.0, (0.0,), vals
     step = period / n_grid
     near = np.flatnonzero(vals >= v_grid * (1.0 - 1e-4))
     # Cluster contiguous near-max indices (with wraparound) and refine each.
@@ -267,7 +280,7 @@ def _profile_max(
     for t in argmax:
         if not unique or t - unique[-1] > 4.0 * step:
             unique.append(float(t))
-    return float(v_max), tuple(unique)
+    return float(v_max), tuple(unique), vals
 
 
 def intensity_stats(
@@ -287,16 +300,9 @@ def intensity_stats(
         raise InvalidInputError(
             f"samples_per_period must be >= 1000, got {samples_per_period}"
         )
-    expansion = harmonic_expansion(w)
-    if detection_time is not None:
-        expansion = expansion.box_filtered(detection_time)
-        func = expansion.value_at
-    else:
-        func = lambda t: intensity_at(w, t)  # noqa: E731 - exact, unexpanded form
-    period = w.period
-    ts = np.linspace(0.0, period, samples_per_period, endpoint=False)
-    mean = float(np.mean(func(ts)))
-    maximum, argmax_times = _profile_max(func, period, samples_per_period)
+    _, profile = _exact_profile(w, detection_time)
+    maximum, argmax_times, grid = _profile_max(profile, w.period, samples_per_period)
+    mean = float(np.mean(grid))
     is_three_wave = tuple(c for c, _ in w.components) == THREE_WAVE_COEFFS and tuple(
         h for _, h in w.components
     ) == (1, 2, 3)
@@ -466,13 +472,8 @@ def sample_events(
         raise InvalidInputError(
             f"rate_scale must be positive and finite, got {rate_scale!r}"
         )
-    series = harmonic_expansion(w)
-    if detection_time is None:
-        profile = lambda t: intensity_at(w, t)  # noqa: E731
-    else:
-        series = series.box_filtered(detection_time)
-        profile = series.value_at
-    i_max, _ = _profile_max(profile, w.period, 4096)
+    series, profile = _exact_profile(w, detection_time)
+    i_max, _, _ = _profile_max(profile, w.period, 4096)
     if i_max <= 0.0:
         return EventStream(times=np.empty(0), rate_scale=rate_scale)
     bound = rate_scale * i_max * (1.0 + 1e-9)

@@ -26,7 +26,6 @@ from bellsim.analytic import (
     ch_union,
     ch_zero_crossing,
     multiwindow_table,
-    p_single,
     q_joint,
     q_single,
     qset,
@@ -69,9 +68,6 @@ class TestQSingle:
         assert q_single(2.5, math.pi / 6) == pytest.approx(
             q_single(2.5, math.pi / 3), abs=1e-15
         )
-
-    def test_p_single_complement(self):
-        assert p_single(4.0, math.pi / 6) == pytest.approx(0.875, abs=1e-15)
 
     @given(k_values, angles)
     def test_q_in_unit_interval(self, k, theta):
@@ -180,8 +176,8 @@ class TestMultiwindowTable:
         assert ch_multiwindow(4.0).ch == pytest.approx(CH_MULTIWINDOW_K4, abs=1e-9)
 
     def test_exact_vs_paper_variant_differ(self):
-        exact = ch_multiwindow(4.0, mode="exact").ch
-        paper = ch_multiwindow(4.0, mode="paper").ch
+        exact = ch_multiwindow(4.0).ch
+        paper = ch_curve_value(4.0, mode="multiwindow-paper")
         assert exact == pytest.approx(CH_MULTIWINDOW_K4, abs=1e-12)
         assert paper == pytest.approx(CH_PAPER_FULL_K4, abs=1e-12)
         assert exact != paper
@@ -235,13 +231,21 @@ class TestTableForMode:
     def test_modes_route_correctly(self):
         builders = {
             "standard": standard_table,
-            "multiwindow-exact": lambda k: multiwindow_table(k, mode="exact"),
-            "multiwindow-paper": lambda k: multiwindow_table(k, mode="paper"),
+            "multiwindow-exact": multiwindow_table,
             "multiwindow-union": union_coincidence_table,
         }
         for mode, builder in builders.items():
             for k in (0.3, 4.0, 1e6):
                 assert asdict(table_for_mode(k, mode=mode)) == asdict(builder(k))
+        # The paper law has no helper of its own: its joints are the
+        # published fourth powers.
+        for k in (0.3, 4.0, 1e6):
+            q = qset(k)
+            paper = table_for_mode(k, mode="multiwindow-paper")
+            assert paper.p_ab == 1.0 - (q.q_a + q.q_b - q.q_ab) ** 4
+            assert paper.p_a_prime_b_prime == 1.0 - (
+                q.q_a_prime + q.q_b_prime - q.q_a_prime_b_prime
+            ) ** 4
 
     def test_marginals_follow_their_settings(self):
         # No two settings share cos^2 sin^2, so a swapped marginal shows.
@@ -262,12 +266,6 @@ class TestTableForMode:
         for mode in ("imaginary", "multiwindow-two-term", ["standard"], None):
             with pytest.raises(InvalidInputError, match="mode"):
                 table_for_mode(1.0, mode=mode)
-
-    def test_split_window_helpers_keep_their_own_modes(self):
-        with pytest.raises(InvalidInputError, match="mode"):
-            multiwindow_table(4.0, mode="union")
-        with pytest.raises(InvalidInputError, match="mode"):
-            ch_multiwindow(4.0, mode="multiwindow-exact")
 
     def test_mode_tuples(self):
         assert SWEEP_MODES == ("standard", "multiwindow-exact", "multiwindow-paper")
@@ -400,7 +398,8 @@ class TestZeroCrossing:
         parts = np.array([an._ch_parts(k, None, None) for k in ks])
         noise = 16 * np.finfo(float).eps * parts.sum(axis=1)
         assert list(np.abs(parts[:, 0] - parts[:, 1]) > noise) == [True, False, False, False, True]
-        root = ch_zero_crossing(bracket=(1.0, 3.0), scan_points=5)
+        monkeypatch.setattr(an, "_SCAN_POINTS", 5)
+        root = ch_zero_crossing(bracket=(1.0, 3.0))
         assert root == pytest.approx(2.0, abs=0.03)
         assert abs(ch_curve_value(root)) <= 16 * np.finfo(float).eps * 2
 

@@ -42,6 +42,13 @@ class TestParseAngle:
 
 
 class TestAnalytic:
+    def test_seed_is_not_an_option(self, capsys):
+        # The sweep draws nothing, so there is no seed to set.
+        code, out, err = run(capsys, "analytic", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_csv_structure(self, capsys, tmp_path):
         out = tmp_path / "sweep.csv"
         code = main([
@@ -357,6 +364,10 @@ class TestTopLevel:
             (
                 ("waveform", "stats", "--omega", "0"),
                 "error: omega must be positive and finite, got 0.0",
+            ),
+            (
+                ("waveform", "windows", "--windows", "0,1", "--span", "100"),
+                "error: window must be positive and finite, got 0.0",
             ),
         ],
     )

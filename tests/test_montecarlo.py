@@ -241,24 +241,12 @@ class TestCompareToAnalytic:
         assert not report.passed
         assert report.max_abs_z > 50.0
 
-    def test_estimate_reuse(self, halves_report):
-        cfg = halves_report.config
-        again = compare_to_analytic(cfg, estimated=halves_report.estimated)
-        assert again.rows == halves_report.rows
-
     def test_summary_lines(self, single_report):
         lines = single_report.summary_lines()
         assert any("max|z|" in line for line in lines)
         assert any("passed=True" in line for line in lines)
         assert len(lines) == 1 + len(single_report.rows) + 1
-
-    def test_custom_z_limit(self, single_report):
-        strict = compare_to_analytic(
-            single_report.config,
-            estimated=single_report.estimated,
-            z_limit=1e-6,
-        )
-        assert not strict.passed
+        assert single_report.z_limit == 5.0
 
 
 class TestRngContract:

@@ -408,7 +408,7 @@ def reference_thinning(w, span, rate_scale, rng, detection_time=None):
         profile = lambda t: intensity_at(w, t)  # noqa: E731
     else:
         profile = harmonic_expansion(w).box_filtered(detection_time).value_at
-    i_max, _ = wf._profile_max(profile, w.period, 4096)
+    i_max = wf._profile_max(profile, w.period, 4096)[0]
     if i_max <= 0.0:
         return np.empty(0)
     bound = rate_scale * i_max * (1.0 + 1e-9)
