@@ -8,6 +8,7 @@ count, and then deliberately scores the run against the WRONG closed forms
 to prove the test has teeth.
 """
 
+import sys
 import time
 
 from bellsim import RunConfig, compare_to_analytic, estimate_table
@@ -19,7 +20,7 @@ t0 = time.perf_counter()
 cfg = RunConfig(k=K, scheme="halves", n_trials=N, seed=SEED)
 report = compare_to_analytic(cfg)
 print("\n".join(report.summary_lines()))
-print(f"(run + scoring took {time.perf_counter() - t0:.1f} s)")
+print(f"(run + scoring took {time.perf_counter() - t0:.1f} s)", file=sys.stderr)
 
 print()
 print("note the pairing-law joints sitting ABOVE their marginals -- the")

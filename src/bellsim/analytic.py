@@ -39,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
-from scipy.optimize import bisect
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, NumericalInconsistencyError
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
@@ -304,7 +304,51 @@ def ch_zero_crossing(
     if change.size == 0:
         return None
     i, j = int(clear[change[0]]), int(clear[change[0] + 1])
-    return float(bisect(f, ks[i], ks[j], rtol=1e-12, xtol=1e-15))
+    return _bisect(f, float(ks[i]), float(ks[j]), xtol=1e-15, rtol=1e-12)
+
+
+# Iteration budget of the bisection (scipy's default maxiter).
+_BISECT_ITER = 100
+
+
+def _bisect(f: Callable[[float], float], a: float, b: float, xtol: float, rtol: float) -> float:
+    """A root of ``f`` in [a, b], where ``f(a)`` and ``f(b)`` differ in sign.
+
+    Step for step the C loop of ``bisect`` in scipy/optimize/Zeros/bisect.c
+    (scipy 1.17.1, BSD-3-Clause), as reached through
+    ``scipy.optimize.bisect``, so it returns the same float.  As there, signs
+    are compared, not multiplied, so values near 1e-200 cannot underflow the
+    test.  Like scipy, it raises on a NaN value of ``f``, on a bracket
+    without a sign change and when 100 halvings do not meet the tolerance;
+    here every failure is a :class:`NumericalInconsistencyError`, since the
+    crossing scan hands it finite values of opposite sign only.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise NumericalInconsistencyError(f"the function value at x={x!r} is NaN")
+        return fx
+
+    fa = value(a)
+    fb = value(b)
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    positive = fa > 0.0
+    if (fb > 0.0) == positive:
+        raise NumericalInconsistencyError("f(a) and f(b) must have different signs")
+    dm = b - a
+    for _ in range(_BISECT_ITER):
+        dm *= 0.5
+        xm = a + dm
+        fm = value(xm)
+        if (fm > 0.0) == positive:
+            a = xm
+        if fm == 0.0 or abs(dm) < xtol + rtol * abs(xm):
+            return xm
+    raise NumericalInconsistencyError(f"bisection failed to converge after {_BISECT_ITER} iterations")
 
 
 @dataclass(frozen=True)

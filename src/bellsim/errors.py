@@ -27,8 +27,8 @@ class InvalidInputError(BellsimError, ValueError):
 class ModelInvalidError(BellsimError, ValueError):
     """A hidden-variable model violates its structural constraints.
 
-    Raised when weights are negative, do not sum to one within 1e-12, or a
-    response probability lies outside [0, 1].
+    Raised when an entry is not a number, weights are negative or do not sum
+    to one within 1e-12, or a response probability lies outside [0, 1].
     """
 
 

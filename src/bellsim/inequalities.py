@@ -95,11 +95,15 @@ class ProbabilityTable:
         """Raise :class:`InvalidInputError` unless every entry lies in [0, 1]."""
         # vars() is the eight fields in field order, at a small fraction of
         # asdict()'s cost; every closed-form table passes through here.
-        for name, value in vars(self).items():
-            if value is None or not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
+        try:
+            for name, value in vars(self).items():
+                if value is None or not math.isfinite(value):
+                    raise InvalidInputError(f"{name} must be finite, got {value!r}")
+                if not 0.0 <= value <= 1.0:
+                    raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
+        except TypeError:
+            # A string or other non-number; the try costs nothing otherwise.
+            raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
 
     def monotonicity_violations(self) -> list[str]:
         """Names of joints exceeding one of their marginals.
@@ -226,9 +230,15 @@ class DiscreteLHVModel:
     response_b: np.ndarray
 
     def __post_init__(self) -> None:
-        w = np.asarray(self.weights, dtype=float)
-        ra = np.asarray(self.response_a, dtype=float)
-        rb = np.asarray(self.response_b, dtype=float)
+        name = "weights"
+        try:
+            w = np.asarray(self.weights, dtype=float)
+            name = "response_a"
+            ra = np.asarray(self.response_a, dtype=float)
+            name = "response_b"
+            rb = np.asarray(self.response_b, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ModelInvalidError(f"{name} must be numeric: {exc}") from None
         if w.ndim != 1 or w.size == 0:
             raise ModelInvalidError("weights must be a non-empty 1-D array")
         if ra.shape != (w.size, 2) or rb.shape != (w.size, 2):

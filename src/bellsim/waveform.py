@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import InvalidInputError
 
@@ -215,17 +214,107 @@ class IntensityStats:
 def _refine_max(
     func: Callable[[float], float], t_lo: float, t_hi: float, t_best: float
 ) -> tuple[float, float]:
-    res = minimize_scalar(
-        lambda t: -func(t),
-        bounds=(t_lo, t_hi),
-        method="bounded",
-        options={"xatol": (t_hi - t_lo) * 1e-12 + 1e-300},
+    t, neg_value = _minimize_bounded(
+        lambda t: -func(t), t_lo, t_hi, xatol=(t_hi - t_lo) * 1e-12 + 1e-300
     )
-    candidates = [(func(t_best), t_best)]
-    if res.success or math.isfinite(res.x):
-        candidates.append((func(float(res.x)), float(res.x)))
-    value, t = max(candidates)
-    return value, t
+    return max((func(t_best), t_best), (-neg_value, t))
+
+
+# Function evaluations allowed to the bounded search (scipy's maxiter).
+_BOUNDED_MAXFUN = 500
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _step_sign(x: float) -> float:
+    # scipy's np.sign(x) + (x == 0): +1 at 0 (either signed zero), as numpy's
+    # sign is 0 there.  x is never NaN here.
+    return -1.0 if x < 0.0 else 1.0
+
+
+def _minimize_bounded(
+    func: Callable[[float], float], x1: float, x2: float, xatol: float
+) -> tuple[float, float]:
+    """(x, func(x)) at a local minimum of ``func`` on the finite [x1, x2].
+
+    Brent's golden-section/parabolic search as written in
+    ``_minimize_scalar_bounded`` of scipy/optimize/_optimize.py (scipy
+    1.17.1, BSD-3-Clause), so the floats are those of
+    ``minimize_scalar(func, bounds=(x1, x2), method="bounded",
+    options={"xatol": xatol})``.  Its trial points are always finite and
+    inside the bounds, so ``x`` is too, whatever ``func`` returns.
+    """
+    a, b, xatol = float(x1), float(x2), float(xatol)
+    fulc = a + _GOLDEN_MEAN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for parabolic fit
+        if abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+
+            # Check for acceptability of parabola
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = p / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 * _step_sign(xm - xf)
+            else:
+                golden = True
+
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN_MEAN * e
+
+        x = xf + _step_sign(rat) * max(abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= _BOUNDED_MAXFUN:
+            break
+
+    return xf, fx
 
 
 def _exact_profile(

@@ -106,6 +106,16 @@ class TestChValue:
         with pytest.raises(InvalidInputError, match=f"{name} must be finite, got None"):
             ch_value(table)
 
+    @pytest.mark.parametrize("index", range(8))
+    @pytest.mark.parametrize("bad", ["0.5", b"0.5", 0.5j, [0.5]])
+    def test_non_numeric_entry_rejected(self, index, bad):
+        values = [0.0] * 8
+        values[index] = bad
+        table = table_from(values)
+        name = list(vars(table))[index]
+        with pytest.raises(InvalidInputError, match=f"{name} must be a real number"):
+            ch_value(table)
+
     @given(st.lists(probability, min_size=8, max_size=8))
     def test_breakdown_recombines_exactly(self, values):
         b = ch_value(table_from(values))
@@ -258,6 +268,14 @@ class TestDiscreteLHVModel:
     def test_every_rejection(self, weights, response_a, response_b, message):
         with pytest.raises(ModelInvalidError, match=message):
             DiscreteLHVModel(weights=weights, response_a=response_a, response_b=response_b)
+
+    @pytest.mark.parametrize("name", ["weights", "response_a", "response_b"])
+    @pytest.mark.parametrize("bad", ["a", {"a": 1}, 0.5j])
+    def test_non_numeric_entry_rejected(self, name, bad):
+        arrays = {"weights": [1.0], "response_a": [[0.5, 0.5]], "response_b": [[0.5, 0.5]]}
+        arrays[name] = [bad] if name == "weights" else [[bad, 0.5]]
+        with pytest.raises(ModelInvalidError, match=f"{name} must be numeric"):
+            DiscreteLHVModel(**arrays)
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ModelInvalidError):
