@@ -276,15 +276,17 @@ def ch_zero_crossing(
 
     A log-spaced scan of 241 values over ``bracket`` finds the first sign
     change between scanned values that stand above rounding, i.e. |CH| >
-    16 eps (|Ps| + |Pc|) for CH = Ps - Pc; bisection (robust, no
-    derivatives) then refines it to relative tolerance 1e-12.  Where the
-    scan has values within rounding of 0 between the two signs, bisection
-    runs across them and returns a point where the computed CH changes sign
-    inside that band.  A curve that cancels to rounding noise without
-    changing sign (the standard CH ~ 0.085/k^2 past k ~ 1e7, every mode
-    near k = 1e100) has no crossing.  Modes whose CH keeps one sign on the
-    bracket (the single-window curve, the union law, or a quad that never
-    violates) yield None rather than an exception.
+    16 eps max(|Ps| + |Pc|, 1) for CH = Ps - Pc (each table entry is 1
+    minus a value near 1, so it carries ~eps of absolute rounding however
+    small it is); bisection (robust, no derivatives) then refines it to
+    relative tolerance 1e-12.  Where the scan has values within rounding of
+    0 between the two signs, bisection runs across them and returns a point
+    where the computed CH changes sign inside that band.  A curve that
+    cancels to rounding noise without changing sign (the standard CH ~
+    0.085/k^2 past k ~ 1e7, every mode near k = 1e100 or below k ~ 1e-15)
+    has no crossing.  Modes whose CH keeps one sign on the bracket (the
+    single-window curve, the union law, or a quad that never violates)
+    yield None rather than an exception.
     """
     _check_curve_mode(mode)
     lo, hi = bracket
@@ -297,7 +299,7 @@ def ch_zero_crossing(
     ks = np.geomspace(lo, hi, _SCAN_POINTS)
     plus, minus = np.array([_ch_parts(float(k), quad, mode) for k in ks]).T
     values = plus - minus
-    noise = 16.0 * np.finfo(float).eps * (np.abs(plus) + np.abs(minus))
+    noise = 16.0 * np.finfo(float).eps * np.maximum(np.abs(plus) + np.abs(minus), 1.0)
     clear = np.flatnonzero(np.abs(values) > noise)
     signs = np.sign(values[clear])
     change = np.flatnonzero(signs[:-1] * signs[1:] < 0)

@@ -25,11 +25,14 @@ every report here carries the computed average, with the discrepancy noted.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
+from .analytic import _bisect
 from .errors import InvalidInputError
 
 __all__ = [
@@ -39,6 +42,7 @@ __all__ = [
     "IntensityStats",
     "QUOTED_MEAN_NOTE",
     "THREE_WAVE_COEFFS",
+    "WAVEFORM_STREAM",
     "Waveform",
     "delay_statistics",
     "harmonic_expansion",
@@ -53,6 +57,13 @@ __all__ = [
 
 #: Coefficients of the three-component demonstration waveform.
 THREE_WAVE_COEFFS = (1.0, -2.0, 1.0)
+
+#: Version of :func:`sample_events`' stream: its draw order and the
+#: thinning bound it draws against.  Seeded streams change between versions
+#: only when this number changes.  History:
+#: 1, the bound from Brent-refined clusters of near-maximal grid points;
+#: 2, the bound from the roots of the intensity's slope (same draw order).
+WAVEFORM_STREAM = 2
 
 QUOTED_MEAN_NOTE = (
     "A quoted mean intensity of 6|A|^2/(2*pi) ~= 0.96|A|^2, and the "
@@ -77,14 +88,14 @@ class Waveform:
     amplitude: float = 1.0
 
     def __post_init__(self) -> None:
-        comps = tuple((float(c), int(h)) for c, h in self.components)
-        if not comps:
+        if not self.components:
             raise InvalidInputError("waveform needs at least one component")
-        for c, h in comps:
-            if not math.isfinite(c):
-                raise InvalidInputError(f"component coefficient must be finite, got {c!r}")
-            if h < 1:
-                raise InvalidInputError(f"harmonic must be a positive integer, got {h}")
+        for c, h in self.components:
+            if not (isinstance(c, numbers.Real) and math.isfinite(c)):
+                raise InvalidInputError(f"component coefficient must be a finite number, got {c!r}")
+            if not (isinstance(h, numbers.Real) and float(h).is_integer() and h >= 1):
+                raise InvalidInputError(f"harmonic must be a positive integer, got {h!r}")
+        comps = tuple((float(c), int(h)) for c, h in self.components)
         object.__setattr__(self, "components", comps)
         if not (math.isfinite(self.omega) and self.omega > 0):
             raise InvalidInputError(f"omega must be positive and finite, got {self.omega!r}")
@@ -105,6 +116,14 @@ class Waveform:
         """Build a waveform with coefficients on consecutive harmonics 1..n."""
         comps = tuple((float(c), j + 1) for j, c in enumerate(coefficients))
         return cls(components=comps, omega=omega, amplitude=amplitude)
+
+
+def _integer(name: str, value: object) -> int:
+    """``value`` as an int, for a count that numpy takes only as an integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
 
 
 def three_wave(omega: float = 1.0, amplitude: float = 1.0) -> Waveform:
@@ -211,112 +230,6 @@ class IntensityStats:
     note: str | None
 
 
-def _refine_max(
-    func: Callable[[float], float], t_lo: float, t_hi: float, t_best: float
-) -> tuple[float, float]:
-    t, neg_value = _minimize_bounded(
-        lambda t: -func(t), t_lo, t_hi, xatol=(t_hi - t_lo) * 1e-12 + 1e-300
-    )
-    return max((func(t_best), t_best), (-neg_value, t))
-
-
-# Function evaluations allowed to the bounded search (scipy's maxiter).
-_BOUNDED_MAXFUN = 500
-_SQRT_EPS = math.sqrt(2.2e-16)
-_GOLDEN_MEAN = 0.5 * (3.0 - math.sqrt(5.0))
-
-
-def _step_sign(x: float) -> float:
-    # scipy's np.sign(x) + (x == 0): +1 at 0 (either signed zero), as numpy's
-    # sign is 0 there.  x is never NaN here.
-    return -1.0 if x < 0.0 else 1.0
-
-
-def _minimize_bounded(
-    func: Callable[[float], float], x1: float, x2: float, xatol: float
-) -> tuple[float, float]:
-    """(x, func(x)) at a local minimum of ``func`` on the finite [x1, x2].
-
-    Brent's golden-section/parabolic search as written in
-    ``_minimize_scalar_bounded`` of scipy/optimize/_optimize.py (scipy
-    1.17.1, BSD-3-Clause), so the floats are those of
-    ``minimize_scalar(func, bounds=(x1, x2), method="bounded",
-    options={"xatol": xatol})``.  Its trial points are always finite and
-    inside the bounds, so ``x`` is too, whatever ``func`` returns.
-    """
-    a, b, xatol = float(x1), float(x2), float(xatol)
-    fulc = a + _GOLDEN_MEAN * (b - a)
-    nfc, xf = fulc, fulc
-    rat = e = 0.0
-    x = xf
-    fx = func(x)
-    num = 1
-    ffulc = fnfc = fx
-    xm = 0.5 * (a + b)
-    tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-    tol2 = 2.0 * tol1
-
-    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
-        golden = True
-        # Check for parabolic fit
-        if abs(e) > tol1:
-            golden = False
-            r = (xf - nfc) * (fx - ffulc)
-            q = (xf - fulc) * (fx - fnfc)
-            p = (xf - fulc) * q - (xf - nfc) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r = e
-            e = rat
-
-            # Check for acceptability of parabola
-            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
-                rat = p / q
-                x = xf + rat
-                if (x - a) < tol2 or (b - x) < tol2:
-                    rat = tol1 * _step_sign(xm - xf)
-            else:
-                golden = True
-
-        if golden:
-            e = (a - xf) if xf >= xm else (b - xf)
-            rat = _GOLDEN_MEAN * e
-
-        x = xf + _step_sign(rat) * max(abs(rat), tol1)
-        fu = func(x)
-        num += 1
-
-        if fu <= fx:
-            if x >= xf:
-                a = xf
-            else:
-                b = xf
-            fulc, ffulc = nfc, fnfc
-            nfc, fnfc = xf, fx
-            xf, fx = x, fu
-        else:
-            if x < xf:
-                a = x
-            else:
-                b = x
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc = nfc, fnfc
-                nfc, fnfc = x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-
-        xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(xf) + xatol / 3.0
-        tol2 = 2.0 * tol1
-
-        if num >= _BOUNDED_MAXFUN:
-            break
-
-    return xf, fx
-
-
 def _exact_profile(
     w: Waveform, detection_time: float | None
 ) -> tuple[HarmonicExpansion, Callable]:
@@ -329,15 +242,26 @@ def _exact_profile(
     return series, series.value_at
 
 
+def _interpolation_gap(series: HarmonicExpansion, h: float) -> float:
+    """Bound on |series - its linear interpolation| between points h apart:
+    h^2/8 times omega^2 sum_m m^2 |a_m|, a bound on |second derivative|."""
+    return (h * series.omega) ** 2 / 8.0 * math.fsum(m * m * abs(a) for m, a in series.terms)
+
+
 def _profile_max(
-    func: Callable, period: float, n_grid: int
+    series: HarmonicExpansion, func: Callable, period: float, n_grid: int
 ) -> tuple[float, tuple[float, ...], np.ndarray]:
     """Global maximum of a periodic profile, all argmax times in [0, period)
     and the profile on the uniform ``n_grid``-point grid it scanned.
 
-    Grid scan followed by bounded local refinement of every grid point whose
-    value is within a small relative band of the grid maximum; refined peaks
-    matching the global maximum to 1e-9 relative are all reported.
+    ``func`` is the exact profile and ``series`` its cosine series.  Only a
+    grid step whose larger end is within :func:`_interpolation_gap` of the
+    grid maximum can hold the global one.  Where the series' slope -sum_m m
+    omega a_m sin(m omega t) falls from >= 0 to <= 0 across such a step,
+    bisection finds its root.  The step's peak is the best of its two grid
+    points and that root by ``func``, a grid point winning a tie, so the
+    maximum is never below the grid maximum.  Peaks within 1e-9 relative of
+    it are reported, one per 4 grid steps around the circle.
     """
     ts = np.linspace(0.0, period, n_grid, endpoint=False)
     vals = np.asarray(func(ts), dtype=float)
@@ -346,30 +270,26 @@ def _profile_max(
         # Nonnegative profile that never exceeds 0: flat zero.
         return 0.0, (0.0,), vals
     step = period / n_grid
-    near = np.flatnonzero(vals >= v_grid * (1.0 - 1e-4))
-    # Cluster contiguous near-max indices (with wraparound) and refine each.
-    clusters: list[list[int]] = []
-    for idx in near:
-        if clusters and idx == clusters[-1][-1] + 1:
-            clusters[-1].append(int(idx))
-        else:
-            clusters.append([int(idx)])
-    if len(clusters) > 1 and clusters[0][0] == 0 and clusters[-1][-1] == n_grid - 1:
-        clusters[0] = clusters.pop() + clusters[0]
-
+    rates = [(m * series.omega, m * series.omega * a) for m, a in series.terms]
+    slope = lambda t: -sum(ma * math.sin(mw * t) for mw, ma in rates)  # noqa: E731
+    ends = np.maximum(vals, np.roll(vals, -1))
     peaks: list[tuple[float, float]] = []
-    for cluster in clusters:
-        t_best = ts[cluster[len(cluster) // 2]]
-        v, t = _refine_max(lambda x: float(func(x)), t_best - step, t_best + step, t_best)
-        peaks.append((v, t % period))
+    for j in np.flatnonzero(ends >= v_grid - _interpolation_gap(series, step)):
+        right = (int(j) + 1) % n_grid
+        lo, hi = float(ts[j]), float(ts[right]) if right else period
+        best = [(float(vals[j]), lo), (float(vals[right]), float(ts[right]))]
+        if slope(lo) >= 0.0 >= slope(hi):
+            t = _bisect(slope, lo, hi, step * 2.0**-60, 4.0 * np.finfo(float).eps) % period
+            best.append((float(func(t)), t))
+        peaks.append(max(best, key=lambda peak: peak[0]))
     v_max = max(v for v, _ in peaks)
-    argmax = sorted(t for v, t in peaks if v >= v_max * (1.0 - 1e-9))
-    # Deduplicate refined times that collapsed onto the same peak.
     unique: list[float] = []
-    for t in argmax:
+    for t in sorted(t for v, t in peaks if v >= v_max * (1.0 - 1e-9)):
         if not unique or t - unique[-1] > 4.0 * step:
-            unique.append(float(t))
-    return float(v_max), tuple(unique), vals
+            unique.append(t)
+    if len(unique) > 1 and unique[0] + period - unique[-1] <= 4.0 * step:
+        unique.pop()
+    return v_max, tuple(unique), vals
 
 
 def intensity_stats(
@@ -381,20 +301,20 @@ def intensity_stats(
 
     The mean is the numerical average over a uniform grid (exact to machine
     precision for a finite cosine series once the grid is finer than the
-    highest harmonic); the maximum is grid-scanned and then locally refined.
-    ``detection_time`` applies the moving-average pre-filter first.  At
-    least 1000 samples per period are required.
+    highest harmonic); the maximum and its times come from the grid and the
+    slope roots of :func:`_profile_max`.  ``detection_time`` applies the
+    moving-average pre-filter first.  At least 1000 samples per period are
+    required.
     """
+    samples_per_period = _integer("samples_per_period", samples_per_period)
     if samples_per_period < 1000:
         raise InvalidInputError(
             f"samples_per_period must be >= 1000, got {samples_per_period}"
         )
-    _, profile = _exact_profile(w, detection_time)
-    maximum, argmax_times, grid = _profile_max(profile, w.period, samples_per_period)
+    series, profile = _exact_profile(w, detection_time)
+    maximum, argmax_times, grid = _profile_max(series, profile, w.period, samples_per_period)
     mean = float(np.mean(grid))
-    is_three_wave = tuple(c for c, _ in w.components) == THREE_WAVE_COEFFS and tuple(
-        h for _, h in w.components
-    ) == (1, 2, 3)
+    is_three_wave = w.components == tuple(zip(THREE_WAVE_COEFFS, (1, 2, 3)))
     peak_to_mean = maximum / mean if mean > 0 else math.inf if maximum > 0 else math.nan
     return IntensityStats(
         mean=mean,
@@ -495,9 +415,7 @@ def _screen_table(
     x - floor(x), j = floor(x) mod G.  The margin is twice a bound on
     |reading - rate_scale * exact profile| over [0, span), the sum of:
 
-    * interpolation: linear interpolation between nodes h apart is off by at
-      most h^2/8 times the largest |second derivative| of the series, which
-      is at most omega^2 sum_m m^2 |a_m|;
+    * interpolation: :func:`_interpolation_gap` at node spacing h;
     * phase: rounding the period and x moves the read point by a few
       eps * span (bounded with 8 eps * span), and the series moves by at most
       omega sum_m m |a_m| per unit time;
@@ -512,7 +430,7 @@ def _screen_table(
     """
     tol = _screen_tolerance(w, series, span)
     h = w.period / _SCREEN_NODES
-    curvature = (h * w.omega) ** 2 / 8.0 * math.fsum(m * m * abs(a) for m, a in series.terms)
+    curvature = _interpolation_gap(series, h)
     gradient = w.omega * math.fsum(m * abs(a) for m, a in series.terms)
     margin = 2.0 * rate_scale * (curvature + 8.0 * np.finfo(float).eps * span * gradient + tol)
     in_limits = 1e-300 < tol < 1e290 and 1e-300 < margin < min(bound, 1e290)
@@ -531,17 +449,18 @@ def sample_events(
 ) -> EventStream:
     """Inhomogeneous Poisson events with rate rate_scale * I(t) over [0, span).
 
-    Thinning runs against the refined true intensity maximum (inflated by a
-    1e-9 relative safety margin so the bound is never an underestimate),
-    which keeps the accepted-event distribution exact rather than
-    approximate.  ``detection_time`` applies the moving-average pre-filter
-    to the intensity before rates are evaluated.
+    Thinning runs against the intensity maximum of :func:`_profile_max`
+    (from the slope roots), inflated by a 1e-9 relative safety margin so
+    the bound is never an underestimate, which keeps the accepted-event
+    distribution exact rather than approximate.  ``detection_time`` applies
+    the moving-average pre-filter to the intensity before rates are
+    evaluated.
 
-    Draw order, which makes a stream a pure function of the generator state:
-    one ``poisson`` count, then per block of 2^22 candidates their times
-    ``uniform(0, span, m)`` followed by their m acceptance uniforms
-    ``random`` (drawn in sub-blocks, which is the same stream as one
-    ``random(m)`` call).
+    The stream is version :data:`WAVEFORM_STREAM`.  Its draw order, which
+    makes it a pure function of the generator state: one ``poisson`` count,
+    then per block of 2^22 candidates their times ``uniform(0, span, m)``
+    followed by their m acceptance uniforms ``random`` (drawn in sub-blocks,
+    which is the same stream as one ``random(m)`` call).
 
     A candidate (t, u) is kept when u * bound < rate_scale * I(t), with I
     the exact profile (:func:`intensity_at`, or the box-filtered series).
@@ -562,7 +481,7 @@ def sample_events(
             f"rate_scale must be positive and finite, got {rate_scale!r}"
         )
     series, profile = _exact_profile(w, detection_time)
-    i_max, _, _ = _profile_max(profile, w.period, 4096)
+    i_max, _, _ = _profile_max(series, profile, w.period, 4096)
     if i_max <= 0.0:
         return EventStream(times=np.empty(0), rate_scale=rate_scale)
     bound = rate_scale * i_max * (1.0 + 1e-9)
@@ -651,6 +570,7 @@ class DelayStatistics:
         is 0 or there are no delays).  A given range must be finite with
         lo < hi.
         """
+        bins = _integer("bins", bins)
         if bins < 1:
             raise InvalidInputError(f"bins must be >= 1, got {bins}")
         if histogram_range is not None:
@@ -659,24 +579,12 @@ class DelayStatistics:
                 raise InvalidInputError(
                     f"histogram_range must be finite with lo < hi, got {histogram_range!r}"
                 )
-        if delays.size == 0:
-            lo, hi = (-1.0, 1.0) if histogram_range is None else histogram_range
-            return cls(
-                delays=delays,
-                median_abs_delay=None,
-                bin_edges=np.linspace(lo, hi, bins + 1),
-                counts=np.zeros(bins, dtype=int),
-            )
         if histogram_range is None:
-            limit = float(np.max(np.abs(delays))) or 1.0
+            limit = float(np.max(np.abs(delays), initial=0.0)) or 1.0
             histogram_range = (-limit, limit)
         counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
-        return cls(
-            delays=delays,
-            median_abs_delay=float(np.median(np.abs(delays))),
-            bin_edges=edges,
-            counts=counts,
-        )
+        median = float(np.median(np.abs(delays))) if delays.size else None
+        return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=counts)
 
 
 def _neighbours(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

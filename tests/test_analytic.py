@@ -376,6 +376,14 @@ class TestZeroCrossing:
     def test_all_zero_scan_has_no_crossing(self, mode):
         assert ch_zero_crossing(mode=mode, bracket=(1e100, 1e300)) is None
 
+    @pytest.mark.parametrize("bracket", [(1e-18, 1e-10), (1e-300, 1e-6)])
+    @pytest.mark.parametrize("mode", CH_CURVE_MODES)
+    def test_dark_end_rounding_is_not_a_crossing(self, mode, bracket):
+        """Below k ~ 1e-15 each entry is 1 minus a value near 1, so CH ~ 1e-14
+        lies under the ~eps absolute rounding of the entries, although it
+        is large against 16 eps (|Ps| + |Pc|)."""
+        assert ch_zero_crossing(mode=mode, bracket=bracket) is None
+
     @pytest.mark.parametrize(
         "mode, root",
         [

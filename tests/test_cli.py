@@ -459,6 +459,13 @@ WAVEFORM_SHA256 = {
     ("delays", "0"): "971de41a6b7c19e44c81f6acfebf040be1a9bbd9ff0bbedca8113d7827bb21ac",
     ("delays", "7"): "d1c277ba10f6ad7e5c7d9f9e5b4a91e88558ed5e99a5a4c2e9750d4da78d3e2c",
 }
+#: sha256 of ``waveform stats`` stdout, from the Brent-refined maximum of
+#: stream 1.  The three-wave peaks at a grid point, so its maximum prints as
+#: 16.0 and its argmax as math.pi exactly.
+STATS_SHA256 = {
+    (): "db201a8c03f3d3cb2b202d2a81caf82120e5383a8111a36e4097ffcd979b3637",
+    ("--detection-time", "0.3"): "434b7cdd95e4a80577c000d905aaa617d385c754eb028354323193362e43fcf7",
+}
 ANALYTIC_SHA256 = {
     (): "f2b495e00682529e984d3e86a96155fc96d93d132109f4c52c00391ac1302479",
     ("--points", "2001"): "1eec648f8c81c04a99f0d6c95783588fa7747a7e6249dd084236e4908f3811a9",
@@ -500,6 +507,13 @@ class TestGoldenOutput:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == WAVEFORM_SHA256[("delays", seed)]
 
+    @pytest.mark.parametrize("argv", list(STATS_SHA256))
+    def test_waveform_stats(self, capsys, argv):
+        code, out, _ = run(capsys, "waveform", "stats", *argv)
+        assert code == 0
+        assert "\nargmax_time,3.141592653589793\n" in out
+        assert hashlib.sha256(out.encode()).hexdigest() == STATS_SHA256[argv]
+
     @pytest.mark.parametrize("argv", list(ANALYTIC_SHA256))
     def test_analytic_csv(self, capsys, argv):
         code, out, _ = run(capsys, "analytic", *argv)
@@ -532,6 +546,18 @@ class TestNoFalseZeroCrossing:
     def test_no_footer(self, capsys, argv):
         code, out, _ = run(capsys, "analytic", *argv)
         assert code == 0
+        assert "zero-crossing" not in out
+
+    @pytest.mark.parametrize("mode", ["standard", "multiwindow-exact", "multiwindow-paper"])
+    def test_dark_end_sweep(self, capsys, mode):
+        """Below k ~ 1e-15 the CH of every row lies under the rounding of
+        its entries; the multiwindow-paper sweep used to end with a footer
+        at 1.6e-16."""
+        code, out, err = run(
+            capsys, "analytic", "--start", "1e-16", "--stop", "1e-10", "--points", "5",
+            "--modes", mode,
+        )
+        assert (code, err) == (0, "")
         assert "zero-crossing" not in out
 
     @pytest.mark.parametrize("mode", ["standard", "multiwindow-exact", "multiwindow-paper"])

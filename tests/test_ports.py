@@ -1,11 +1,10 @@
-"""The two scipy ports give scipy's floats, bit for bit.
+"""The one scipy port gives scipy's floats, bit for bit.
 
-``analytic._bisect`` copies the C loop behind ``scipy.optimize.bisect`` and
-``waveform._minimize_bounded`` copies ``minimize_scalar(method="bounded")``.
-The zero crossings in the ``analytic`` footers come from the first and the
-thinning bound of the event streams from the second, so every pinned output
-rests on this equality.  This is the only module that imports scipy's
-optimizers.
+``analytic._bisect`` copies the C loop behind ``scipy.optimize.bisect``.
+The zero crossings in the ``analytic`` footers come from it, so every pinned
+footer rests on this equality.  (The waveform maximum also calls it, on the
+slope of the intensity series; that use is tested in ``test_waveform.py``.)
+This is the only module that imports scipy's optimizers.
 """
 
 import math
@@ -14,11 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import bisect, minimize_scalar
+from scipy.optimize import bisect
 
 from bellsim.analytic import _bisect
 from bellsim.errors import NumericalInconsistencyError
-from bellsim.waveform import _minimize_bounded, _refine_max, intensity_at, three_wave
 
 EPS = np.finfo(float).eps
 
@@ -102,61 +100,3 @@ class TestBisect:
             bisect(f, -1.0, 2.0, xtol=5e-324, rtol=4 * EPS)
         with pytest.raises(NumericalInconsistencyError, match="converge"):
             _bisect(f, -1.0, 2.0, 5e-324, 4 * EPS)
-
-
-@st.composite
-def trig_profiles(draw):
-    """A random cosine series, squared (as an intensity) or not."""
-    n = draw(st.integers(min_value=1, max_value=4))
-    coeffs = draw(st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=n, max_size=n))
-    harmonics = draw(st.lists(st.integers(min_value=1, max_value=6), min_size=n, max_size=n))
-    phases = draw(st.lists(st.floats(min_value=0.0, max_value=6.3), min_size=n, max_size=n))
-    squared = draw(st.booleans())
-
-    def profile(t):
-        v = sum(c * math.cos(h * t + p) for c, h, p in zip(coeffs, harmonics, phases))
-        return v * v if squared else v
-
-    return profile
-
-
-class TestMinimizeBounded:
-    @settings(max_examples=400, deadline=None)
-    @given(
-        trig_profiles(),
-        st.floats(min_value=-10.0, max_value=10.0),
-        st.floats(min_value=0.0, max_value=7.0),
-        st.sampled_from([None, 1e-12, 1e-8, 1e-5, 1e-2]),
-    )
-    def test_matches_scipy(self, profile, lo, width, xatol):
-        hi = lo + width
-        # None: the tolerance _refine_max passes, a numpy float.
-        xatol = (np.float64(hi) - np.float64(lo)) * 1e-12 + 1e-300 if xatol is None else xatol
-        res = minimize_scalar(profile, bounds=(lo, hi), method="bounded", options={"xatol": xatol})
-        x, fun = _minimize_bounded(profile, lo, hi, xatol)
-        assert x == res.x
-        assert fun == res.fun
-        assert lo <= x <= hi
-
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
-    def test_non_finite_values_keep_x_finite(self, value):
-        x, _ = _minimize_bounded(lambda t: value, 0.5, 2.0, 1e-10)
-        res = minimize_scalar(lambda t: value, bounds=(0.5, 2.0), method="bounded", options={"xatol": 1e-10})
-        assert x == res.x and 0.5 <= x <= 2.0
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(min_value=0, max_value=4095), st.sampled_from([1, 2, 8]))
-    def test_refine_max_matches_the_scipy_form(self, index, grid_steps):
-        """_refine_max against the form it replaced, on the demonstration
-        waveform around any grid point of _profile_max's scan."""
-        w = three_wave()
-        step = w.period / 4096
-        t_best = np.linspace(0.0, w.period, 4096, endpoint=False)[index]
-        lo, hi = t_best - grid_steps * step, t_best + grid_steps * step
-        func = lambda t: float(intensity_at(w, t))  # noqa: E731
-        res = minimize_scalar(
-            lambda t: -func(t), bounds=(lo, hi), method="bounded",
-            options={"xatol": (hi - lo) * 1e-12 + 1e-300},
-        )
-        expected = max((func(t_best), t_best), (func(float(res.x)), float(res.x)))
-        assert _refine_max(func, lo, hi, t_best) == expected

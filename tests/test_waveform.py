@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -42,6 +42,23 @@ class TestWaveformConstruction:
     def test_period(self):
         assert three_wave().period == pytest.approx(2 * math.pi, abs=1e-15)
         assert three_wave(omega=2 * math.pi).period == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize(
+        "components, name",
+        [
+            (((1.0, 1.5),), "harmonic"),
+            (((1.0, math.nan),), "harmonic"),
+            (((1.0, "x"),), "harmonic"),
+            ((("x", 1),), "coefficient"),
+            (((None, 1),), "coefficient"),
+        ],
+    )
+    def test_non_integer_harmonic_or_non_numeric_coefficient(self, components, name):
+        with pytest.raises(InvalidInputError, match=name):
+            Waveform(components)
+
+    def test_integral_float_harmonic_accepted(self):
+        assert Waveform(((1.0, 2.0), (0.5, np.int64(3)))).components == ((1.0, 2), (0.5, 3))
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -136,6 +153,134 @@ class TestIntensityStats:
     def test_rejects_coarse_sampling(self):
         with pytest.raises(InvalidInputError):
             intensity_stats(three_wave(), samples_per_period=100)
+
+    def test_rejects_float_sample_count(self):
+        with pytest.raises(InvalidInputError, match="samples_per_period"):
+            intensity_stats(three_wave(), samples_per_period=5000.0)
+
+
+def scan_max(w, detection_time, n):
+    """The exact profile's largest value on an n-point grid over one period."""
+    _, profile = wf._exact_profile(w, detection_time)
+    return float(np.max(profile(np.linspace(0.0, w.period, n, endpoint=False))))
+
+
+#: Two peaks 0.0084 of a period apart, after a box filter.  A search that
+#: refined one point per cluster of near-maximal grid points put both peaks
+#: and the dip between them in one cluster, and reported the dip,
+#: 0.002399483592420145 at 0.50024 of the period, 2e-5 relative below the peaks.
+TWIN_PEAKS = (
+    Waveform(
+        ((-0.9197950938228345, 1), (-0.18717500506153661, 6), (-0.520783747795641, 11),
+         (0.9392131036783211, 2)),
+        omega=9.633708933820337,
+        amplitude=0.032155775908378745,
+    ),
+    0.1727465213674729,
+)
+#: An unfiltered wave whose maximum the same search put 4.4e-8 relative low
+#: (4452.825940548426 against 4452.826134597851), more than the 1e-9 safety
+#: margin of sample_events.
+UNFILTERED_MISS = (
+    Waveform(
+        ((-0.6300590611312511, 2), (-0.9768147428020808, 3), (0.03490808724149944, 7),
+         (0.2672988569903713, 8), (-0.1991964813635249, 6)),
+        omega=0.060427209735608015,
+        amplitude=44.36603943600383,
+    ),
+    None,
+)
+#: Peaks at t ~ 1.596 and 4.687 (0.8137446497556202) that lie mid-step: the
+#: grid maximum is I(0) = 0.8137446478149821, 2.4e-9 relative lower, and
+#: both grid neighbours of each peak are lower still.  Only the curvature
+#: bound admits the peaks' steps to the slope-root search.
+MID_STEP_PEAKS = (
+    Waveform(((0.023643249400513433, 1), (0.9009273926518706, 2), (-0.022492681000800565, 3))),
+    None,
+)
+#: A narrow peak (harmonic 40) at t ~ 0.628 and 5.655 whose grid neighbours
+#: lie more than 1e-4 relative below the grid maximum, so a fixed 1e-4 band
+#: around the grid maximum leaves its steps out: that search reported
+#: 3.532070275923544, 1.1e-6 relative below the true 3.5320742947266637.
+NARROW_PEAK = (Waveform(((1.0, 1), (1.0, 40), (-0.22769999999999999, 3))), None)
+
+
+class TestProfileMax:
+    def test_twin_peaks(self):
+        w, detection_time = TWIN_PEAKS
+        s = intensity_stats(w, detection_time=detection_time)
+        assert s.maximum >= scan_max(w, detection_time, 2_000_000)
+        phases = [t / w.period for t in s.argmax_times]
+        assert phases == pytest.approx([0.4958, 0.5042], abs=1e-4)
+
+    def test_unfiltered_peak(self):
+        w, _ = UNFILTERED_MISS
+        maximum = intensity_stats(w).maximum
+        assert maximum >= scan_max(w, None, 2_000_000)
+        assert maximum >= 4452.826134597851
+
+    @pytest.mark.parametrize(
+        "omega, amplitude",
+        [(1.0, 1.0), (5.055119822628568, 0.16878896100122018),
+         (1.8008967721801068, 0.8762324454733263)],
+    )
+    def test_grid_point_wins_a_tie(self, omega, amplitude):
+        """The three-wave peaks at the grid point period/2.  In these cases
+        the slope root next to it, a few ulps off, has the same value; the
+        grid point must be the one reported."""
+        w = three_wave(omega=omega, amplitude=amplitude)
+        s = intensity_stats(w)
+        assert s.argmax_times == (w.period / 2,)
+        assert s.maximum == 16.0 * amplitude**2
+
+    def test_narrow_peak_far_below_on_the_grid(self):
+        w, _ = NARROW_PEAK
+        s = intensity_stats(w)
+        assert s.maximum >= scan_max(w, None, 1 << 21)
+        assert s.argmax_times == pytest.approx((0.628357, 5.654828), abs=1e-6)
+
+    def test_peaks_between_grid_points_below_the_grid_maximum(self):
+        w, _ = MID_STEP_PEAKS
+        s = intensity_stats(w)
+        assert s.maximum >= scan_max(w, None, 1 << 20)
+        assert s.maximum > intensity_at(w, 0.0) * (1.0 + 1e-9)
+        assert s.argmax_times == pytest.approx((1.596037, 4.687149), abs=1e-6)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1.0, 1.0), st.integers(1, 12)), min_size=1, max_size=6
+        ),
+        st.floats(0.01, 100.0),
+        st.floats(0.01, 100.0),
+        st.one_of(st.none(), st.floats(0.01, 2.0)),
+    )
+    @example(list(TWIN_PEAKS[0].components), TWIN_PEAKS[0].omega, TWIN_PEAKS[0].amplitude,
+             TWIN_PEAKS[1] * TWIN_PEAKS[0].omega / (2 * math.pi))
+    @example(list(UNFILTERED_MISS[0].components), UNFILTERED_MISS[0].omega,
+             UNFILTERED_MISS[0].amplitude, None)
+    @example(list(MID_STEP_PEAKS[0].components), 1.0, 1.0, None)
+    @example(list(NARROW_PEAK[0].components), 1.0, 1.0, None)
+    # Twin peaks at t ~ +-0.0015, which meet across t = 0 and t = period.
+    @example([(1.0, 1), (1.0, 2), (1.0, 3), (-0.875002625, 4)], 1.0, 1.0, None)
+    def test_never_below_a_fine_scan(self, components, omega, amplitude, periods):
+        """The maximum is at least the grid maximum and, within the float
+        rounding of the profile (the screen's own bound), a 2^18-point scan;
+        every argmax time reaches it, and the times are sorted, inside one
+        period and more than 4 grid steps apart around the circle."""
+        w = Waveform(tuple(components), omega=omega, amplitude=amplitude)
+        detection_time = None if periods is None else periods * w.period
+        series, profile = wf._exact_profile(w, detection_time)
+        maximum, times, grid = wf._profile_max(series, profile, w.period, 4096)
+        rounding = wf._screen_tolerance(w, series, w.period)
+        assert maximum >= grid.max()
+        assert maximum + rounding >= scan_max(w, detection_time, 1 << 18)
+        assert times and list(times) == sorted(times)
+        assert 0.0 <= times[0] and times[-1] < w.period
+        for t in times:
+            assert profile(t) >= maximum * (1.0 - 1e-9)
+        gaps = np.diff(list(times) + [times[0] + w.period])
+        assert len(times) == 1 or gaps.min() > 4.0 * w.period / 4096
 
 
 class TestHarmonicExpansion:
@@ -404,11 +549,13 @@ class TestWindowedCoincidences:
 
 def reference_thinning(w, span, rate_scale, rng, detection_time=None):
     """Plain thinning: every candidate decided with the exact profile."""
+    series = harmonic_expansion(w)
     if detection_time is None:
         profile = lambda t: intensity_at(w, t)  # noqa: E731
     else:
-        profile = harmonic_expansion(w).box_filtered(detection_time).value_at
-    i_max = wf._profile_max(profile, w.period, 4096)[0]
+        series = series.box_filtered(detection_time)
+        profile = series.value_at
+    i_max = wf._profile_max(series, profile, w.period, 4096)[0]
     if i_max <= 0.0:
         return np.empty(0)
     bound = rate_scale * i_max * (1.0 + 1e-9)
@@ -572,8 +719,8 @@ class TestThinningMatchesReference:
         assert _same_generator_state(r_ref, r_new)
 
     def test_few_candidates_reach_the_exact_profile(self, monkeypatch):
-        """Besides the peak search (a 4096-point grid and scalar refinement),
-        the exact profile sees only the rare close calls."""
+        """Besides the peak search (a 4096-point grid and a scalar call per
+        slope root), the exact profile sees only the rare close calls."""
         seen = []
         real = wf.intensity_at
 
@@ -789,3 +936,8 @@ class TestHistogramRange:
             assert np.array_equal(s.counts, t.counts)
             assert np.array_equal(s.bin_edges, t.bin_edges)
             assert s.median_abs_delay == t.median_abs_delay
+
+    @pytest.mark.parametrize("delays", [np.array([]), np.array([-0.5, 0.2, 1.0])])
+    def test_non_integer_bins_rejected(self, delays):
+        with pytest.raises(InvalidInputError, match="bins"):
+            DelayStatistics.from_delays(delays, bins=2.5)
