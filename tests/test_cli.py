@@ -12,6 +12,7 @@ import pytest
 from bellsim.cli import main, parse_angle
 from bellsim.inequalities import AngleQuad, ch_value, eval_discrete_lhv, random_discrete_model
 from bellsim.montecarlo import RNG_CONTRACT, RunConfig
+from bellsim.waveform import WAVEFORM_STREAM
 
 
 def run(capsys, *argv):
@@ -379,85 +380,168 @@ class TestTopLevel:
 
 
 #: stdout of ``waveform windows --seed S`` and ``waveform delays --seed S
-#: --bins 8``, from the plain thinning loop and two-search window count that
-#: preceded the thinning screen and the one-search count.
+#: --bins 8``, per waveform stream.  Stream 2's values come from the plain
+#: thinning loop and two-search window count that preceded the thinning
+#: screen and the one-search count; stream 3's from the per-bin bound.
 WINDOWS_GOLDEN = {
-    "0": (
-        "window,shared,independent\n"
-        "0.05,2678,995\n"
-        "0.1,4926,2008\n"
-        "0.2,8257,3757\n"
-        "0.5,13453,8044\n"
-        "1.0,16417,12886\n"
-        "2.0,18158,17559\n"
-        "5.0,20012,20177\n"
-    ),
-    "7": (
-        "window,shared,independent\n"
-        "0.05,2662,994\n"
-        "0.1,4797,1918\n"
-        "0.2,8155,3624\n"
-        "0.5,13371,7839\n"
-        "1.0,16382,12636\n"
-        "2.0,18205,17390\n"
-        "5.0,19830,19985\n"
-    ),
+    2: {
+        "0": (
+            "window,shared,independent\n"
+            "0.05,2678,995\n"
+            "0.1,4926,2008\n"
+            "0.2,8257,3757\n"
+            "0.5,13453,8044\n"
+            "1.0,16417,12886\n"
+            "2.0,18158,17559\n"
+            "5.0,20012,20177\n"
+        ),
+        "7": (
+            "window,shared,independent\n"
+            "0.05,2662,994\n"
+            "0.1,4797,1918\n"
+            "0.2,8155,3624\n"
+            "0.5,13371,7839\n"
+            "1.0,16382,12636\n"
+            "2.0,18205,17390\n"
+            "5.0,19830,19985\n"
+        ),
+    },
+    3: {
+        "0": (
+            "window,shared,independent\n"
+            "0.05,2646,995\n"
+            "0.1,4802,2008\n"
+            "0.2,8130,3757\n"
+            "0.5,13370,8044\n"
+            "1.0,16408,12886\n"
+            "2.0,18069,17559\n"
+            "5.0,19678,20177\n"
+        ),
+        "7": (
+            "window,shared,independent\n"
+            "0.05,2703,994\n"
+            "0.1,4874,1918\n"
+            "0.2,8073,3624\n"
+            "0.5,13377,7839\n"
+            "1.0,16402,12636\n"
+            "2.0,18131,17390\n"
+            "5.0,19832,19985\n"
+        ),
+    },
 }
 DELAYS_GOLDEN = {
-    "0": (
-        "quantity,case,bin_left,bin_right,value\n"
-        "bin,independent,-5.475060046765066,-4.106295035073799,1\n"
-        "bin,independent,-4.106295035073799,-2.737530023382533,27\n"
-        "bin,independent,-2.737530023382533,-1.3687650116912664,603\n"
-        "bin,independent,-1.3687650116912664,0.0,9543\n"
-        "bin,independent,0.0,1.3687650116912664,9464\n"
-        "bin,independent,1.3687650116912664,2.737530023382533,612\n"
-        "bin,independent,2.737530023382533,4.106295035073799,16\n"
-        "bin,independent,4.106295035073799,5.475060046765066,4\n"
-        "bin,shared,-5.475060046765066,-4.106295035073799,8\n"
-        "bin,shared,-4.106295035073799,-2.737530023382533,20\n"
-        "bin,shared,-2.737530023382533,-1.3687650116912664,437\n"
-        "bin,shared,-1.3687650116912664,0.0,9725\n"
-        "bin,shared,0.0,1.3687650116912664,9506\n"
-        "bin,shared,1.3687650116912664,2.737530023382533,355\n"
-        "bin,shared,2.737530023382533,4.106295035073799,8\n"
-        "bin,shared,4.106295035073799,5.475060046765066,8\n"
-        "n_events,independent,,,20270\n"
-        "median_abs_delay,independent,,,0.34315966183112323\n"
-        "n_events,shared,,,20067\n"
-        "median_abs_delay,shared,,,0.1372890196107619\n"
-        "median_ratio,shared/independent,,,0.4000733037157642\n"
-    ),
-    "7": (
-        "quantity,case,bin_left,bin_right,value\n"
-        "bin,independent,-5.619341339670427,-4.2145060047528204,4\n"
-        "bin,independent,-4.2145060047528204,-2.8096706698352136,30\n"
-        "bin,independent,-2.8096706698352136,-1.4048353349176068,576\n"
-        "bin,independent,-1.4048353349176068,0.0,9467\n"
-        "bin,independent,0.0,1.4048353349176068,9432\n"
-        "bin,independent,1.4048353349176068,2.8096706698352136,593\n"
-        "bin,independent,2.8096706698352136,4.2145060047528204,38\n"
-        "bin,independent,4.2145060047528204,5.619341339670427,4\n"
-        "bin,shared,-5.619341339670427,-4.2145060047528204,12\n"
-        "bin,shared,-4.2145060047528204,-2.8096706698352136,5\n"
-        "bin,shared,-2.8096706698352136,-1.4048353349176068,280\n"
-        "bin,shared,-1.4048353349176068,0.0,9647\n"
-        "bin,shared,0.0,1.4048353349176068,9617\n"
-        "bin,shared,1.4048353349176068,2.8096706698352136,292\n"
-        "bin,shared,2.8096706698352136,4.2145060047528204,9\n"
-        "bin,shared,4.2145060047528204,5.619341339670427,16\n"
-        "n_events,independent,,,20144\n"
-        "median_abs_delay,independent,,,0.3498814397312344\n"
-        "n_events,shared,,,19878\n"
-        "median_abs_delay,shared,,,0.13807213373365812\n"
-        "median_ratio,shared/independent,,,0.3946254875357775\n"
-    ),
+    2: {
+        "0": (
+            "quantity,case,bin_left,bin_right,value\n"
+            "bin,independent,-5.475060046765066,-4.106295035073799,1\n"
+            "bin,independent,-4.106295035073799,-2.737530023382533,27\n"
+            "bin,independent,-2.737530023382533,-1.3687650116912664,603\n"
+            "bin,independent,-1.3687650116912664,0.0,9543\n"
+            "bin,independent,0.0,1.3687650116912664,9464\n"
+            "bin,independent,1.3687650116912664,2.737530023382533,612\n"
+            "bin,independent,2.737530023382533,4.106295035073799,16\n"
+            "bin,independent,4.106295035073799,5.475060046765066,4\n"
+            "bin,shared,-5.475060046765066,-4.106295035073799,8\n"
+            "bin,shared,-4.106295035073799,-2.737530023382533,20\n"
+            "bin,shared,-2.737530023382533,-1.3687650116912664,437\n"
+            "bin,shared,-1.3687650116912664,0.0,9725\n"
+            "bin,shared,0.0,1.3687650116912664,9506\n"
+            "bin,shared,1.3687650116912664,2.737530023382533,355\n"
+            "bin,shared,2.737530023382533,4.106295035073799,8\n"
+            "bin,shared,4.106295035073799,5.475060046765066,8\n"
+            "n_events,independent,,,20270\n"
+            "median_abs_delay,independent,,,0.34315966183112323\n"
+            "n_events,shared,,,20067\n"
+            "median_abs_delay,shared,,,0.1372890196107619\n"
+            "median_ratio,shared/independent,,,0.4000733037157642\n"
+        ),
+        "7": (
+            "quantity,case,bin_left,bin_right,value\n"
+            "bin,independent,-5.619341339670427,-4.2145060047528204,4\n"
+            "bin,independent,-4.2145060047528204,-2.8096706698352136,30\n"
+            "bin,independent,-2.8096706698352136,-1.4048353349176068,576\n"
+            "bin,independent,-1.4048353349176068,0.0,9467\n"
+            "bin,independent,0.0,1.4048353349176068,9432\n"
+            "bin,independent,1.4048353349176068,2.8096706698352136,593\n"
+            "bin,independent,2.8096706698352136,4.2145060047528204,38\n"
+            "bin,independent,4.2145060047528204,5.619341339670427,4\n"
+            "bin,shared,-5.619341339670427,-4.2145060047528204,12\n"
+            "bin,shared,-4.2145060047528204,-2.8096706698352136,5\n"
+            "bin,shared,-2.8096706698352136,-1.4048353349176068,280\n"
+            "bin,shared,-1.4048353349176068,0.0,9647\n"
+            "bin,shared,0.0,1.4048353349176068,9617\n"
+            "bin,shared,1.4048353349176068,2.8096706698352136,292\n"
+            "bin,shared,2.8096706698352136,4.2145060047528204,9\n"
+            "bin,shared,4.2145060047528204,5.619341339670427,16\n"
+            "n_events,independent,,,20144\n"
+            "median_abs_delay,independent,,,0.3498814397312344\n"
+            "n_events,shared,,,19878\n"
+            "median_abs_delay,shared,,,0.13807213373365812\n"
+            "median_ratio,shared/independent,,,0.3946254875357775\n"
+        ),
+    },
+    3: {
+        "0": (
+            "quantity,case,bin_left,bin_right,value\n"
+            "bin,independent,-5.751378117871354,-4.313533588403516,1\n"
+            "bin,independent,-4.313533588403516,-2.875689058935677,21\n"
+            "bin,independent,-2.875689058935677,-1.4378445294678386,524\n"
+            "bin,independent,-1.4378445294678386,0.0,9628\n"
+            "bin,independent,0.0,1.4378445294678386,9555\n"
+            "bin,independent,1.4378445294678386,2.875689058935677,526\n"
+            "bin,independent,2.875689058935677,4.313533588403516,12\n"
+            "bin,independent,4.313533588403516,5.751378117871354,3\n"
+            "bin,shared,-5.751378117871354,-4.313533588403516,14\n"
+            "bin,shared,-4.313533588403516,-2.875689058935677,8\n"
+            "bin,shared,-2.875689058935677,-1.4378445294678386,246\n"
+            "bin,shared,-1.4378445294678386,0.0,9516\n"
+            "bin,shared,0.0,1.4378445294678386,9680\n"
+            "bin,shared,1.4378445294678386,2.875689058935677,252\n"
+            "bin,shared,2.875689058935677,4.313533588403516,9\n"
+            "bin,shared,4.313533588403516,5.751378117871354,11\n"
+            "n_events,independent,,,20270\n"
+            "median_abs_delay,independent,,,0.34315966183112323\n"
+            "n_events,shared,,,19736\n"
+            "median_abs_delay,shared,,,0.13501401987105055\n"
+            "median_ratio,shared/independent,,,0.39344373738628424\n"
+        ),
+        "7": (
+            "quantity,case,bin_left,bin_right,value\n"
+            "bin,independent,-5.526839300895517,-4.145129475671638,6\n"
+            "bin,independent,-4.145129475671638,-2.7634196504477586,32\n"
+            "bin,independent,-2.7634196504477586,-1.3817098252238793,604\n"
+            "bin,independent,-1.3817098252238793,0.0,9435\n"
+            "bin,independent,0.0,1.3817098252238793,9411\n"
+            "bin,independent,1.3817098252238793,2.7634196504477586,605\n"
+            "bin,independent,2.7634196504477586,4.145129475671638,46\n"
+            "bin,independent,4.145129475671638,5.526839300895517,5\n"
+            "bin,shared,-5.526839300895517,-4.145129475671638,20\n"
+            "bin,shared,-4.145129475671638,-2.7634196504477586,16\n"
+            "bin,shared,-2.7634196504477586,-1.3817098252238793,354\n"
+            "bin,shared,-1.3817098252238793,0.0,9639\n"
+            "bin,shared,0.0,1.3817098252238793,9512\n"
+            "bin,shared,1.3817098252238793,2.7634196504477586,330\n"
+            "bin,shared,2.7634196504477586,4.145129475671638,22\n"
+            "bin,shared,4.145129475671638,5.526839300895517,17\n"
+            "n_events,independent,,,20144\n"
+            "median_abs_delay,independent,,,0.3498814397312344\n"
+            "n_events,shared,,,19910\n"
+            "median_abs_delay,shared,,,0.13863405799475004\n"
+            "median_ratio,shared/independent,,,0.39623152946107526\n"
+        ),
+    },
 }
 
-#: sha256 of stdout at the default settings, from the same code.
+#: sha256 of stdout at the default settings, per waveform stream.
 WAVEFORM_SHA256 = {
-    ("delays", "0"): "971de41a6b7c19e44c81f6acfebf040be1a9bbd9ff0bbedca8113d7827bb21ac",
-    ("delays", "7"): "d1c277ba10f6ad7e5c7d9f9e5b4a91e88558ed5e99a5a4c2e9750d4da78d3e2c",
+    2: {
+        ("delays", "0"): "971de41a6b7c19e44c81f6acfebf040be1a9bbd9ff0bbedca8113d7827bb21ac",
+        ("delays", "7"): "d1c277ba10f6ad7e5c7d9f9e5b4a91e88558ed5e99a5a4c2e9750d4da78d3e2c",
+    },
+    3: {
+        ("delays", "0"): "7c0f4ff5009a8f15b093ed4f5621f74571347b9ea92c74fc54b0b2296bdf7462",
+        ("delays", "7"): "f9f5317d00d397da0a48bf4b069b869b91989bcec365d46749f6c3f3f35a9aee",
+    },
 }
 #: sha256 of ``waveform stats`` stdout, from the Brent-refined maximum of
 #: stream 1.  The three-wave peaks at a grid point, so its maximum prints as
@@ -494,18 +578,22 @@ SIMULATE_SHA256 = {
 class TestGoldenOutput:
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_waveform_windows(self, capsys, seed):
+        assert WAVEFORM_STREAM in WINDOWS_GOLDEN, "new waveform stream: pin its digest"
         code, out, _ = run(capsys, "waveform", "windows", "--seed", seed)
         assert code == 0
-        assert out == WINDOWS_GOLDEN[seed]
+        assert out == WINDOWS_GOLDEN[WAVEFORM_STREAM][seed]
 
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_waveform_delays(self, capsys, seed):
+        assert WAVEFORM_STREAM in DELAYS_GOLDEN, "new waveform stream: pin its digest"
+        assert WAVEFORM_STREAM in WAVEFORM_SHA256, "new waveform stream: pin its digest"
         code, out, _ = run(capsys, "waveform", "delays", "--seed", seed, "--bins", "8")
         assert code == 0
-        assert out == DELAYS_GOLDEN[seed]
+        assert out == DELAYS_GOLDEN[WAVEFORM_STREAM][seed]
         code, out, _ = run(capsys, "waveform", "delays", "--seed", seed)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == WAVEFORM_SHA256[("delays", seed)]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == WAVEFORM_SHA256[WAVEFORM_STREAM][("delays", seed)]
 
     @pytest.mark.parametrize("argv", list(STATS_SHA256))
     def test_waveform_stats(self, capsys, argv):

@@ -2,6 +2,7 @@
 event sampling, and nearest-event delay statistics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ class TestWaveformConstruction:
     def test_integral_float_harmonic_accepted(self):
         assert Waveform(((1.0, 2.0), (0.5, np.int64(3)))).components == ((1.0, 2), (0.5, 3))
 
+    @pytest.mark.parametrize(
+        "components, amplitude",
+        [
+            (((1.0, 1), (-2.0, 2), (1.0, 3)), 1e160),  # |A|^2 alone overflows
+            (((1e200, 1),), 1e-200),  # (sum |c_j|)^2 overflows, |A|^2 underflows
+            (((1e154, 1), (1e154, 2)), 1e2),  # only the product overflows
+        ],
+    )
+    def test_overflowing_intensity_scale(self, components, amplitude):
+        with pytest.raises(InvalidInputError, match=r"\|A\|\^2 \(sum_j \|c_j\|\)\^2 must be finite"):
+            Waveform(components, amplitude=amplitude)
+
+    def test_large_finite_intensity_scale(self):
+        assert intensity_stats(three_wave(amplitude=1e150)).maximum == pytest.approx(16e300)
+
     def test_validation(self):
         with pytest.raises(InvalidInputError):
             Waveform(components=(), omega=1.0)
@@ -71,6 +87,45 @@ class TestWaveformConstruction:
             Waveform(components=((1.0, 1),), omega=0.0)
         with pytest.raises(InvalidInputError):
             Waveform(components=((1.0, 1),), omega=1.0, amplitude=-1.0)
+
+
+def _one_event():
+    return EventStream(times=np.array([1.0]), rate_scale=1.0)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        pytest.param("omega", lambda: three_wave(omega="2"), id="omega"),
+        pytest.param("omega", lambda: three_wave(omega=1j), id="complex-omega"),
+        pytest.param("amplitude", lambda: three_wave(amplitude=None), id="amplitude"),
+        pytest.param("component", lambda: Waveform(((1.0,),)), id="short-component"),
+        pytest.param("component", lambda: Waveform((1.0,)), id="scalar-component"),
+        pytest.param("span", lambda: sample_events(three_wave(), "5", 1.0, make_rng(0)),
+                     id="span"),
+        pytest.param("rate_scale", lambda: sample_events(three_wave(), 5.0, "1", make_rng(0)),
+                     id="rate_scale"),
+        pytest.param("detection_time",
+                     lambda: harmonic_expansion(three_wave()).box_filtered("0.3"),
+                     id="box_filtered"),
+        pytest.param("detection_time",
+                     lambda: sample_events(three_wave(), 5.0, 1.0, make_rng(0),
+                                           detection_time="0.3"),
+                     id="sample_events-detection_time"),
+        pytest.param("window",
+                     lambda: windowed_coincidence_counts(_one_event(), _one_event(), [0.5, "1"]),
+                     id="window"),
+        pytest.param("rate", lambda: sample_homogeneous_events("1", 5.0, make_rng(0)),
+                     id="homogeneous-rate"),
+        pytest.param("span", lambda: sample_homogeneous_events(1.0, "5", make_rng(0)),
+                     id="homogeneous-span"),
+        pytest.param("rate_scale", lambda: EventStream(times=np.array([1.0]), rate_scale="1"),
+                     id="event-stream"),
+    ],
+)
+def test_non_real_scalar_is_rejected_by_name(name, call):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be"):
+        call()
 
 
 class TestIntensityAt:
@@ -376,6 +431,19 @@ class TestSampleEvents:
         with pytest.raises(InvalidInputError):
             sample_events(w, span=10.0, rate_scale=-0.5, rng=make_rng(0))
 
+    def test_benchmark_stream_memory_peak(self):
+        """The three-wave at span 5e5 and 1/3 rate scale (~5e5 events): the
+        traced peak was 17.4 MB, against 42.7 MB for the global-bound stream 2,
+        since the screen's work arrays are sized by sub-block."""
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            sample_events(three_wave(), 5e5, 1.0 / 3.0, make_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6, peak
+
     def test_histogram_matches_intensity_profile(self):
         """Event phases within the period follow the normalized intensity;
         chi-square on equal-mass bins (frozen seed)."""
@@ -548,7 +616,8 @@ class TestWindowedCoincidences:
 
 
 def reference_thinning(w, span, rate_scale, rng, detection_time=None):
-    """Plain thinning: every candidate decided with the exact profile."""
+    """Plain per-bin thinning in the documented draw order: every candidate
+    decided with the exact profile."""
     series = harmonic_expansion(w)
     if detection_time is None:
         profile = lambda t: intensity_at(w, t)  # noqa: E731
@@ -559,21 +628,34 @@ def reference_thinning(w, span, rate_scale, rng, detection_time=None):
     if i_max <= 0.0:
         return np.empty(0)
     bound = rate_scale * i_max * (1.0 + 1e-9)
-    n_candidates = int(rng.poisson(bound * span))
+    table = wf._screen_table(w, series, span, rate_scale, bound)
+    if table is None:
+        n_bins, width = 1, span
+        bin_bounds, periods = np.array([bound]), np.array([1.0])
+    else:
+        base, slope, margin = table
+        n_bins, width = wf._SCREEN_NODES, w.period / wf._SCREEN_NODES
+        bin_bounds = np.maximum(base, base + slope) + margin
+        periods = np.floor(span / w.period - np.arange(n_bins) / n_bins) + 1.0
+    counts = rng.poisson(bin_bounds * width * periods)
+    bins = np.repeat(np.arange(n_bins), counts)
     accepted = []
     block = 1 << 22
-    for start in range(0, n_candidates, block):
-        m = min(block, n_candidates - start)
-        t = rng.uniform(0.0, span, m)
-        u = rng.random(m)
-        keep = u * bound < rate_scale * np.asarray(profile(t), dtype=float)
+    for start in range(0, bins.size, block):
+        j = bins[start : start + block]
+        z = rng.random(j.size) * periods[j]
+        period_index = np.floor(z)
+        t = (period_index * n_bins + j + (z - period_index)) * width
+        u = rng.random(j.size)
+        keep = (u * bin_bounds[j] < rate_scale * np.asarray(profile(t), dtype=float)) & (t < span)
         accepted.append(t[keep])
     return np.unique(np.concatenate(accepted) if accepted else np.empty(0))
 
 
 #: (waveform, span, rate_scale, detection_time): the three-wave at small and
 #: large spans (up to 1e7, where cosine arguments reach 6e7 rad), a box
-#: filter, a single harmonic, and a sparse high-harmonic wave.
+#: filter, a single harmonic, a sparse high-harmonic wave, and a span under
+#: half the period (only the bins that start before it are drawn).
 THINNING_CASES = [
     (three_wave(), 2e4, 1.0 / 3.0, None),
     (three_wave(omega=2 * math.pi), 300.0, 10.0 / 3.0, None),
@@ -583,6 +665,7 @@ THINNING_CASES = [
     (Waveform(((1.3, 4),)), 5e4, 1.0, None),
     (Waveform.from_coefficients((0.3, 0, -1.2, 0, 0, 0.7)), 1e5, 1.0, None),
     (Waveform.from_coefficients((0.3, 0, -1.2, 0, 0, 0.7)), 1e7, 0.01, 0.2),
+    (three_wave(omega=0.01), 300.0, 1.0, None),
 ]
 
 
@@ -605,10 +688,10 @@ class TestThinningMatchesReference:
     def test_more_than_one_draw_block(self):
         """A count above 2^22 spans two draw blocks of the documented order."""
         w = three_wave()
-        args = (w, 1.2e6, 0.25)
+        args = (w, 1.5e6, 1.0)
         r_ref, r_new = make_rng(5), make_rng(5)
         expected = reference_thinning(*args, r_ref)
-        assert 16 * 0.25 * 1.2e6 > (1 << 22)
+        assert expected.size > 1.05 * (1 << 22)
         assert np.array_equal(sample_events(*args, r_new).times, expected)
         assert _same_generator_state(r_ref, r_new)
 
@@ -626,18 +709,19 @@ class TestThinningMatchesReference:
         """Record the candidate count and the sizes of the exact-profile calls
         made after it (the peak search runs before the count is drawn)."""
         counts, seen = [], []
-        real_count, real_profile = wf._poisson_count, wf.intensity_at
+        real_counts, real_profile = wf._poisson_counts, wf.intensity_at
 
-        def poisson_count(rng, mean):
-            counts.append(real_count(rng, mean))
-            return counts[-1]
+        def poisson_counts(rng, means):
+            drawn = real_counts(rng, means)
+            counts.append(int(np.sum(drawn)))
+            return drawn
 
         def profile(w, t):
             if counts and np.ndim(t):
                 seen.append(np.size(t))
             return real_profile(w, t)
 
-        monkeypatch.setattr(wf, "_poisson_count", poisson_count)
+        monkeypatch.setattr(wf, "_poisson_counts", poisson_counts)
         monkeypatch.setattr(wf, "intensity_at", profile)
         return counts, seen
 
@@ -719,19 +803,13 @@ class TestThinningMatchesReference:
         assert _same_generator_state(r_ref, r_new)
 
     def test_few_candidates_reach_the_exact_profile(self, monkeypatch):
-        """Besides the peak search (a 4096-point grid and a scalar call per
-        slope root), the exact profile sees only the rare close calls."""
-        seen = []
-        real = wf.intensity_at
-
-        def counting(w, t):
-            if np.ndim(t) and np.size(t) != 4096:
-                seen.append(np.size(t))
-            return real(w, t)
-
-        monkeypatch.setattr(wf, "intensity_at", counting)
+        """The per-bin bound draws about one candidate per event (one global
+        bound drew 16/3 per event), and besides the peak search, the exact
+        profile sees only the rare close calls."""
+        counts, seen = self._count_exact_decisions(monkeypatch)
         s = sample_events(three_wave(), 5e5, 1.0 / 3.0, make_rng(11))
         assert s.n > 400_000
+        assert counts[0] < 1.005 * s.n
         assert sum(seen) < 200
 
 
@@ -758,6 +836,24 @@ def screen_case(case):
     return w, span, rate_scale, series, exact, table
 
 
+class TestTimeRescaling:
+    """Time-rescaling (Brown et al. 2002, Neural Comput. 14:325): for a
+    Poisson process of rate r(t), the increments of Lambda(t) = int_0^t r
+    between successive events are independent Exp(1)."""
+
+    @pytest.mark.parametrize("detection_time", [None, 0.3])
+    def test_rescaled_gaps_are_unit_exponential(self, detection_time):
+        w, span, rate_scale = three_wave(omega=2 * math.pi), 3000.0, 10.0 / 3.0
+        s = sample_events(w, span, rate_scale, make_rng(2002), detection_time=detection_time)
+        series = harmonic_expansion(w)
+        if detection_time is not None:
+            series = series.box_filtered(detection_time)
+        times = np.concatenate(([0.0], s.times))
+        gaps = [rate_scale * series.integral(a, b) for a, b in zip(times[:-1], times[1:])]
+        assert s.n > 25_000
+        assert stats.kstest(gaps, "expon").pvalue > 0.01
+
+
 class TestFastSeries:
     @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
     def test_within_a_hundredth_of_the_tolerance(self, case):
@@ -770,6 +866,20 @@ class TestFastSeries:
         nodes = np.append(base, base[-1] + slope[-1])
         gap = np.max(np.abs(nodes - rate_scale * exact(t)))
         assert gap <= rate_scale * tol / 100, (gap, tol)
+
+    @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
+    def test_bin_bound_covers_the_rate(self, case):
+        """The thinning bound of bin j, max(v_j, v_{j+1}) + margin, is at
+        least the exact rate anywhere in the bin, by at least half the margin."""
+        w, span, rate_scale, _, exact, table = screen_case(case)
+        base, slope, margin = table
+        bin_bounds = np.maximum(base, base + slope) + margin
+        t = make_rng(case).uniform(0.0, span, 200_000)
+        j = np.floor(t * (wf._SCREEN_NODES / w.period)).astype(np.intp) % wf._SCREEN_NODES
+        assert np.all(rate_scale * exact(t) <= bin_bounds[j] - margin / 2)
+        # Node j closes bin j - 1 and opens bin j.
+        nodes = rate_scale * exact(np.arange(wf._SCREEN_NODES) * (w.period / wf._SCREEN_NODES))
+        assert np.all(nodes <= np.minimum(bin_bounds, np.roll(bin_bounds, 1)) - margin / 2)
 
     @pytest.mark.parametrize("case", range(len(THINNING_CASES)))
     def test_within_half_the_margin(self, case):
@@ -792,11 +902,27 @@ class TestPoissonLimit:
     """Expected counts beyond the sampler's limit fail before any draw."""
 
     def test_sample_events(self):
-        w = three_wave()
-        with pytest.raises(InvalidInputError, match="Poisson"):
-            sample_events(w, span=1e300, rate_scale=1.0, rng=make_rng(0))
-        with pytest.raises(InvalidInputError, match="Poisson"):
-            sample_events(w, span=100.0, rate_scale=1e300, rng=make_rng(0))
+        """Each raises and leaves the generator untouched; the last two are
+        the cases of one bin and of 4096 bins each within the limit."""
+        for span, rate_scale in [(1e300, 1.0), (100.0, 1e300), (1e18, 1.0), (1e9, 1e10)]:
+            rng = make_rng(0)
+            before = str(rng.bit_generator.state)
+            with pytest.raises(InvalidInputError, match="Poisson"):
+                sample_events(three_wave(), span=span, rate_scale=rate_scale, rng=rng)
+            assert str(rng.bit_generator.state) == before
+
+    def test_total_beyond_the_limit_with_every_bin_within_it(self):
+        """At span 1e9 and rate scale 1e10 the screen table is in use, each of
+        its bin means (~7e15) is within the limit and their total (~3e19) is
+        not: the limit applies to the total."""
+        w, span, rate_scale = three_wave(), 1e9, 1e10
+        table = wf._screen_table(w, harmonic_expansion(w), span, rate_scale, 16.0 * rate_scale)
+        base, slope, margin = table
+        width = w.period / wf._SCREEN_NODES
+        means = (np.maximum(base, base + slope) + margin) * width * np.ceil(span / w.period)
+        assert means.max() < wf._POISSON_LAM_MAX < means.sum()
+        with pytest.raises(InvalidInputError, match=r"expected event count 3\.05\d*e\+19 "):
+            sample_events(w, span, rate_scale, make_rng(0))
 
     def test_sample_homogeneous_events(self):
         with pytest.raises(InvalidInputError, match="Poisson"):
