@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalInconsistencyError
+from .errors import NumericalInconsistencyError, _interval, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
@@ -75,14 +75,6 @@ SWEEP_MODES = ("standard", "multiwindow-exact", "multiwindow-paper")
 CH_CURVE_MODES = SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
 
 
-def _check_k(k: float) -> float:
-    # Strictly dark (k = 0) and negative responses are rejected; the k -> 0+
-    # limit (Q -> 1, CH -> 0) is reached by extrapolation, never evaluated.
-    if not (math.isfinite(k) and k > 0.0):
-        raise InvalidInputError(f"k must be finite and > 0, got {k!r}")
-    return float(k)
-
-
 # Above this k, k*k can overflow to inf (from ~1.3e154 on) and inf * 0 gives
 # NaN at an on-axis angle, so the denominators are evaluated in the factored
 # form 1 + k*(c + k*x).  Below it the expanded form is kept, because its
@@ -91,8 +83,10 @@ _FACTORED_K = 1e150
 
 
 def q_single(k: float, theta: float) -> float:
-    """No-detection probability of one detector at analyzer angle theta."""
-    k = _check_k(k)
+    """No-detection probability of one detector at analyzer angle theta.
+
+    k must be > 0: the dark limit k -> 0+ is extrapolated, never evaluated."""
+    k = _positive("k", k)
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
     if k > _FACTORED_K:
@@ -102,7 +96,7 @@ def q_single(k: float, theta: float) -> float:
 
 def q_joint(k: float, theta: float, phi: float) -> float:
     """Probability that neither side fires in one shared window."""
-    k = _check_k(k)
+    k = _positive("k", k)
     c2t, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2
     c2p, s2p = math.cos(phi) ** 2, math.sin(phi) ** 2
     if k > _FACTORED_K:
@@ -165,6 +159,7 @@ _LAWS = {
         lambda qx, qy, qxy: 1.0 - qx * qx - qy * qy + qxy * qxy,
     ),
 }
+_TABLE_MODES = tuple(_LAWS)
 
 
 def table_for_mode(
@@ -176,10 +171,7 @@ def table_for_mode(
     cancels to a negative value (-2e-16 to -9e-16 at k below ~1e-8) is
     rounding of a positive probability and is returned as 0.0.
     """
-    law = _LAWS.get(mode) if isinstance(mode, str) else None
-    if law is None:
-        raise InvalidInputError(f"mode must be one of {tuple(_LAWS)}, got {mode!r}")
-    single, pair = law
+    single, pair = _LAWS[_member("mode", mode, _TABLE_MODES)]
     q = qset(k, quad)
     joints = [
         0.0 if p < 0.0 else p
@@ -243,14 +235,9 @@ def ch_multiwindow_two_term(k: float, quad: AngleQuad = DEFAULT_QUAD) -> float:
 
 def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact") -> float:
     """Scalar CH(k) for any curve mode, including the two-term and union laws."""
-    _check_curve_mode(mode)
+    _member("mode", mode, CH_CURVE_MODES)
     plus, minus = _ch_parts(k, quad, mode)
     return plus - minus
-
-
-def _check_curve_mode(mode: str) -> None:
-    if mode not in CH_CURVE_MODES:
-        raise InvalidInputError(f"mode must be one of {CH_CURVE_MODES}, got {mode!r}")
 
 
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
@@ -288,10 +275,8 @@ def ch_zero_crossing(
     single-window curve, the union law, or a quad that never violates)
     yield None rather than an exception.
     """
-    _check_curve_mode(mode)
-    lo, hi = bracket
-    if not (0.0 < lo < hi and math.isfinite(hi)):
-        raise InvalidInputError(f"bracket must satisfy 0 < lo < hi, got {bracket!r}")
+    _member("mode", mode, CH_CURVE_MODES)
+    lo, hi = _interval("bracket", bracket, positive=True)
 
     def f(k: float) -> float:
         return ch_curve_value(k, quad, mode)

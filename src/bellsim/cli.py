@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
-from .errors import BellsimError
+from .errors import BellsimError, _count, _positive
 from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -370,8 +370,8 @@ def cmd_waveform(args: argparse.Namespace) -> int:
         _emit_csv(("quantity", "value"), rows, args.out)
         return _EXIT_OK
 
-    if args.span <= 0 or args.rate <= 0:
-        raise _ConfigError("--span and --rate must be positive")
+    _positive("--span", args.span)
+    _positive("--rate", args.rate)
     shared_a, shared_b, indep_a, indep_b = _paired_streams(w, args.span, args.rate, args.seed)
 
     if args.waveform_command == "delays":
@@ -423,10 +423,8 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 # lhv-check
 
 def cmd_lhv_check(args: argparse.Namespace) -> int:
-    if args.models < 1:
-        raise _ConfigError(f"--models must be >= 1, got {args.models}")
-    if args.max_states < 1:
-        raise _ConfigError(f"--max-states must be >= 1, got {args.max_states}")
+    _count("--models", args.models)
+    _count("--max-states", args.max_states)
     if args.adversarial:
         # Negative control: a response outside [0, 1] must be rejected at
         # model construction, surfacing as a config error (exit 1).

@@ -36,12 +36,11 @@ algebra over abstract per-half probabilities (p, q); see
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count, _member, _nonnegative_array, _positive, _real
 from .source import PHASE_MODES, intensities, sample_field
 
 __all__ = [
@@ -64,8 +63,7 @@ class DetectorParams:
     k: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.k) and self.k > 0.0):
-            raise InvalidInputError(f"k must be finite and > 0, got {self.k!r}")
+        _positive("k", self.k)
 
 
 class WindowScheme(str, enum.Enum):
@@ -73,6 +71,10 @@ class WindowScheme(str, enum.Enum):
 
     SINGLE = "single"
     HALVES = "halves"
+
+    @classmethod
+    def _missing_(cls, value: object) -> None:
+        _member("scheme", value, tuple(scheme.value for scheme in cls))
 
 
 def detect_prob(
@@ -87,11 +89,7 @@ def detect_prob(
     (it may be ``intensity`` itself) that receives the probabilities, with
     the same values as without it.
     """
-    arr = np.asarray(intensity, dtype=float)
-    # min/max propagate NaN and see +-inf, so one pair decides both
-    # finiteness and sign without a boolean temporary.
-    if arr.size and not (arr.min() >= 0.0 and arr.max() < np.inf):
-        raise InvalidInputError("intensity must be finite and >= 0")
+    arr = _nonnegative_array("intensity", intensity)
     if arr.ndim == 0:
         return float(-np.expm1(-params.k * arr))
     p = np.multiply(arr, -params.k, out=out)
@@ -130,7 +128,8 @@ def run_trials(
     params, scheme:
         Detector sensitivity and window layout.
     theta, phi:
-        Alice's and Bob's analyzer angles (radians).
+        Alice's and Bob's analyzer angles (radians), finite; like every
+        argument, checked before any draw.
     rng:
         Seeded generator; all randomness of the batch comes from it in the
         order below, so equal generator states give identical counts.
@@ -177,11 +176,10 @@ def run_trials(
     in suppressed mode (sampled phases are still allocated by
     :func:`bellsim.source.sample_field`).
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidInputError(f"n must be an integer >= 1, got {n!r}")
-    if phase_mode not in PHASE_MODES:
-        raise InvalidInputError(f"phase_mode must be one of {PHASE_MODES}, got {phase_mode!r}")
+    n = _count("n", n)
+    _member("phase_mode", phase_mode, PHASE_MODES)
     scheme = WindowScheme(scheme)
+    theta, phi = _real("theta", theta), _real("phi", phi)
     sampled = phase_mode == "sampled"
     x, y, i, u = np.empty((4, n))
     flags = np.empty((5 if scheme is WindowScheme.HALVES else 2, n), dtype=bool)
@@ -242,9 +240,7 @@ class HalfWindowParams:
     q: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.p) and math.isfinite(self.q)):
-            raise InvalidInputError("p and q must be finite")
-        if not 0.0 <= self.p <= self.q <= 1.0:
+        if not 0.0 <= _real("p", self.p) <= _real("q", self.q) <= 1.0:
             raise InvalidInputError(
                 f"need 0 <= p <= q <= 1, got p={self.p!r}, q={self.q!r}"
             )
@@ -252,7 +248,7 @@ class HalfWindowParams:
 
 def multi_single_prob(p: float) -> float:
     """Probability of at least one shot in two halves: 1 - (1-p)^2."""
-    if not (math.isfinite(p) and 0.0 <= p <= 1.0):
+    if not 0.0 <= _real("p", p) <= 1.0:
         raise InvalidInputError(f"p must lie in [0, 1], got {p!r}")
     return 1.0 - (1.0 - p) ** 2
 

@@ -1,12 +1,22 @@
-"""Exception hierarchy for the bellsim package.
+"""Exception hierarchy for the bellsim package, and its argument checks.
 
 All package-specific failures derive from :class:`BellsimError` so callers
 can catch everything from this library with a single except clause.  The
 subclasses also inherit from the closest builtin (ValueError, ArithmeticError)
 so existing generic handlers keep working.
+
+The private helpers below are the one place where arguments are checked:
+every module tests a number, count, choice or interval through them, so a
+bad argument of any type, a string or None included, raises
+:class:`InvalidInputError` with the same message wherever it is passed.
 """
 
 from __future__ import annotations
+
+import math
+import operator
+
+import numpy as np
 
 __all__ = [
     "BellsimError",
@@ -38,3 +48,82 @@ class NumericalInconsistencyError(BellsimError, ArithmeticError):
     This signals an implementation bug (for example a negative intensity),
     never bad user input, and should not be caught and ignored.
     """
+
+
+# math.isfinite raises TypeError on a non-number, and a try costs nothing
+# when it does not: the k check runs on every closed-form evaluation, where
+# an isinstance(value, numbers.Real) test costs about five times as much.
+
+def _real(name: str, value: object) -> float:
+    """``value`` as a float, for an argument that must be a finite number."""
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except TypeError:
+        pass
+    raise _not_real(name, value)
+
+
+def _not_real(name: str, value: object) -> InvalidInputError:
+    """The error for ``value``, which is not a finite number."""
+    return InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
+def _positive(name: str, value: object, zero: bool = False) -> float:
+    """``value`` as a float, for a finite number > 0 (>= 0 with ``zero``)."""
+    try:
+        if math.isfinite(value) and (value > 0.0 or zero and value == 0.0):
+            return float(value)
+    except TypeError:
+        pass
+    sign = "nonnegative" if zero else "positive"
+    raise InvalidInputError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _is_count(value: object, minimum: int = 1) -> bool:
+    """Whether ``value`` is an integer (numpy's included) >= ``minimum``.
+    A bool is not a count, although Python counts it as an int."""
+    try:
+        return not isinstance(value, bool) and operator.index(value) >= minimum
+    except TypeError:
+        return False
+
+
+def _count(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as an int, for a count of at least ``minimum``."""
+    if not _is_count(value, minimum):
+        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return operator.index(value)
+
+
+def _member(name: str, value: object, choices: tuple) -> object:
+    """``value``, for an argument that must be one of ``choices``."""
+    if value not in choices:
+        raise InvalidInputError(f"{name} must be one of {choices}, got {value!r}")
+    return value
+
+
+def _interval(name: str, value: object, positive: bool = False) -> tuple[float, float]:
+    """``value`` as floats (lo, hi), for finite numbers lo < hi (0 < lo < hi
+    with ``positive``)."""
+    try:
+        lo, hi = value
+        if (not positive or lo > 0.0) and lo < hi and math.isfinite(lo) and math.isfinite(hi):
+            return float(lo), float(hi)
+    except (TypeError, ValueError):
+        pass
+    bound = "0 < " if positive else ""
+    raise InvalidInputError(f"{name} must be finite with {bound}lo < hi, got {value!r}")
+
+
+def _nonnegative_array(name: str, values: object) -> np.ndarray:
+    """``values`` as a float array, for numbers that must be finite and >= 0."""
+    try:
+        arr = np.asarray(values, dtype=float)
+        # min/max propagate NaN and see +-inf, so one pair decides both
+        # finiteness and sign without a boolean temporary.
+        if not arr.size or arr.min() >= 0.0 and arr.max() < math.inf:
+            return arr
+    except (TypeError, ValueError):
+        pass
+    raise InvalidInputError(f"{name} must be finite and >= 0")

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelInvalidError
+from .errors import InvalidInputError, ModelInvalidError, _count, _not_real, _real
 
 __all__ = [
     "DEFAULT_QUAD",
@@ -63,9 +63,7 @@ class AngleQuad:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "a_prime", "b_prime"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidInputError(f"angle {name!r} must be finite, got {v!r}")
+            _real(f"angle {name!r}", getattr(self, name))
 
 
 #: Canonical settings: A = pi/6, B = pi/3, A' = 0, B' = pi/2.
@@ -103,7 +101,7 @@ class ProbabilityTable:
                     raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
         except TypeError:
             # A string or other non-number; the try costs nothing otherwise.
-            raise InvalidInputError(f"{name} must be a real number, got {value!r}") from None
+            raise _not_real(name, value) from None
 
     def monotonicity_violations(self) -> list[str]:
         """Names of joints exceeding one of their marginals.
@@ -149,9 +147,7 @@ class CorrelatorSet:
 
     def __post_init__(self) -> None:
         for name in ("e11", "e12", "e21", "e22"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise InvalidInputError(f"correlator {name} must be finite, got {v!r}")
+            _real(f"correlator {name}", getattr(self, name))
 
     def range_violations(self) -> list[str]:
         """Entries outside [-1, 1] beyond float noise, 1e-9 (warn, never reject)."""
@@ -391,11 +387,9 @@ def random_discrete_model(
     Raises
     ------
     InvalidInputError
-        If ``max_states`` is below 1.
+        If ``max_states`` is not an integer >= 1.
     """
-    if max_states < 1:
-        raise InvalidInputError(f"max_states must be >= 1, got {max_states!r}")
-    n = int(rng.integers(1, max_states + 1))
+    n = int(rng.integers(1, _count("max_states", max_states) + 1))
     draw = rng.random(5 * n)
     raw = draw[:n] + 1e-12  # keep the sum strictly positive
     weights = raw / raw.sum()

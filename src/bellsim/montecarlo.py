@@ -38,7 +38,7 @@ import numpy as np
 
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
 from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
-from .errors import InvalidInputError
+from .errors import _count, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
 
@@ -82,20 +82,11 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self) -> None:
-        DetectorParams(self.k)  # validates k
+        _positive("k", self.k)
         object.__setattr__(self, "scheme", WindowScheme(self.scheme))
         for name, minimum in (("n_trials", 1), ("workers", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (
-                isinstance(value, bool)
-                or not isinstance(value, (int, np.integer))
-                or value < minimum
-            ):
-                raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-        if self.phase_mode not in PHASE_MODES:
-            raise InvalidInputError(
-                f"phase_mode must be one of {PHASE_MODES}, got {self.phase_mode!r}"
-            )
+            _count(name, getattr(self, name), minimum)
+        _member("phase_mode", self.phase_mode, PHASE_MODES)
 
 
 @dataclass(frozen=True)
@@ -326,10 +317,11 @@ def compare_to_analytic(cfg: RunConfig, analytic_k: float | None = None) -> Comp
     mismatched value is the negative control (the report must then fail).
     Comparisons assume suppressed phases: with ``phase_mode="sampled"`` the
     closed forms no longer describe the simulation and the z-scores measure
-    the size of the phase cross-term effect instead.
+    the size of the phase cross-term effect instead.  ``analytic_k`` is
+    checked before any trial runs.
     """
+    k_ref = cfg.k if analytic_k is None else _positive("analytic_k", analytic_k)
     estimated = estimate_table(cfg)
-    k_ref = cfg.k if analytic_k is None else float(analytic_k)
 
     if cfg.scheme is WindowScheme.SINGLE:
         reference = standard_table(k_ref, cfg.quad)

@@ -17,11 +17,14 @@ can measure how much the phase terms actually move the detection rates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, NumericalInconsistencyError
+from .errors import (
+    InvalidInputError, NumericalInconsistencyError, _is_count, _member, _nonnegative_array,
+)
 
 __all__ = [
     "FieldSample",
@@ -50,11 +53,7 @@ class FieldSample:
 
     def __post_init__(self) -> None:
         for name in ("x", "y"):
-            v = np.asarray(getattr(self, name))
-            # min/max propagate NaN and see +-inf, so one pair decides both
-            # finiteness and sign without a boolean temporary.
-            if v.size and not (v.min() >= 0.0 and v.max() < np.inf):
-                raise InvalidInputError(f"{name} must be finite and >= 0")
+            _nonnegative_array(name, getattr(self, name))
 
 
 def sample_field(
@@ -93,9 +92,7 @@ def sample_field(
     InvalidInputError
         If ``size`` is neither None nor a positive integer.
     """
-    if size is not None and (
-        isinstance(size, bool) or not isinstance(size, (int, np.integer)) or size < 1
-    ):
+    if not (size is None or _is_count(size)):
         raise InvalidInputError(f"size must be None or a positive integer, got {size!r}")
     out_x, out_y = (None, None) if out is None else out
     # With size=None every draw is already a Python float.
@@ -191,11 +188,12 @@ def intensities(
         squared modulus, so this is impossible for correct inputs and
         indicates an implementation bug; it is never silently clipped.
     """
-    if phase_mode not in PHASE_MODES:
-        raise InvalidInputError(
-            f"phase_mode must be one of {PHASE_MODES}, got {phase_mode!r}"
-        )
-    if not all(angle is None or np.isfinite(angle) for angle in (theta, phi)):
+    _member("phase_mode", phase_mode, PHASE_MODES)
+    try:
+        finite = all(angle is None or math.isfinite(angle) for angle in (theta, phi))
+    except TypeError:
+        finite = False
+    if not finite:
         raise InvalidInputError(
             f"analyzer angles must be finite, got theta={theta!r}, phi={phi!r}"
         )

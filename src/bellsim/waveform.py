@@ -26,15 +26,13 @@ every report here carries the computed average, with the discrepancy noted.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .analytic import _bisect
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _count, _interval, _positive, _real
 
 __all__ = [
     "DelayStatistics",
@@ -100,26 +98,20 @@ class Waveform:
                 raise InvalidInputError(
                     f"component must be a (coefficient, harmonic) pair, got {pair!r}"
                 ) from None
-            if not (isinstance(c, numbers.Real) and math.isfinite(c)):
-                raise InvalidInputError(f"component coefficient must be a finite number, got {c!r}")
-            if not (isinstance(h, numbers.Real) and float(h).is_integer() and h >= 1):
+            _real("component coefficient", c)
+            if not (_real("harmonic", h).is_integer() and h >= 1):
                 raise InvalidInputError(f"harmonic must be a positive integer, got {h!r}")
         comps = tuple((float(c), int(h)) for c, h in self.components)
         object.__setattr__(self, "components", comps)
-        omega, amplitude = _real("omega", self.omega), _real("amplitude", self.amplitude)
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "amplitude", amplitude)
-        if not (math.isfinite(omega) and omega > 0):
-            raise InvalidInputError(f"omega must be positive and finite, got {omega!r}")
-        if not (math.isfinite(amplitude) and amplitude >= 0):
-            raise InvalidInputError(f"amplitude must be nonnegative and finite, got {amplitude!r}")
+        object.__setattr__(self, "omega", _positive("omega", self.omega))
+        object.__setattr__(self, "amplitude", _positive("amplitude", self.amplitude, zero=True))
         # |A|^2 (sum_j |c_j|)^2 bounds every intensity value and series
         # coefficient; float products give inf (or nan for 0 * inf) where a
         # factor or the whole overflows, and Python's ** would raise instead.
         total = sum(abs(c) for c, _ in comps)
-        if not math.isfinite((amplitude * amplitude) * (total * total)):
+        if not math.isfinite((self.amplitude * self.amplitude) * (total * total)):
             raise InvalidInputError(
-                f"|A|^2 (sum_j |c_j|)^2 must be finite, got amplitude {amplitude!r} "
+                f"|A|^2 (sum_j |c_j|)^2 must be finite, got amplitude {self.amplitude!r} "
                 f"and coefficient sum {total!r}"
             )
 
@@ -133,23 +125,8 @@ class Waveform:
         cls, coefficients: Sequence[float], omega: float = 1.0, amplitude: float = 1.0
     ) -> "Waveform":
         """Build a waveform with coefficients on consecutive harmonics 1..n."""
-        comps = tuple((float(c), j + 1) for j, c in enumerate(coefficients))
+        comps = tuple((c, j + 1) for j, c in enumerate(coefficients))
         return cls(components=comps, omega=omega, amplitude=amplitude)
-
-
-def _integer(name: str, value: object) -> int:
-    """``value`` as an int, for a count that numpy takes only as an integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise InvalidInputError(f"{name} must be an integer, got {value!r}") from None
-
-
-def _real(name: str, value: object) -> float:
-    """``value`` as a float, for a scalar that must be a real number."""
-    if not isinstance(value, numbers.Real):
-        raise InvalidInputError(f"{name} must be a real number, got {value!r}")
-    return float(value)
 
 
 def three_wave(omega: float = 1.0, amplitude: float = 1.0) -> Waveform:
@@ -213,11 +190,7 @@ class HarmonicExpansion:
         detector that integrates over a finite detection time; negligible
         when the width is much smaller than the fundamental period.
         """
-        detection_time = _real("detection_time", detection_time)
-        if not (math.isfinite(detection_time) and detection_time > 0):
-            raise InvalidInputError(
-                f"detection_time must be positive and finite, got {detection_time!r}"
-            )
+        detection_time = _positive("detection_time", detection_time)
         terms = []
         for m, a in self.terms:
             x = 0.5 * m * self.omega * detection_time
@@ -333,11 +306,7 @@ def intensity_stats(
     moving-average pre-filter first.  At least 1000 samples per period are
     required.
     """
-    samples_per_period = _integer("samples_per_period", samples_per_period)
-    if samples_per_period < 1000:
-        raise InvalidInputError(
-            f"samples_per_period must be >= 1000, got {samples_per_period}"
-        )
+    samples_per_period = _count("samples_per_period", samples_per_period, 1000)
     series, profile = _exact_profile(w, detection_time)
     maximum, argmax_times, grid = _profile_max(series, profile, w.period, samples_per_period)
     mean = float(np.mean(grid))
@@ -372,16 +341,11 @@ class EventStream:
             raise InvalidInputError("times must be one-dimensional")
         if times.size and not np.all(np.isfinite(times)):
             raise InvalidInputError("event times must be finite")
-        if times.size > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(times[1:] > times[:-1]):
             raise InvalidInputError("event times must be strictly increasing")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        rate_scale = _real("rate_scale", self.rate_scale)
-        object.__setattr__(self, "rate_scale", rate_scale)
-        if not (math.isfinite(rate_scale) and rate_scale >= 0):
-            raise InvalidInputError(
-                f"rate_scale must be nonnegative and finite, got {rate_scale!r}"
-            )
+        object.__setattr__(self, "rate_scale", _positive("rate_scale", self.rate_scale, zero=True))
 
     @property
     def n(self) -> int:
@@ -522,13 +486,7 @@ def sample_events(
     :class:`InvalidInputError`, before any draw, when the total expected
     candidate count is beyond what ``rng.poisson`` accepts.
     """
-    span, rate_scale = _real("span", span), _real("rate_scale", rate_scale)
-    if not (math.isfinite(span) and span > 0):
-        raise InvalidInputError(f"span must be positive and finite, got {span!r}")
-    if not (math.isfinite(rate_scale) and rate_scale > 0):
-        raise InvalidInputError(
-            f"rate_scale must be positive and finite, got {rate_scale!r}"
-        )
+    span, rate_scale = _positive("span", span), _positive("rate_scale", rate_scale)
     series, profile = _exact_profile(w, detection_time)
     i_max, _, _ = _profile_max(series, profile, w.period, 4096)
     if i_max <= 0.0:
@@ -599,11 +557,7 @@ def sample_homogeneous_events(
     Raises :class:`InvalidInputError` when rate * span is beyond what
     ``rng.poisson`` accepts.
     """
-    rate, span = _real("rate", rate), _real("span", span)
-    if not (math.isfinite(rate) and rate > 0):
-        raise InvalidInputError(f"rate must be positive and finite, got {rate!r}")
-    if not (math.isfinite(span) and span > 0):
-        raise InvalidInputError(f"span must be positive and finite, got {span!r}")
+    rate, span = _positive("rate", rate), _positive("span", span)
     n = int(_poisson_counts(rng, rate * span))
     return _as_stream(rng.uniform(0.0, span, n), rate)
 
@@ -639,16 +593,10 @@ class DelayStatistics:
         is 0 or there are no delays).  A given range must be finite with
         lo < hi.
         """
-        bins = _integer("bins", bins)
-        if bins < 1:
-            raise InvalidInputError(f"bins must be >= 1, got {bins}")
+        bins = _count("bins", bins)
         if histogram_range is not None:
-            lo, hi = histogram_range
-            if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-                raise InvalidInputError(
-                    f"histogram_range must be finite with lo < hi, got {histogram_range!r}"
-                )
-        if histogram_range is None:
+            histogram_range = _interval("histogram_range", histogram_range)
+        else:
             limit = float(np.max(np.abs(delays), initial=0.0)) or 1.0
             histogram_range = (-limit, limit)
         counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
@@ -706,9 +654,7 @@ def windowed_coincidence_counts(
     """:func:`windowed_coincidences` at each width of ``windows``, in order,
     from one neighbour search shared by all widths."""
     for window in windows:
-        window = _real("window", window)
-        if not (math.isfinite(window) and window > 0):
-            raise InvalidInputError(f"window must be positive and finite, got {window!r}")
+        _positive("window", window)
     a, b = stream_a.times, stream_b.times
     if a.size == 0 or b.size == 0:
         return [0] * len(windows)

@@ -276,6 +276,18 @@ class TestWaveform:
         code, _, err = run(capsys, "waveform", "delays", "--span", "-5")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["delays", "windows"])
+    @pytest.mark.parametrize("flag, value", [
+        ("--span", "-5"), ("--span", "nan"), ("--span", "inf"),
+        ("--rate", "0"), ("--rate", "nan"), ("--rate", "inf"),
+    ])
+    def test_bad_span_or_rate_is_named_by_its_flag(self, capsys, command, flag, value):
+        """NaN and inf are caught with the flag's name, not later as the
+        library's rate_scale."""
+        code, out, err = run(capsys, "waveform", command, flag, value)
+        line = f"error: {flag} must be positive and finite, got {float(value)!r}\n"
+        assert (code, out, err) == (1, "", line)
+
 
 class TestLhvCheck:
     def test_pass_run(self, capsys):
@@ -357,7 +369,7 @@ class TestTopLevel:
     @pytest.mark.parametrize(
         "argv, line",
         [
-            (("simulate", "--k", "0"), "error: k must be finite and > 0, got 0.0"),
+            (("simulate", "--k", "0"), "error: k must be positive and finite, got 0.0"),
             (
                 ("simulate", "--k", "1", "--workers", "0"),
                 "error: workers must be an integer >= 1, got 0",

@@ -241,6 +241,17 @@ class TestCompareToAnalytic:
         assert not report.passed
         assert report.max_abs_z > 50.0
 
+    @pytest.mark.parametrize("analytic_k", [0.0, -1.0, math.nan, math.inf, "x", "2"])
+    def test_bad_analytic_k_is_rejected_before_any_trial(self, monkeypatch, analytic_k):
+        """``simulate --analytic-k 0`` used to run every trial first."""
+        calls = []
+        monkeypatch.setattr("bellsim.montecarlo.run_trials", lambda *a, **kw: calls.append(a))
+        cfg = RunConfig(k=1.0, n_trials=1000)
+        message = f"analytic_k must be positive and finite, got {analytic_k!r}"
+        with pytest.raises(InvalidInputError) as exc:
+            compare_to_analytic(cfg, analytic_k=analytic_k)
+        assert (str(exc.value), calls) == (message, [])
+
     def test_summary_lines(self, single_report):
         lines = single_report.summary_lines()
         assert any("max|z|" in line for line in lines)

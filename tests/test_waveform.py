@@ -388,6 +388,8 @@ class TestEventStream:
             EventStream(times=np.array([[1.0, 2.0]]), rate_scale=1.0)
         with pytest.raises(InvalidInputError):
             EventStream(times=np.array([2.0, 1.0]), rate_scale=1.0)
+        with pytest.raises(InvalidInputError, match="strictly increasing"):
+            EventStream(times=np.array([1.0, 2.0, 2.0, 3.0]), rate_scale=1.0)
         with pytest.raises(InvalidInputError):
             EventStream(times=np.array([1.0, math.nan]), rate_scale=1.0)
 
