@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError, _interval, _member, _positive
+from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
@@ -120,6 +120,7 @@ class QSet:
 
 def qset(k: float, quad: AngleQuad = DEFAULT_QUAD) -> QSet:
     """Evaluate the Q closed forms at every setting and setting pair."""
+    _instance("quad", quad, AngleQuad)
     return QSet(
         q_a=q_single(k, quad.a),
         q_b=q_single(k, quad.b),

@@ -53,11 +53,17 @@ class NumericalInconsistencyError(BellsimError, ArithmeticError):
 # math.isfinite raises TypeError on a non-number, and a try costs nothing
 # when it does not: the k check runs on every closed-form evaluation, where
 # an isinstance(value, numbers.Real) test costs about five times as much.
+# A numpy complex scalar is the exception: it converts to float with a
+# ComplexWarning and loses its imaginary part, so it is turned away first
+# (after a type test that lets a Python float skip the slower isinstance).
 
 def _real(name: str, value: object) -> float:
     """``value`` as a float, for an argument that must be a finite number."""
     try:
-        if math.isfinite(value):
+        if (
+            (type(value) is float or not isinstance(value, np.complexfloating))
+            and math.isfinite(value)
+        ):
             return float(value)
     except TypeError:
         pass
@@ -72,12 +78,23 @@ def _not_real(name: str, value: object) -> InvalidInputError:
 def _positive(name: str, value: object, zero: bool = False) -> float:
     """``value`` as a float, for a finite number > 0 (>= 0 with ``zero``)."""
     try:
-        if math.isfinite(value) and (value > 0.0 or zero and value == 0.0):
+        if (
+            (type(value) is float or not isinstance(value, np.complexfloating))
+            and math.isfinite(value)
+            and (value > 0.0 or zero and value == 0.0)
+        ):
             return float(value)
     except TypeError:
         pass
     sign = "nonnegative" if zero else "positive"
     raise InvalidInputError(f"{name} must be {sign} and finite, got {value!r}")
+
+
+def _instance(name: str, value: object, cls: type) -> object:
+    """``value``, for an argument that must be an instance of ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be an instance of {cls.__name__}, got {value!r}")
+    return value
 
 
 def _is_count(value: object, minimum: int = 1) -> bool:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
 from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
-from .errors import _count, _member, _positive
+from .errors import _count, _instance, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
 
@@ -83,6 +83,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         _positive("k", self.k)
+        _instance("quad", self.quad, AngleQuad)
         object.__setattr__(self, "scheme", WindowScheme(self.scheme))
         for name, minimum in (("n_trials", 1), ("workers", 1), ("seed", 0)):
             _count(name, getattr(self, name), minimum)

@@ -26,6 +26,7 @@ every report here carries the computed average, with the discrepancy noted.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -330,13 +331,32 @@ class EventStream:
 
     ``rate_scale`` is the proportionality constant between intensity and
     instantaneous event rate (events per unit time per unit intensity).
+
+    The stream owns a read-only copy of ``times``, so the caller's array
+    stays writable and a later write to it does not reach the stream.  It
+    also keeps its last neighbour search against a second stream, which the
+    delay and window scans of the same pair share.
     """
 
     times: np.ndarray
     rate_scale: float
 
+    #: (weak reference to the B-stream, ``searchsorted(b.times, times)``),
+    #: read once and replaced whole; not a field.
+    _last_search = None
+
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
+        self._own(np.array(self.times, dtype=float), self.rate_scale)
+
+    @classmethod
+    def _adopt(cls, times: np.ndarray, rate_scale: float) -> "EventStream":
+        """The stream of ``times``, a float array that no caller holds, taken
+        over without a copy."""
+        stream = cls.__new__(cls)
+        stream._own(times, rate_scale)
+        return stream
+
+    def _own(self, times: np.ndarray, rate_scale: float) -> None:
         if times.ndim != 1:
             raise InvalidInputError("times must be one-dimensional")
         if times.size and not np.all(np.isfinite(times)):
@@ -345,7 +365,12 @@ class EventStream:
             raise InvalidInputError("event times must be strictly increasing")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "rate_scale", _positive("rate_scale", self.rate_scale, zero=True))
+        object.__setattr__(self, "rate_scale", _positive("rate_scale", rate_scale, zero=True))
+
+    def __reduce__(self):
+        # Copies and pickles go through the constructor: they own their
+        # times and start with no search (a weak reference cannot be pickled).
+        return type(self), (self.times, self.rate_scale)
 
     @property
     def n(self) -> int:
@@ -353,14 +378,15 @@ class EventStream:
 
 
 def _as_stream(times: np.ndarray, rate_scale: float) -> EventStream:
-    """The stream of ``times``, which are sorted in place.  Exact duplicates
-    are dropped, so that the stream strictly increases (a 53-bit uniform
-    draw can repeat at large counts, and a repeat carries no information)."""
+    """The stream of ``times``, a fresh array that is sorted in place.
+    Exact duplicates are dropped, so that the stream strictly increases (a
+    53-bit uniform draw can repeat at large counts, and a repeat carries no
+    information)."""
     times.sort()
     fresh = times[1:] != times[:-1]
     if not fresh.all():
         times = np.concatenate((times[:1], times[1:][fresh]))
-    return EventStream(times=times, rate_scale=rate_scale)
+    return EventStream._adopt(times, rate_scale)
 
 
 #: Largest Poisson mean that ``Generator.poisson`` accepts (numpy's own limit).
@@ -596,22 +622,51 @@ class DelayStatistics:
         bins = _count("bins", bins)
         if histogram_range is not None:
             histogram_range = _interval("histogram_range", histogram_range)
-        else:
-            limit = float(np.max(np.abs(delays), initial=0.0)) or 1.0
+        magnitudes = np.abs(delays)
+        if histogram_range is None:
+            limit = float(np.max(magnitudes, initial=0.0)) or 1.0
             histogram_range = (-limit, limit)
         counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
-        median = float(np.median(np.abs(delays))) if delays.size else None
+        # The median may reorder its own temporary instead of copying it.
+        median = float(np.median(magnitudes, overwrite_input=True)) if delays.size else None
         return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=counts)
 
 
-def _neighbours(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each time in ``a``: the first ``b`` at or after it, and the last
-    ``b`` before it, from one search of the sorted ``b``.  A missing
+def _search(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
+    """``np.searchsorted(b.times, a.times)``: for each A-event, the index of
+    the first B-event at or after it.
+
+    The index is kept on ``stream_a`` for the next call with the same
+    ``stream_b``, so the delay scan and every window scan of one pair share
+    one search (stream times cannot change).  The memo is one tuple, read
+    once and replaced whole, so a thread never pairs one stream's key with
+    another's index; it holds B by weak reference, so it keeps no stream
+    alive, and a dead reference matches no stream.
+    """
+    memo = stream_a._last_search
+    if memo is not None and memo[0]() is stream_b:
+        return memo[1]
+    idx = np.searchsorted(stream_b.times, stream_a.times)
+    idx.setflags(write=False)
+    object.__setattr__(stream_a, "_last_search", (weakref.ref(stream_b), idx))
+    return idx
+
+
+#: A-events per block of the neighbour scans, which keeps their temporaries small.
+_SCAN_BLOCK = 1 << 16
+
+
+def _neighbour_blocks(stream_a: EventStream, stream_b: EventStream):
+    """For each block of A-events: its slice, then for each event the first
+    B-event at or after it and the last B-event before it.  A missing
     neighbour reads as +inf after the last B-event and -inf before the first.
     """
-    padded = np.concatenate(([-np.inf], b, [np.inf]))
-    idx = np.searchsorted(b, a)
-    return padded[1:][idx], padded[idx]
+    idx = _search(stream_a, stream_b)
+    padded = np.concatenate(([-np.inf], stream_b.times, [np.inf]))
+    for start in range(0, idx.size, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        i = idx[block]
+        yield block, padded[1:][i], padded[i]
 
 
 def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
@@ -619,13 +674,18 @@ def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
 
     The later neighbour wins a tie.
     """
-    a, b = stream_a.times, stream_b.times
-    if a.size == 0 or b.size == 0:
+    a = stream_a.times
+    if a.size == 0 or stream_b.n == 0:
         return np.empty(0)
-    after, before = _neighbours(a, b)
-    d_after = after - a
-    d_before = before - a
-    return np.where(np.abs(d_after) <= np.abs(d_before), d_after, d_before)
+    delays = np.empty(a.size)
+    for block, after, before in _neighbour_blocks(stream_a, stream_b):
+        x = a[block]
+        # after - x >= 0 is its own magnitude, and x - before is bit-equal
+        # to |before - x|: a rounded difference only changes sign when its
+        # operands swap.
+        d_after, d_before = after - x, x - before
+        delays[block] = np.where(d_after <= d_before, d_after, -d_before)
+    return delays
 
 
 def delay_statistics(
@@ -652,17 +712,18 @@ def windowed_coincidence_counts(
     stream_a: EventStream, stream_b: EventStream, windows: Sequence[float]
 ) -> list[int]:
     """:func:`windowed_coincidences` at each width of ``windows``, in order,
-    from one neighbour search shared by all widths."""
+    from the pair's one neighbour search."""
     for window in windows:
         _positive("window", window)
-    a, b = stream_a.times, stream_b.times
-    if a.size == 0 or b.size == 0:
+    a = stream_a.times
+    if a.size == 0 or stream_b.n == 0:
         return [0] * len(windows)
     # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
     # window exactly when the nearest one on either side does.
-    after, before = _neighbours(a, b)
-    counts = []
-    for window in windows:
-        half = 0.5 * window
-        counts.append(int(np.count_nonzero((after <= a + half) | (before >= a - half))))
+    halves = [0.5 * window for window in windows]
+    counts = [0] * len(halves)
+    for block, after, before in _neighbour_blocks(stream_a, stream_b):
+        x = a[block]
+        for j, half in enumerate(halves):
+            counts[j] += int(np.count_nonzero((after <= x + half) | (before >= x - half)))
     return counts

@@ -3,11 +3,13 @@
 The checks live in ``bellsim/errors.py``; this file tries each public entry
 point that takes a number, count, angle, mode, interval or bracket with
 values of the wrong type (a string, None, a bool where a count is due, a
-non-integral float, a pair of the wrong length), and checks that no other
+non-integral float, a complex number, a pair of the wrong length, a quad
+that is not an ``AngleQuad``), and checks that no other
 module writes out a copy of the shared checks' messages.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +98,10 @@ CALLS = {
     "ch_zero_crossing-bracket-str": lambda: ch_zero_crossing(bracket="ab"),
     "ch_zero_crossing-bracket-none": lambda: ch_zero_crossing(bracket=None),
     "ch_zero_crossing-bracket-zero": lambda: ch_zero_crossing(bracket=(0.0, 1.0)),
+    "table_for_mode-quad-none": lambda: table_for_mode(1.0, None),
+    "qset-quad-tuple": lambda: qset(1.0, (0.0, 0.1, 0.2, 0.3)),
+    "ch_curve_value-quad-str": lambda: ch_curve_value(1.0, "quad", "multiwindow-two-term"),
+    "ch_zero_crossing-quad-none": lambda: ch_zero_crossing(None),
     # detector
     "DetectorParams-k-str": lambda: DetectorParams("1"),
     "DetectorParams-k-none": lambda: DetectorParams(None),
@@ -137,11 +143,15 @@ CALLS = {
     "RunConfig-workers-str": lambda: RunConfig(k=1.0, workers="2"),
     "RunConfig-seed-float": lambda: RunConfig(k=1.0, seed=2.5),
     "RunConfig-phase_mode-none": lambda: RunConfig(k=1.0, phase_mode=None),
+    "RunConfig-quad-none": lambda: RunConfig(k=1.0, quad=None),
+    "RunConfig-k-complex": lambda: RunConfig(k=np.complex128(1 + 1j)),
     "compare_to_analytic-analytic_k-str":
         lambda: compare_to_analytic(RunConfig(k=1.0, n_trials=10), analytic_k="x"),
     # waveform
     "Waveform-omega-str": lambda: Waveform(((1.0, 1),), omega="2"),
     "Waveform-amplitude-none": lambda: three_wave(amplitude=None),
+    "three_wave-omega-complex": lambda: three_wave(omega=np.complex128(1 + 1j)),
+    "three_wave-amplitude-complex64": lambda: three_wave(amplitude=np.complex64(2)),
     "Waveform-harmonic-str": lambda: Waveform(((1.0, "2"),)),
     "from_coefficients-str": lambda: Waveform.from_coefficients(["x"]),
     "intensity_stats-samples-bool": lambda: intensity_stats(three_wave(), True),
@@ -160,6 +170,8 @@ CALLS = {
     "from_delays-range-str": lambda: DelayStatistics.from_delays(DELAYS, 4, "ab"),
     "delay_statistics-bins-bool": lambda: delay_statistics(stream(), stream(), bins=False),
     "windowed_coincidences-str": lambda: windowed_coincidences(stream(), stream(), "1"),
+    "windowed_coincidences-complex":
+        lambda: windowed_coincidences(stream(), stream(), np.complex128(1 + 0j)),
     "windowed_coincidence_counts-none":
         lambda: windowed_coincidence_counts(stream(), stream(), [0.5, None]),
 }
@@ -178,9 +190,27 @@ PHRASES = {
     "must be a real number": lambda: errors._real("x", None),
     "must be an integer >=": lambda: errors._count("x", True),
     "must be one of": lambda: errors._member("x", None, ("a",)),
+    "must be an instance of": lambda: errors._instance("x", None, AngleQuad),
     "must be finite with": lambda: errors._interval("x", (1.0,)),
     "must be finite and >= 0": lambda: errors._nonnegative_array("x", [-1.0]),
 }
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (np.complex128(1 + 1j), "x must be a real number, got np.complex128(1+1j)"),
+        (1j, "x must be a real number, got 1j"),
+    ],
+    ids=["numpy", "python"],
+)
+def test_complex_is_not_real(value, message):
+    """A numpy complex scalar gets the message a Python complex gets, and
+    its imaginary part is not dropped with a ComplexWarning."""
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        errors._real("x", value)
+    with pytest.raises(InvalidInputError, match="^x must be positive and finite"):
+        errors._positive("x", value)
 
 
 @pytest.mark.parametrize("phrase", PHRASES)

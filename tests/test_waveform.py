@@ -1,8 +1,14 @@
 """Periodic intensity waveforms, harmonic algebra, inhomogeneous-Poisson
 event sampling, and nearest-event delay statistics."""
 
+import copy
+import gc
 import math
+import pickle
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -400,6 +406,28 @@ class TestEventStream:
 
     def test_n(self):
         assert EventStream(times=np.array([1.0, 2.0, 5.0]), rate_scale=1.0).n == 3
+
+    def test_callers_array_stays_writable(self):
+        times = np.array([1.0, 2.0])
+        EventStream(times=times, rate_scale=1.0)
+        assert times.flags.writeable
+        times[0] = 0.5
+
+    def test_write_to_the_base_of_a_view_does_not_reach_the_stream(self):
+        base = np.arange(6.0)
+        s = EventStream(times=base[1:4], rate_scale=1.0)
+        base[2] = 100.0
+        assert s.times.tolist() == [1.0, 2.0, 3.0]
+
+    def test_copies_and_pickles_own_their_times_and_start_without_a_search(self):
+        a = EventStream(times=np.array([1.0, 2.0, 4.0]), rate_scale=2.0)
+        b = EventStream(times=np.array([1.5, 3.0]), rate_scale=1.0)
+        expected = nearest_delays(a, b)
+        for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+            assert clone._last_search is None
+            assert not clone.times.flags.writeable
+            assert np.array_equal(clone.times, a.times) and clone.rate_scale == 2.0
+            assert np.array_equal(nearest_delays(clone, b), expected)
 
 
 class TestSampleEvents:
@@ -1036,6 +1064,136 @@ class TestNeighbourSearchMatchesBruteForce:
         assert nearest_delays(a, EventStream(times=np.array([3.5]), rate_scale=1.0))[0] == 1.5
         tie = EventStream(times=np.array([1.0, 3.0]), rate_scale=1.0)
         assert nearest_delays(a, tie)[0] == 1.0
+
+
+    @pytest.mark.parametrize("block", [1, 2, 7])
+    def test_small_scan_blocks(self, monkeypatch, block):
+        """Scans that cut the A-events into many blocks give the same results."""
+        monkeypatch.setattr(wf, "_SCAN_BLOCK", block)
+        windows = [1e-3, 0.25, 0.5, 1.0, 2.5, 50.0]
+        for a, b in PAIRS:
+            a, b = copy.copy(a), copy.copy(b)
+            expected = [brute_force_windows(a.times, b.times, w) if b.n else 0 for w in windows]
+            assert windowed_coincidence_counts(a, b, windows) == expected
+            if a.n and b.n:
+                assert np.array_equal(nearest_delays(a, b), brute_force_delays(a.times, b.times))
+
+
+def fresh(stream):
+    """An equal stream with no search of its own."""
+    return EventStream(times=stream.times.copy(), rate_scale=stream.rate_scale)
+
+
+def scan(a, b, windows=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)):
+    """Every scan of one pair: delays, their statistics, and window counts in
+    both forms."""
+    stats_ = delay_statistics(a, b)
+    return (
+        nearest_delays(a, b).tolist(),
+        stats_.counts.tolist(),
+        stats_.median_abs_delay,
+        windowed_coincidence_counts(a, b, windows),
+        [windowed_coincidences(a, b, w) for w in windows],
+    )
+
+
+class TestSearchMemo:
+    """Each stream keeps its last neighbour search, keyed on the B-stream."""
+
+    @staticmethod
+    def streams(n, seed=31, span=200.0):
+        rng = make_rng(seed)
+        return [sample_homogeneous_events(1.0, span, rng) for _ in range(n)]
+
+    def test_interleaved_pairs_match_fresh_streams(self):
+        a, b, c = self.streams(3)
+        for x, y in ((a, b), (a, c), (a, b), (b, a), (a, c)):
+            assert scan(x, y) == scan(fresh(x), fresh(y))
+
+    def test_one_search_per_pair(self, monkeypatch):
+        """Demo 05's sequence: the delays of two pairs, then six widths per
+        pair, one call each, search twice; a third pair searches once more."""
+        shared_a, shared_b, indep_a, indep_b = self.streams(4, seed=32)
+        calls = []
+        search = np.searchsorted
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(np, "searchsorted", counted)
+        for a, b in ((shared_a, shared_b), (indep_a, indep_b)):
+            delay_statistics(a, b, bins=13, histogram_range=(-0.325, 0.325))
+        counts = [
+            windowed_coincidences(a, b, window=w)
+            for a, b in ((shared_a, shared_b), (indep_a, indep_b))
+            for w in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+        ]
+        assert len(calls) == 2
+        crossed = windowed_coincidences(shared_a, indep_b, 0.5)
+        assert len(calls) == 3
+        monkeypatch.undo()
+        assert counts[-1] == windowed_coincidences(fresh(indep_a), fresh(indep_b), 0.5)
+        assert crossed == windowed_coincidences(fresh(shared_a), fresh(indep_b), 0.5)
+
+    def test_the_search_does_not_keep_the_b_stream_alive(self):
+        a, b, c = self.streams(3, seed=33)
+        nearest_delays(a, b)
+        dead = weakref.ref(b)
+        del b
+        gc.collect()
+        assert dead() is None
+        # The dead reference matches no stream: a new one is searched anew.
+        assert scan(a, fresh(c)) == scan(fresh(a), c)
+
+    def test_threads_sharing_one_a_stream(self):
+        """8 threads scan one A-stream against 8 B-streams at once, with a
+        short switch interval; each result matches the serial one."""
+        a, *bs = self.streams(9, seed=34, span=2000.0)
+        serial = [scan(fresh(a), fresh(b)) for b in bs]
+        barrier = threading.Barrier(len(bs), timeout=60)
+        results = [None] * len(bs)
+
+        def work(i):
+            barrier.wait()
+            results[i] = [scan(a, bs[i]) for _ in range(5)]
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(bs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[expected] * 5 for expected in serial]
+
+    def test_benchmark_scan_memory_peak(self):
+        """The benchmark's scan on four ~5e5-event streams (two three-wave,
+        two homogeneous): the delay statistics of both pairs, then 7 widths
+        per pair, one call each.  With a new search and full-size neighbour
+        arrays per call its traced peak was 29.5 MB; one kept search per
+        pair (a 4 MB index on each A-stream), neighbours gathered in blocks
+        and one |delay| temporary measure 24.3 MB."""
+        w, span = three_wave(), 5e5
+        shared_a, shared_b = (sample_events(w, span, 1.0 / 3.0, make_rng(s)) for s in (1, 2))
+        indep_a, indep_b = (sample_homogeneous_events(1.0, span, make_rng(s)) for s in (3, 4))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            pairs = ((shared_a, shared_b), (indep_a, indep_b))
+            kept = [delay_statistics(a, b) for a, b in pairs]
+            kept += [
+                [windowed_coincidences(a, b, x) for x in (0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)]
+                for a, b in pairs
+            ]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 29.5e6, peak
 
 
 class TestHistogramRange:
