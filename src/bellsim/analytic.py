@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive
+from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive, _real
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
@@ -82,26 +82,47 @@ CH_CURVE_MODES = SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
 _FACTORED_K = 1e150
 
 
+def _q_values(k: float, quad: AngleQuad) -> list[float]:
+    """The eight Q closed forms at one (k, quad), in :class:`QSet` field order.
+
+    Q_single is 1 / (1 + m k + k^2 c s) with m = 1 and (c, s) one angle's
+    (cos^2, sin^2); Q_joint is the same form with m = 2 and the sums of two
+    angles' squares.  ``quad`` and k are checked once, and the squares are
+    those the quad keeps, so a table costs no trig.
+    """
+    (ca, sa), (cb, sb), (cap, sap), (cbp, sbp) = _instance("quad", quad, AngleQuad)._squares
+    k = _positive("k", k)
+    operands = (
+        (1.0, ca, sa), (1.0, cb, sb), (1.0, cap, sap), (1.0, cbp, sbp),
+        (2.0, ca + cb, sa + sb), (2.0, ca + cbp, sa + sbp),
+        (2.0, cap + cb, sap + sb), (2.0, cap + cbp, sap + sbp),
+    )
+    # Plain loops, not comprehensions: before Python 3.12 a comprehension is
+    # a function call of its own, a sizeable share of eight values' work.
+    q = []
+    if k > _FACTORED_K:
+        for m, c, s in operands:
+            q.append(1.0 / (1.0 + k * (m + k * c * s)))
+    else:
+        kk = k * k
+        # m * k is k itself at m = 1, so this is 1 + k + k*k*c*s to the bit.
+        for m, c, s in operands:
+            q.append(1.0 / ((1.0 + m * k) + kk * c * s))
+    return q
+
+
 def q_single(k: float, theta: float) -> float:
     """No-detection probability of one detector at analyzer angle theta.
 
     k must be > 0: the dark limit k -> 0+ is extrapolated, never evaluated."""
-    k = _positive("k", k)
-    c2 = math.cos(theta) ** 2
-    s2 = math.sin(theta) ** 2
-    if k > _FACTORED_K:
-        return 1.0 / (1.0 + k * (1.0 + k * c2 * s2))
-    return 1.0 / (1.0 + k + k * k * c2 * s2)
+    theta = _real("theta", theta)
+    return _q_values(k, AngleQuad(theta, theta, theta, theta))[0]
 
 
 def q_joint(k: float, theta: float, phi: float) -> float:
     """Probability that neither side fires in one shared window."""
-    k = _positive("k", k)
-    c2t, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2
-    c2p, s2p = math.cos(phi) ** 2, math.sin(phi) ** 2
-    if k > _FACTORED_K:
-        return 1.0 / (1.0 + k * (2.0 + k * (c2t + c2p) * (s2t + s2p)))
-    return 1.0 / (1.0 + 2.0 * k + k * k * (c2t + c2p) * (s2t + s2p))
+    theta, phi = _real("theta", theta), _real("phi", phi)
+    return _q_values(k, AngleQuad(theta, phi, theta, phi))[4]
 
 
 @dataclass(frozen=True)
@@ -120,17 +141,7 @@ class QSet:
 
 def qset(k: float, quad: AngleQuad = DEFAULT_QUAD) -> QSet:
     """Evaluate the Q closed forms at every setting and setting pair."""
-    _instance("quad", quad, AngleQuad)
-    return QSet(
-        q_a=q_single(k, quad.a),
-        q_b=q_single(k, quad.b),
-        q_a_prime=q_single(k, quad.a_prime),
-        q_b_prime=q_single(k, quad.b_prime),
-        q_ab=q_joint(k, quad.a, quad.b),
-        q_ab_prime=q_joint(k, quad.a, quad.b_prime),
-        q_a_prime_b=q_joint(k, quad.a_prime, quad.b),
-        q_a_prime_b_prime=q_joint(k, quad.a_prime, quad.b_prime),
-    )
+    return QSet(*_q_values(k, quad))
 
 
 def _split_single(qx: float) -> float:
@@ -168,25 +179,25 @@ def table_for_mode(
 ) -> ProbabilityTable:
     """Probability table under one counting law.
 
-    ``mode`` is a sweep mode or ``"multiwindow-union"``.  A joint that
-    cancels to a negative value (-2e-16 to -9e-16 at k below ~1e-8) is
-    rounding of a positive probability and is returned as 0.0.
+    ``mode`` is a sweep mode or ``"multiwindow-union"``.  The Q values are
+    those of :func:`qset` to the bit, from one check of ``quad`` and of k
+    and no :class:`QSet`.  A joint that cancels to a negative value (-2e-16
+    to -9e-16 at k below ~1e-8) is rounding of a positive probability and
+    is returned as 0.0.
     """
     single, pair = _LAWS[_member("mode", mode, _TABLE_MODES)]
-    q = qset(k, quad)
+    q_a, q_b, q_ap, q_bp, q_ab, q_abp, q_apb, q_apbp = _q_values(k, quad)
     joints = [
         0.0 if p < 0.0 else p
         for p in (
-            pair(q.q_a, q.q_b, q.q_ab),
-            pair(q.q_a, q.q_b_prime, q.q_ab_prime),
-            pair(q.q_a_prime, q.q_b, q.q_a_prime_b),
-            pair(q.q_a_prime, q.q_b_prime, q.q_a_prime_b_prime),
+            pair(q_a, q_b, q_ab),
+            pair(q_a, q_bp, q_abp),
+            pair(q_ap, q_b, q_apb),
+            pair(q_ap, q_bp, q_apbp),
         )
     ]
     # Field order: p_a, p_b, the four joints, p_a_prime, p_b_prime.
-    return ProbabilityTable(
-        single(q.q_a), single(q.q_b), *joints, single(q.q_a_prime), single(q.q_b_prime)
-    )
+    return ProbabilityTable(single(q_a), single(q_b), *joints, single(q_ap), single(q_bp))
 
 
 def standard_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
@@ -245,8 +256,8 @@ def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     """CH(k) of a curve mode as (positive part, subtracted part); the mode is
     checked by the callers, since the crossing scan calls this per point."""
     if mode == "multiwindow-two-term":
-        q = qset(k, quad)
-        return 2.0 * (q.q_a + q.q_b_prime - q.q_ab_prime) ** 4, 2.0 * q.q_a**2
+        q_a, _, _, q_bp, _, q_abp, _, _ = _q_values(k, quad)
+        return 2.0 * (q_a + q_bp - q_abp) ** 4, 2.0 * q_a**2
     b = ch_value(table_for_mode(k, quad, mode))
     return b.p_s, b.p_c
 

@@ -105,6 +105,8 @@ def parse_angle(text: str | float) -> float:
 
 
 def _fmt(x: object) -> str:
+    if type(x) is float:
+        return repr(x)
     if isinstance(x, float):
         # repr of a builtin float is the shortest round-trip form; the cast
         # also strips numpy scalar types so CSV cells stay plain numbers.
@@ -123,8 +125,7 @@ def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]], out: str 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(cell) for cell in row])
+    writer.writerows([_fmt(cell) for cell in row] for row in rows)
     _emit_text(buf.getvalue(), out)
 
 
@@ -256,10 +257,11 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         return _EXIT_OK
     rows: list[list[object]] = []
     footers: list[list[object]] = []
+    ks = spec.k_values().tolist()
     for mode in spec.modes:
-        for k in spec.k_values():
-            breakdown = ch_value(table_for_mode(float(k), spec.quad, mode))
-            rows.append([float(k), mode, breakdown.p_s, breakdown.p_c, breakdown.ch])
+        for k in ks:
+            breakdown = ch_value(table_for_mode(k, spec.quad, mode))
+            rows.append([k, mode, breakdown.p_s, breakdown.p_c, breakdown.ch])
         crossing = ch_zero_crossing(
             spec.quad, mode=mode, bracket=(spec.start, spec.stop)
         )

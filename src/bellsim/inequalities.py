@@ -54,16 +54,28 @@ _WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AngleQuad:
-    """Analyzer settings (radians): Alice uses a/a_prime, Bob b/b_prime."""
+    """Analyzer settings (radians): Alice uses a/a_prime, Bob b/b_prime.
+
+    Each angle must be a real number.  The quad keeps the squares of their
+    cosines and sines, so the closed forms of :mod:`bellsim.analytic` take
+    no trig per table.
+    """
 
     a: float
     b: float
     a_prime: float
     b_prime: float
 
+    #: ((cos^2 a, sin^2 a), ..., (cos^2 b_prime, sin^2 b_prime)) in field
+    #: order, set once by ``__post_init__``; not a field.
+    _squares = None
+
     def __post_init__(self) -> None:
+        squares = []
         for name in ("a", "b", "a_prime", "b_prime"):
-            _real(f"angle {name!r}", getattr(self, name))
+            angle = _real(f"angle {name!r}", getattr(self, name))
+            squares.append((math.cos(angle) ** 2, math.sin(angle) ** 2))
+        object.__setattr__(self, "_squares", tuple(squares))
 
 
 #: Canonical settings: A = pi/6, B = pi/3, A' = 0, B' = pi/2.
@@ -95,6 +107,13 @@ class ProbabilityTable:
         # asdict()'s cost; every closed-form table passes through here.
         try:
             for name, value in vars(self).items():
+                # A plain float in range needs no more tests.
+                if type(value) is float and 0.0 <= value <= 1.0:
+                    continue
+                # A numpy complex scalar would pass isfinite with a
+                # ComplexWarning, its imaginary part dropped.
+                if isinstance(value, np.complexfloating):
+                    raise _not_real(name, value)
                 if value is None or not math.isfinite(value):
                     raise InvalidInputError(f"{name} must be finite, got {value!r}")
                 if not 0.0 <= value <= 1.0:
@@ -242,12 +261,13 @@ class DiscreteLHVModel:
                 f"responses must have shape (n_states, 2) = ({w.size}, 2), "
                 f"got {ra.shape} and {rb.shape}"
             )
-        # min/max propagate NaN and see +-inf, so the six extremes decide
-        # both finiteness and range.
+        # min/max propagate NaN and see +-inf, so four extremes decide both
+        # finiteness and range: one pair for the weights, one for the two
+        # response arrays together.
         w_lo, w_hi = float(w.min()), float(w.max())
-        ra_lo, ra_hi = float(ra.min()), float(ra.max())
-        rb_lo, rb_hi = float(rb.min()), float(rb.max())
-        if not all(map(math.isfinite, (w_lo, w_hi, ra_lo, ra_hi, rb_lo, rb_hi))):
+        responses = np.concatenate((ra, rb))
+        r_lo, r_hi = float(responses.min()), float(responses.max())
+        if not all(map(math.isfinite, (w_lo, w_hi, r_lo, r_hi))):
             raise ModelInvalidError("model arrays must be finite")
         if w_lo < 0.0:
             raise ModelInvalidError("weights must be non-negative")
@@ -256,7 +276,7 @@ class DiscreteLHVModel:
             raise ModelInvalidError(
                 f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}"
             )
-        if ra_lo < 0.0 or ra_hi > 1.0 or rb_lo < 0.0 or rb_hi > 1.0:
+        if r_lo < 0.0 or r_hi > 1.0:
             raise ModelInvalidError("response probabilities must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "response_a", ra)
@@ -391,8 +411,9 @@ def random_discrete_model(
     """
     n = int(rng.integers(1, _count("max_states", max_states) + 1))
     draw = rng.random(5 * n)
-    raw = draw[:n] + 1e-12  # keep the sum strictly positive
-    weights = raw / raw.sum()
+    weights = draw[:n]  # normalized in place, in the draw buffer
+    weights += 1e-12  # keep the sum strictly positive
+    weights /= weights.sum()
     # Renormalization can leave the sum one ulp off; nudge the largest weight.
     weights[weights.argmax()] += 1.0 - weights.sum()
     return DiscreteLHVModel(

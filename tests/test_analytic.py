@@ -7,14 +7,15 @@ library must reproduce them in float64.
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bellsim import analytic
 from bellsim.analytic import (
     CH_CURVE_MODES,
     SWEEP_MODES,
@@ -472,3 +473,91 @@ class TestDomain:
         assert all(v < 0.0 for v in values)
         assert all(abs(a) > abs(b) for a, b in zip(values, values[1:]))
         assert abs(values[-1]) < 1e-3
+
+
+def _reference_q_single(k, theta):
+    """q_single written the old way, with its own trig and formula."""
+    c2 = math.cos(theta) ** 2
+    s2 = math.sin(theta) ** 2
+    if k > analytic._FACTORED_K:
+        return 1.0 / (1.0 + k * (1.0 + k * c2 * s2))
+    return 1.0 / (1.0 + k + k * k * c2 * s2)
+
+
+def _reference_q_joint(k, theta, phi):
+    """q_joint written the old way, with its own trig and formula."""
+    c2t, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2
+    c2p, s2p = math.cos(phi) ** 2, math.sin(phi) ** 2
+    if k > analytic._FACTORED_K:
+        return 1.0 / (1.0 + k * (2.0 + k * (c2t + c2p) * (s2t + s2p)))
+    return 1.0 / (1.0 + 2.0 * k + k * k * (c2t + c2p) * (s2t + s2p))
+
+
+def _reference_qs(k, quad):
+    """The eight Q values in QSet field order, one scalar call each."""
+    a, b, ap, bp = quad.a, quad.b, quad.a_prime, quad.b_prime
+    return [
+        _reference_q_single(k, a), _reference_q_single(k, b),
+        _reference_q_single(k, ap), _reference_q_single(k, bp),
+        _reference_q_joint(k, a, b), _reference_q_joint(k, a, bp),
+        _reference_q_joint(k, ap, b), _reference_q_joint(k, ap, bp),
+    ]
+
+
+def _reference_table(k, quad, mode):
+    """table_for_mode's entries in field order, built from the reference Qs."""
+    single, pair = analytic._LAWS[mode]
+    qa, qb, qap, qbp, qab, qabp, qapb, qapbp = _reference_qs(k, quad)
+    joints = [pair(qa, qb, qab), pair(qa, qbp, qabp), pair(qap, qb, qapb), pair(qap, qbp, qapbp)]
+    return [single(qa), single(qb), *[0.0 if p < 0.0 else p for p in joints],
+            single(qap), single(qbp)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# k log-uniform in (1e-300, 1e300), plus the two floats either side of the
+# switch to the factored form.
+wide_k = st.one_of(
+    st.floats(min_value=-300.0, max_value=300.0, exclude_min=True, exclude_max=True).map(
+        lambda e: 10.0 ** e
+    ),
+    st.sampled_from([analytic._FACTORED_K, math.nextafter(analytic._FACTORED_K, math.inf)]),
+)
+quad_angles = st.one_of(st.sampled_from([0.0, math.pi / 2]), angles)
+
+
+class TestOneEvaluationPerTable:
+    """The tables evaluate the closed forms once per (k, quad), on the
+    squares the quad keeps, and match the scalar forms bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(wide_k, quad_angles, quad_angles, quad_angles, quad_angles)
+    @example(1.5, math.pi / 6, math.pi / 3, 0.0, math.pi / 2)
+    @example(1e200, 0.0, math.pi / 2, 0.0, math.pi / 2)
+    def test_bit_identical_to_scalar_forms(self, k, a, b, a_prime, b_prime):
+        quad = AngleQuad(a, b, a_prime, b_prime)
+        expected = _reference_qs(k, quad)
+        assert _bits(analytic._q_values(k, quad)) == _bits(expected)
+        assert _bits(astuple(qset(k, quad))) == _bits(expected)
+        assert _bits([q_single(k, a), q_joint(k, a_prime, b)]) == _bits(
+            [expected[0], expected[6]]
+        )
+        for mode in analytic._LAWS:
+            table = table_for_mode(k, quad, mode)
+            assert _bits(astuple(table)) == _bits(_reference_table(k, quad, mode)), mode
+
+    def test_one_k_check_per_table(self, monkeypatch):
+        checked = []
+
+        def counting_positive(name, value, *args, **kwargs):
+            checked.append(name)
+            return positive(name, value, *args, **kwargs)
+
+        positive = analytic._positive
+        monkeypatch.setattr(analytic, "_positive", counting_positive)
+        for mode in analytic._LAWS:
+            checked.clear()
+            table_for_mode(1.5, DEFAULT_QUAD, mode)
+            assert checked == ["k"], mode

@@ -4,11 +4,12 @@ The checks live in ``bellsim/errors.py``; this file tries each public entry
 point that takes a number, count, angle, mode, interval or bracket with
 values of the wrong type (a string, None, a bool where a count is due, a
 non-integral float, a complex number, a pair of the wrong length, a quad
-that is not an ``AngleQuad``), and checks that no other
+that is not an ``AngleQuad``, a non-finite angle), and checks that no other
 module writes out a copy of the shared checks' messages.
 """
 
 import ast
+import math
 import re
 from pathlib import Path
 
@@ -211,6 +212,37 @@ def test_complex_is_not_real(value, message):
         errors._real("x", value)
     with pytest.raises(InvalidInputError, match="^x must be positive and finite"):
         errors._positive("x", value)
+
+
+BAD_ANGLES = {
+    "str": "a", "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
+    "complex": np.complex128(0.5 + 1j),
+}
+ANGLE_CALLS = {
+    "q_single-theta": ("theta", lambda angle: q_single(1.0, angle)),
+    "q_joint-theta": ("theta", lambda angle: q_joint(1.0, angle, 0.1)),
+    "q_joint-phi": ("phi", lambda angle: q_joint(1.0, 0.1, angle)),
+}
+
+
+@pytest.mark.parametrize("bad", BAD_ANGLES.values(), ids=BAD_ANGLES.keys())
+@pytest.mark.parametrize("name, call", ANGLE_CALLS.values(), ids=ANGLE_CALLS.keys())
+def test_q_angle_must_be_real(name, call, bad):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be a real number, got "):
+        call(bad)
+
+
+@pytest.mark.parametrize(
+    "value", [np.complex128(0.5 + 1j), np.complex64(0.5), 0.5 + 1j],
+    ids=["complex128", "complex64", "python"],
+)
+def test_complex_table_entry_is_not_real(value):
+    """A numpy complex entry is turned away as a Python complex one is, not
+    read as its real part with a ComplexWarning."""
+    table = ProbabilityTable(0.5, 0.5, 0.25, 0.25, 0.25, value, 0.5, 0.5)
+    message = f"p_a_prime_b_prime must be a real number, got {value!r}"
+    with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+        ch_value(table)
 
 
 @pytest.mark.parametrize("phrase", PHRASES)

@@ -2,6 +2,7 @@
 half-window gain algebra."""
 
 import math
+import re
 import tracemalloc
 import types
 
@@ -436,6 +437,11 @@ class TestHalfWindowAlgebra:
         assert multi_single_prob(0.0) == 0.0
         assert multi_single_prob(1.0) == 1.0
         assert multi_single_prob(0.5) == 0.75
+
+    @pytest.mark.parametrize("p", [-0.1, 1.5])
+    def test_multi_single_rejects_out_of_range(self, p):
+        with pytest.raises(InvalidInputError, match=re.escape(f"p must lie in [0, 1], got {p!r}")):
+            multi_single_prob(p)
 
     def test_multi_coincidence_examples(self):
         assert multi_coincidence_prob(HalfWindowParams(p=0.0, q=0.0)) == 0.0

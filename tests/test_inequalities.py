@@ -1,6 +1,7 @@
 """CH/CHSH functionals, discrete LHV models, and the pointwise inequality."""
 
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -260,6 +261,7 @@ class TestDiscreteLHVModel:
         ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], r"\[0, 1\]"),
         ([1.2, -0.2], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "non-negative"),
         ([0.5, 0.5 + 1e-9], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "sum to 1"),
+        ([], [], [], "non-empty 1-D"),
         # When several checks fail, the earlier one wins.
         ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [math.nan, math.nan]], "finite"),
         ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], "non-negative"),
@@ -268,6 +270,22 @@ class TestDiscreteLHVModel:
     def test_every_rejection(self, weights, response_a, response_b, message):
         with pytest.raises(ModelInvalidError, match=message):
             DiscreteLHVModel(weights=weights, response_a=response_a, response_b=response_b)
+
+    @pytest.mark.parametrize("side", ["response_a", "response_b"])
+    @pytest.mark.parametrize("bad, message", [
+        (math.nan, "model arrays must be finite"),
+        (math.inf, "model arrays must be finite"),
+        (1.5, "response probabilities must lie in [0, 1]"),
+        (-0.1, "response probabilities must lie in [0, 1]"),
+    ])
+    def test_bad_response_on_either_side(self, side, bad, message):
+        """Both response arrays share one pair of extremes; a bad entry in
+        either one gets the same class and message."""
+        responses = {"response_a": [[0.1, 0.2], [0.3, 0.4]], "response_b": [[0.5, 0.6], [0.7, 0.8]]}
+        responses[side][1][0] = bad
+        with pytest.raises(ModelInvalidError, match=f"^{re.escape(message)}$") as caught:
+            DiscreteLHVModel(weights=[0.5, 0.5], **responses)
+        assert type(caught.value) is ModelInvalidError
 
     @pytest.mark.parametrize("name", ["weights", "response_a", "response_b"])
     @pytest.mark.parametrize("bad", ["a", {"a": 1}, 0.5j])
@@ -334,22 +352,26 @@ class TestRandomDiscreteModel:
         with pytest.raises(InvalidInputError, match="max_states"):
             random_discrete_model(rng, max_states=max_states)
 
-    @pytest.mark.parametrize("max_states", [64, 5, 4, 1, 6])
+    @pytest.mark.parametrize("max_states", [64, 5, 4, 1, 6, 2, 1000])
     def test_single_draw_replays_three_draws(self, max_states):
         """After the state-count draw, one rng.random call is the same
-        stream as random(n), random((n, 2)), random((n, 2)) in that order."""
-        new = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-        old = np.random.Generator(np.random.Philox(np.random.SeedSequence(31)))
-        for _ in range(20):
-            m = random_discrete_model(new, max_states=max_states)
-            n = int(old.integers(1, max_states + 1))
-            raw = old.random(n) + 1e-12
-            weights = raw / raw.sum()
-            weights[np.argmax(weights)] += 1.0 - weights.sum()
-            assert np.array_equal(m.weights, weights)
-            assert np.array_equal(m.response_a, old.random((n, 2)))
-            assert np.array_equal(m.response_b, old.random((n, 2)))
-        assert np.array_equal(new.random(8), old.random(8))
+        stream as random(n), random((n, 2)), random((n, 2)) in that order,
+        and the weights normalized in the draw buffer are, bit for bit, the
+        out-of-place ``raw / raw.sum()`` of a separate weight draw."""
+        for seed in range(200):
+            new = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            old = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            for _ in range(2):
+                m = random_discrete_model(new, max_states=max_states)
+                n = int(old.integers(1, max_states + 1))
+                raw = old.random(n) + 1e-12
+                weights = raw / raw.sum()
+                weights[np.argmax(weights)] += 1.0 - weights.sum()
+                assert m.weights.tobytes() == weights.tobytes()
+                assert m.response_a.tobytes() == old.random((n, 2)).tobytes()
+                assert m.response_b.tobytes() == old.random((n, 2)).tobytes()
+            # Philox's state holds small arrays, which repr prints whole.
+            assert repr(new.bit_generator.state) == repr(old.bit_generator.state)
 
 
 class TestBatchedCH:
