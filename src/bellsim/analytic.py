@@ -82,21 +82,13 @@ CH_CURVE_MODES = SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
 _FACTORED_K = 1e150
 
 
-def _q_values(k: float, quad: AngleQuad) -> list[float]:
-    """The eight Q closed forms at one (k, quad), in :class:`QSet` field order.
+def _q_forms(k: float, operands: tuple[tuple[float, float, float], ...]) -> list[float]:
+    """Q = 1 / (1 + m k + k^2 c s) for each (m, c, s) of ``operands``, k
+    checked by the caller.
 
-    Q_single is 1 / (1 + m k + k^2 c s) with m = 1 and (c, s) one angle's
-    (cos^2, sin^2); Q_joint is the same form with m = 2 and the sums of two
-    angles' squares.  ``quad`` and k are checked once, and the squares are
-    those the quad keeps, so a table costs no trig.
+    Q_single takes m = 1 and (c, s) one angle's (cos^2, sin^2); Q_joint
+    takes m = 2 and the sums of two angles' squares.
     """
-    (ca, sa), (cb, sb), (cap, sap), (cbp, sbp) = _instance("quad", quad, AngleQuad)._squares
-    k = _positive("k", k)
-    operands = (
-        (1.0, ca, sa), (1.0, cb, sb), (1.0, cap, sap), (1.0, cbp, sbp),
-        (2.0, ca + cb, sa + sb), (2.0, ca + cbp, sa + sbp),
-        (2.0, cap + cb, sap + sb), (2.0, cap + cbp, sap + sbp),
-    )
     # Plain loops, not comprehensions: before Python 3.12 a comprehension is
     # a function call of its own, a sizeable share of eight values' work.
     q = []
@@ -111,18 +103,38 @@ def _q_values(k: float, quad: AngleQuad) -> list[float]:
     return q
 
 
+def _q_values(k: float, quad: AngleQuad) -> list[float]:
+    """The eight Q closed forms at one (k, quad), in :class:`QSet` field order.
+
+    ``quad`` and k are checked once, and the squares are those the quad
+    keeps, so a table costs no trig.
+    """
+    (ca, sa), (cb, sb), (cap, sap), (cbp, sbp) = _instance("quad", quad, AngleQuad)._squares
+    k = _positive("k", k)
+    return _q_forms(k, (
+        (1.0, ca, sa), (1.0, cb, sb), (1.0, cap, sap), (1.0, cbp, sbp),
+        (2.0, ca + cb, sa + sb), (2.0, ca + cbp, sa + sbp),
+        (2.0, cap + cb, sap + sb), (2.0, cap + cbp, sap + sbp),
+    ))
+
+
 def q_single(k: float, theta: float) -> float:
     """No-detection probability of one detector at analyzer angle theta.
 
-    k must be > 0: the dark limit k -> 0+ is extrapolated, never evaluated."""
+    k must be > 0: the dark limit k -> 0+ is extrapolated, never evaluated.
+    Tables do not call this; they take all eight Q values at once."""
+    k = _positive("k", k)
     theta = _real("theta", theta)
-    return _q_values(k, AngleQuad(theta, theta, theta, theta))[0]
+    return _q_forms(k, ((1.0, math.cos(theta) ** 2, math.sin(theta) ** 2),))[0]
 
 
 def q_joint(k: float, theta: float, phi: float) -> float:
     """Probability that neither side fires in one shared window."""
+    k = _positive("k", k)
     theta, phi = _real("theta", theta), _real("phi", phi)
-    return _q_values(k, AngleQuad(theta, phi, theta, phi))[4]
+    c = math.cos(theta) ** 2 + math.cos(phi) ** 2
+    s = math.sin(theta) ** 2 + math.sin(phi) ** 2
+    return _q_forms(k, ((2.0, c, s),))[0]
 
 
 @dataclass(frozen=True)

@@ -105,8 +105,6 @@ def parse_angle(text: str | float) -> float:
 
 
 def _fmt(x: object) -> str:
-    if type(x) is float:
-        return repr(x)
     if isinstance(x, float):
         # repr of a builtin float is the shortest round-trip form; the cast
         # also strips numpy scalar types so CSV cells stay plain numbers.

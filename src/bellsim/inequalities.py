@@ -261,13 +261,12 @@ class DiscreteLHVModel:
                 f"responses must have shape (n_states, 2) = ({w.size}, 2), "
                 f"got {ra.shape} and {rb.shape}"
             )
-        # min/max propagate NaN and see +-inf, so four extremes decide both
-        # finiteness and range: one pair for the weights, one for the two
-        # response arrays together.
+        # min/max propagate NaN and see +-inf, so the six extremes decide
+        # both finiteness and range.
         w_lo, w_hi = float(w.min()), float(w.max())
-        responses = np.concatenate((ra, rb))
-        r_lo, r_hi = float(responses.min()), float(responses.max())
-        if not all(map(math.isfinite, (w_lo, w_hi, r_lo, r_hi))):
+        ra_lo, ra_hi = float(ra.min()), float(ra.max())
+        rb_lo, rb_hi = float(rb.min()), float(rb.max())
+        if not all(map(math.isfinite, (w_lo, w_hi, ra_lo, ra_hi, rb_lo, rb_hi))):
             raise ModelInvalidError("model arrays must be finite")
         if w_lo < 0.0:
             raise ModelInvalidError("weights must be non-negative")
@@ -276,7 +275,7 @@ class DiscreteLHVModel:
             raise ModelInvalidError(
                 f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}"
             )
-        if r_lo < 0.0 or r_hi > 1.0:
+        if ra_lo < 0.0 or ra_hi > 1.0 or rb_lo < 0.0 or rb_hi > 1.0:
             raise ModelInvalidError("response probabilities must lie in [0, 1]")
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "response_a", ra)

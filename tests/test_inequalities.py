@@ -279,8 +279,8 @@ class TestDiscreteLHVModel:
         (-0.1, "response probabilities must lie in [0, 1]"),
     ])
     def test_bad_response_on_either_side(self, side, bad, message):
-        """Both response arrays share one pair of extremes; a bad entry in
-        either one gets the same class and message."""
+        """A bad entry in either response array gets the same class and
+        message."""
         responses = {"response_a": [[0.1, 0.2], [0.3, 0.4]], "response_b": [[0.5, 0.6], [0.7, 0.8]]}
         responses[side][1][0] = bad
         with pytest.raises(ModelInvalidError, match=f"^{re.escape(message)}$") as caught:
