@@ -106,16 +106,10 @@ def _q_forms(k: float, operands: tuple[tuple[float, float, float], ...]) -> list
 def _q_values(k: float, quad: AngleQuad) -> list[float]:
     """The eight Q closed forms at one (k, quad), in :class:`QSet` field order.
 
-    ``quad`` and k are checked once, and the squares are those the quad
-    keeps, so a table costs no trig.
+    ``quad`` and k are checked once, and the (m, c, s) operands are those
+    the quad keeps, so a table costs no trig and builds no operand.
     """
-    (ca, sa), (cb, sb), (cap, sap), (cbp, sbp) = _instance("quad", quad, AngleQuad)._squares
-    k = _positive("k", k)
-    return _q_forms(k, (
-        (1.0, ca, sa), (1.0, cb, sb), (1.0, cap, sap), (1.0, cbp, sbp),
-        (2.0, ca + cb, sa + sb), (2.0, ca + cbp, sa + sbp),
-        (2.0, cap + cb, sap + sb), (2.0, cap + cbp, sap + sbp),
-    ))
+    return _q_forms(_positive("k", k), _instance("quad", quad, AngleQuad)._operands)
 
 
 def q_single(k: float, theta: float) -> float:

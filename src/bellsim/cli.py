@@ -251,21 +251,20 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     spec = _load_sweep_spec(args)
     if not spec.modes:
         print("warning: empty mode set; no rows emitted", file=sys.stderr)
-        _emit_csv(("k", "mode", "p_s", "p_c", "ch"), [], args.out)
-        return _EXIT_OK
-    rows: list[list[object]] = []
-    footers: list[list[object]] = []
+    # Rows are formatted as computed, in csv.writer's bytes: each cell is a
+    # builtin float's repr, a sweep mode or "", and none needs quoting.
     ks = spec.k_values().tolist()
+    k_cells = [repr(k) for k in ks]
+    lines = ["k,mode,p_s,p_c,ch\n"]
+    footers = []
     for mode in spec.modes:
-        for k in ks:
-            breakdown = ch_value(table_for_mode(k, spec.quad, mode))
-            rows.append([k, mode, breakdown.p_s, breakdown.p_c, breakdown.ch])
-        crossing = ch_zero_crossing(
-            spec.quad, mode=mode, bracket=(spec.start, spec.stop)
-        )
+        for k, k_cell in zip(ks, k_cells):
+            b = ch_value(table_for_mode(k, spec.quad, mode))
+            lines.append(f"{k_cell},{mode},{b.p_s!r},{b.p_c!r},{b.ch!r}\n")
+        crossing = ch_zero_crossing(spec.quad, mode=mode, bracket=(spec.start, spec.stop))
         if crossing is not None:
-            footers.append([crossing, f"{mode}:zero-crossing", "", "", 0.0])
-    _emit_csv(("k", "mode", "p_s", "p_c", "ch"), rows + footers, args.out)
+            footers.append(f"{crossing!r},{mode}:zero-crossing,,,0.0\n")
+    _emit_text("".join(lines + footers), args.out)
     return _EXIT_OK
 
 

@@ -56,9 +56,9 @@ _WEIGHT_TOL = 1e-12
 class AngleQuad:
     """Analyzer settings (radians): Alice uses a/a_prime, Bob b/b_prime.
 
-    Each angle must be a real number.  The quad keeps the squares of their
-    cosines and sines, so the closed forms of :mod:`bellsim.analytic` take
-    no trig per table.
+    Each angle must be a real number.  The quad keeps the operands of the
+    eight Q closed forms of :mod:`bellsim.analytic`, so a table takes no
+    trig and builds no operand.
     """
 
     a: float
@@ -66,16 +66,21 @@ class AngleQuad:
     a_prime: float
     b_prime: float
 
-    #: ((cos^2 a, sin^2 a), ..., (cos^2 b_prime, sin^2 b_prime)) in field
-    #: order, set once by ``__post_init__``; not a field.
-    _squares = None
+    #: (m, c, s) of each Q = 1 / (1 + m k + k^2 c s) in ``QSet`` field order,
+    #: set once by ``__post_init__``; not a field.
+    _operands = None
 
     def __post_init__(self) -> None:
         squares = []
         for name in ("a", "b", "a_prime", "b_prime"):
             angle = _real(f"angle {name!r}", getattr(self, name))
             squares.append((math.cos(angle) ** 2, math.sin(angle) ** 2))
-        object.__setattr__(self, "_squares", tuple(squares))
+        (ca, sa), (cb, sb), (cap, sap), (cbp, sbp) = squares
+        object.__setattr__(self, "_operands", (
+            (1.0, ca, sa), (1.0, cb, sb), (1.0, cap, sap), (1.0, cbp, sbp),
+            (2.0, ca + cb, sa + sb), (2.0, ca + cbp, sa + sbp),
+            (2.0, cap + cb, sap + sb), (2.0, cap + cbp, sap + sbp),
+        ))
 
 
 #: Canonical settings: A = pi/6, B = pi/3, A' = 0, B' = pi/2.

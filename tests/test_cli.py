@@ -1,14 +1,21 @@
 """Command-line interface: argument handling, exit codes, and output formats."""
 
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 from dataclasses import fields
+from pathlib import Path
+from tempfile import TemporaryDirectory
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bellsim.analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
 from bellsim.cli import main, parse_angle
 from bellsim.inequalities import AngleQuad, ch_value, eval_discrete_lhv, random_discrete_model
 from bellsim.montecarlo import RNG_CONTRACT, RunConfig
@@ -175,6 +182,74 @@ class TestAnalytic:
         assert out == default_out
 
 
+def _reference_sweep(grid, start, stop, points, quad, modes):
+    """The sweep CSV as csv.writer writes it, each float cell as
+    repr(float(x)), from the same rows and footers the CLI computes."""
+    space = np.geomspace if grid == "log" else np.linspace
+    ks = space(start, stop, points).tolist()
+    rows, footers = [], []
+    for mode in modes:
+        for k in ks:
+            b = ch_value(table_for_mode(k, quad, mode))
+            rows.append([k, mode, b.p_s, b.p_c, b.ch])
+        crossing = ch_zero_crossing(quad, mode=mode, bracket=(start, stop))
+        if crossing is not None:
+            footers.append([crossing, f"{mode}:zero-crossing", "", "", 0.0])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("k", "mode", "p_s", "p_c", "ch"))
+    writer.writerows(
+        [repr(float(cell)) if isinstance(cell, float) else cell for cell in row]
+        for row in rows + footers
+    )
+    return buf.getvalue()
+
+
+sweep_angles = st.one_of(
+    st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2]),
+    st.floats(min_value=-2 * math.pi, max_value=2 * math.pi),
+)
+
+
+class TestSweepBytes:
+    """``analytic`` writes each row as one formatted line; the bytes are those
+    of csv.writer over the same cells."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grid=st.sampled_from(["log", "linear"]),
+        log_start=st.floats(min_value=-4.0, max_value=3.0),
+        log_span=st.floats(min_value=0.01, max_value=6.0),
+        points=st.integers(min_value=2, max_value=30),
+        angles=st.tuples(sweep_angles, sweep_angles, sweep_angles, sweep_angles),
+        modes=st.lists(st.sampled_from(SWEEP_MODES), unique=True, max_size=3),
+        to_file=st.booleans(),
+    )
+    @example("log", -2.0, 4.0, 121, (math.pi / 6, math.pi / 3, 0.0, math.pi / 2),
+             list(SWEEP_MODES), False)
+    @example("linear", 0.0, 1.0, 5, (0.0, math.pi / 2, 0.0, math.pi / 2), [], True)
+    def test_matches_csv_writer(self, grid, log_start, log_span, points, angles, modes, to_file):
+        start, stop = 10.0**log_start, 10.0 ** (log_start + log_span)
+        quad = AngleQuad(*angles)
+        # "--flag=value", so that an angle such as -1e-07 is not read as a flag.
+        argv = [
+            "analytic", f"--grid={grid}", f"--start={start!r}", f"--stop={stop!r}",
+            f"--points={points}", f"--modes={','.join(modes)}",
+            f"--angle-a={quad.a!r}", f"--angle-b={quad.b!r}",
+            f"--angle-a-prime={quad.a_prime!r}", f"--angle-b-prime={quad.b_prime!r}",
+        ]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with TemporaryDirectory() as tmp, contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            path = Path(tmp) / "sweep.csv"
+            code = main(argv + ["--out", str(path)] if to_file else argv)
+            written = path.read_text(encoding="utf-8") if to_file else stdout.getvalue()
+        assert code == 0
+        assert written == _reference_sweep(grid, start, stop, points, quad, modes)
+        assert (stdout.getvalue() == "") == to_file
+        assert ("empty mode set" in stderr.getvalue()) == (not modes)
+
+
 class TestSimulate:
     def test_passing_run(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -212,6 +287,20 @@ class TestSimulate:
                            "--trials", "20000", "--seed", "1")
         assert code == 2
         assert json.loads(out)["passed"] is False
+
+    def test_zero_standard_error_reports_inf(self, capsys):
+        """At k = 1e-9 ten trials detect nothing: each estimate is 0 with no
+        spread, so each z is -inf and the run fails, in strict JSON."""
+        code, out, _ = run(capsys, "simulate", "--k", "1e-9", "--trials", "10", "--seed", "0")
+        assert code == 2
+
+        def reject(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert payload["max_abs_z"] == "inf"
+        assert {row["z"] for row in payload["rows"]} == {"-inf"}
+        assert payload["passed"] is False
 
     def test_bad_k_exits_1(self, capsys):
         code, _, err = run(capsys, "simulate", "--k", "0.0")

@@ -18,6 +18,7 @@ from bellsim.montecarlo import (
     RunConfig,
     _ch_std_error,
     _run_chunk,
+    _z_score,
     compare_to_analytic,
     estimate_table,
 )
@@ -83,6 +84,22 @@ class TestEstimateWithCI:
     def test_degenerate_counts(self):
         assert EstimateWithCI.from_count(0, 50).std_error == 0.0
         assert EstimateWithCI.from_count(50, 50).std_error == 0.0
+
+
+class TestZScore:
+    """A count of 0 or n has no binomial spread: the estimate either equals
+    the expected value or lies infinitely many standard errors from it."""
+
+    @pytest.mark.parametrize("count, expected, z", [
+        (0, 0.0, 0.0),
+        (50, 1.0, 0.0),
+        (0, 1e-9, -math.inf),
+        (50, 0.5, math.inf),
+    ])
+    def test_zero_standard_error(self, count, expected, z):
+        estimate = EstimateWithCI.from_count(count, 50)
+        assert estimate.std_error == 0.0
+        assert _z_score(estimate, expected) == z
 
 
 class TestEstimateTable:

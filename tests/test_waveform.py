@@ -404,6 +404,20 @@ class TestEventStream:
         with pytest.raises(ValueError):
             s.times[0] = 0.0
 
+    @pytest.mark.parametrize("times, kept", [
+        ([3.0, 1.0, 3.0, 2.0, 1.0, 1.0, 0.5], [0.5, 1.0, 2.0, 3.0]),
+        ([2.0, 2.0, 2.0], [2.0]),
+        ([0.0, 0.0, 5.0, 7.0, 7.0], [0.0, 5.0, 7.0]),
+    ])
+    def test_sampled_repeats_are_dropped(self, times, kept):
+        """A sampled time drawn twice keeps one copy, the first after the
+        sort; the stream then strictly increases and cannot be written."""
+        stream = wf._as_stream(np.array(times), 2.0)
+        assert stream.times.tolist() == kept
+        assert np.all(stream.times[1:] > stream.times[:-1])
+        assert not stream.times.flags.writeable
+        assert stream.rate_scale == 2.0
+
     def test_n(self):
         assert EventStream(times=np.array([1.0, 2.0, 5.0]), rate_scale=1.0).n == 3
 
