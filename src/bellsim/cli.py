@@ -471,11 +471,37 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
+_ANGLE_FLAGS = {
+    "--angle-a": "setting A (radians, or e.g. 30deg)",
+    "--angle-b": "setting B",
+    "--angle-a-prime": "setting A'",
+    "--angle-b-prime": "setting B'",
+}
+_DIGITS = frozenset("0123456789.")
+
+
 def _add_angle_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--angle-a", default=None, help="setting A (radians, or e.g. 30deg)")
-    parser.add_argument("--angle-b", default=None, help="setting B")
-    parser.add_argument("--angle-a-prime", default=None, help="setting A'")
-    parser.add_argument("--angle-b-prime", default=None, help="setting B'")
+    for flag, help_text in _ANGLE_FLAGS.items():
+        parser.add_argument(flag, default=None, help=help_text)
+
+
+def _join_negative_angles(argv: Sequence[str]) -> list[str]:
+    """Write ``--angle-a -30deg`` as ``--angle-a=-30deg``.
+
+    argparse reads a token that starts with ``-`` as a value only if it looks
+    like ``-<digits>[.<digits>]``, so ``-30deg``, ``-0.5rad`` and ``-1e-7``
+    after an angle flag would be taken for an option.  A token that starts
+    with ``-`` and then a digit or ``.`` cannot be an option of this CLI, so
+    joining it to the angle flag before it changes nothing else.  Tokens
+    after ``--`` are left alone.
+    """
+    out = list(argv)
+    end = out.index("--") if "--" in out else len(out)
+    # Right to left, so that a join does not shift the tokens still to visit.
+    for i in range(end - 2, -1, -1):
+        if out[i] in _ANGLE_FLAGS and out[i + 1][:1] == "-" and out[i + 1][1:2] in _DIGITS:
+            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -566,7 +592,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_angles(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except (BellsimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

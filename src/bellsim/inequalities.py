@@ -286,6 +286,19 @@ class DiscreteLHVModel:
         object.__setattr__(self, "response_a", ra)
         object.__setattr__(self, "response_b", rb)
 
+    @classmethod
+    def _checked(
+        cls, weights: np.ndarray, response_a: np.ndarray, response_b: np.ndarray
+    ) -> DiscreteLHVModel:
+        """A model from float arrays that already pass every check of
+        ``__post_init__``, which this skips: the caller vouches for the
+        shapes, the range of every entry and the weight sum."""
+        model = object.__new__(cls)
+        object.__setattr__(model, "weights", weights)
+        object.__setattr__(model, "response_a", response_a)
+        object.__setattr__(model, "response_b", response_b)
+        return model
+
     @property
     def n_states(self) -> int:
         return self.weights.size
@@ -408,6 +421,14 @@ def random_discrete_model(
     ``response_b`` row by row: the same stream as three separate calls in
     that order.
 
+    The model is checked once, on that single buffer: one minimum and one
+    maximum over all 5n values and one sum of the normalized weights.  A
+    buffer inside [0, 1] whose weights sum to 1 within the tolerance is
+    accepted as is, since it passes every check of :class:`DiscreteLHVModel`.
+    Anything else (NaN, an infinity, a value outside [0, 1], a sum off by
+    more than the tolerance) falls through to the validating constructor,
+    which raises its own :class:`ModelInvalidError`.
+
     Raises
     ------
     InvalidInputError
@@ -417,11 +438,17 @@ def random_discrete_model(
     draw = rng.random(5 * n)
     weights = draw[:n]  # normalized in place, in the draw buffer
     weights += 1e-12  # keep the sum strictly positive
-    weights /= weights.sum()
+    # np.add.reduce is what ndarray.sum runs, without its Python wrapper.
+    weights /= np.add.reduce(weights)
     # Renormalization can leave the sum one ulp off; nudge the largest weight.
-    weights[weights.argmax()] += 1.0 - weights.sum()
-    return DiscreteLHVModel(
-        weights=weights,
-        response_a=draw[n : 3 * n].reshape(n, 2),
-        response_b=draw[3 * n :].reshape(n, 2),
-    )
+    weights[weights.argmax()] += 1.0 - np.add.reduce(weights)
+    response_a = draw[n : 3 * n].reshape(n, 2)
+    response_b = draw[3 * n :].reshape(n, 2)
+    # min/max propagate NaN, so a NaN or an infinity fails a comparison too.
+    if (
+        0.0 <= float(np.minimum.reduce(draw))
+        and float(np.maximum.reduce(draw)) <= 1.0
+        and abs(float(np.add.reduce(weights)) - 1.0) <= _WEIGHT_TOL
+    ):
+        return DiscreteLHVModel._checked(weights, response_a, response_b)
+    return DiscreteLHVModel(weights=weights, response_a=response_a, response_b=response_b)

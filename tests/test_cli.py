@@ -250,6 +250,50 @@ class TestSweepBytes:
         assert ("empty mode set" in stderr.getvalue()) == (not modes)
 
 
+def _without_runtime(command, out):
+    if command != "simulate":
+        return out
+    payload = json.loads(out)
+    del payload["runtime_seconds"]
+    return payload
+
+
+class TestNegativeAngles:
+    """A negative angle may follow its flag as its own token, even where
+    argparse alone would take it for an option."""
+
+    COMMANDS = {
+        "analytic": ("analytic", "--points", "3", "--modes", "standard"),
+        "simulate": ("simulate", "--k", "1", "--trials", "2000", "--seed", "4"),
+    }
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    @pytest.mark.parametrize(
+        "flag", ["--angle-a", "--angle-b", "--angle-a-prime", "--angle-b-prime"]
+    )
+    @pytest.mark.parametrize("value", ["-30deg", "-0.5rad", "-1e-7", "-.5deg", "-0.25"])
+    def test_separate_token_matches_equals_form(self, capsys, command, flag, value):
+        argv = self.COMMANDS[command]
+        code, out, err = run(capsys, *argv, flag, value)
+        joined_code, joined_out, joined_err = run(capsys, *argv, f"{flag}={value}")
+        assert joined_code in (0, 2) and joined_err == ""
+        # Byte for byte, but for the wall time in the simulate report.
+        assert (code, _without_runtime(command, out), err) == (
+            joined_code, _without_runtime(command, joined_out), joined_err
+        )
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_flag_without_value_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--angle-a", "--angle-b", "1")
+        assert (code, out) == (1, "")
+        assert err.endswith("argument --angle-a: expected one argument\n")
+
+    def test_values_after_double_dash_are_not_joined(self, capsys):
+        code, out, err = run(capsys, *self.COMMANDS["analytic"], "--", "--angle-a", "-30deg")
+        assert (code, out) == (1, "")
+        assert err.endswith("unrecognized arguments: -- --angle-a -30deg\n")
+
+
 class TestSimulate:
     def test_passing_run(self, capsys, tmp_path):
         out = tmp_path / "report.json"
@@ -424,7 +468,7 @@ class TestLhvCheck:
         assert out.splitlines()[1] == line
         assert out.splitlines()[-1] == "result=PASS"
 
-    @pytest.mark.parametrize("seed, max_states", [(0, 64), (1, 4), (2, 1)])
+    @pytest.mark.parametrize("seed, max_states", [(0, 64), (1, 4), (2, 1), (3, 1000)])
     def test_matches_exact_loop(self, capsys, seed, max_states):
         """The block screen reports what exact evaluation of every model does
         (first index wins ties), across block boundaries."""

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bellsim import inequalities
 from bellsim.errors import InvalidInputError, ModelInvalidError
 from bellsim.inequalities import (
     DEFAULT_QUAD,
@@ -372,6 +373,135 @@ class TestRandomDiscreteModel:
                 assert m.response_b.tobytes() == old.random((n, 2)).tobytes()
             # Philox's state holds small arrays, which repr prints whole.
             assert repr(new.bit_generator.state) == repr(old.bit_generator.state)
+
+
+class _StubRng:
+    """Stands in for a Generator: ``integers`` gives n = len(draw) // 5 and
+    ``random`` gives ``draw`` itself, which random_discrete_model then
+    normalizes in place."""
+
+    def __init__(self, draw):
+        self.draw = np.array(draw, dtype=float)
+
+    def integers(self, low, high):
+        return self.draw.size // 5
+
+    def random(self, size):
+        assert size == self.draw.size
+        return self.draw
+
+
+def _outcome(build):
+    """The arrays of the model ``build()`` returns, or its error's class and
+    message."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            model = build()
+    except ModelInvalidError as exc:
+        return type(exc), str(exc)
+    return tuple(
+        (a.dtype, a.shape, a.tobytes())
+        for a in (model.weights, model.response_a, model.response_b)
+    )
+
+
+def _draw_and_reference(draw):
+    """random_discrete_model's outcome on ``draw``, and the validating
+    constructor's on the arrays it normalized."""
+    rng = _StubRng(draw)
+    got = _outcome(lambda: random_discrete_model(rng, max_states=rng.draw.size // 5))
+    buf, n = rng.draw, rng.draw.size // 5
+    want = _outcome(lambda: DiscreteLHVModel(
+        weights=buf[:n], response_a=buf[n : 3 * n].reshape(n, 2),
+        response_b=buf[3 * n :].reshape(n, 2),
+    ))
+    return got, want
+
+
+def _constructor_ran(self):
+    raise AssertionError("the validating constructor ran")
+
+
+# Two states: weights, then response_a and response_b row by row.
+_VALID_DRAW = [0.5, 0.25, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8]
+
+
+class TestRandomModelCheck:
+    """random_discrete_model accepts a draw only where the constructor
+    would, and leaves every rejection to the constructor."""
+
+    @pytest.mark.parametrize("position", [
+        0,  # a weight
+        2, 3,  # response_a columns 0 and 1
+        6, 7,  # response_b columns 0 and 1
+    ])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1, 1.5])
+    def test_bad_value_gets_the_constructor_error(self, position, bad):
+        draw = list(_VALID_DRAW)
+        draw[position] = bad
+        got, want = _draw_and_reference(draw)
+        assert got == want
+        if position == 0 and bad == 1.5:
+            # Normalization maps the weights [1.5, 0.25] into range.
+            assert want[0] is not ModelInvalidError
+        else:
+            assert want[0] is ModelInvalidError
+
+    def test_weight_sum_overflow(self):
+        """The weights' sum overflows to inf, so normalizing gives [1, 0]:
+        both paths accept that model."""
+        got, want = _draw_and_reference([1e308, 1e308] + _VALID_DRAW[2:])
+        assert got == want
+        assert np.frombuffer(got[0][2]).tolist() == [1.0, 0.0]
+
+    @pytest.mark.parametrize("draw, negative_zero", [
+        # Responses of exactly 1.0 and 0.0.
+        ([0.5, 0.25, 1.0, 0.0, 0.3, 1.0, 0.5, 0.6, 0.7, 1.0], [False, False]),
+        # An overflowing sum turns the weight -1.0 into -0.0.
+        ([1e308, 1e308, -1.0] + [0.5] * 12, [False, False, True]),
+    ])
+    def test_edges_of_the_range_take_the_fast_path(self, monkeypatch, draw, negative_zero):
+        got, want = _draw_and_reference(draw)
+        assert got == want and want[0] is not ModelInvalidError
+        monkeypatch.setattr(DiscreteLHVModel, "__post_init__", _constructor_ran)
+        with np.errstate(over="ignore"):
+            model = random_discrete_model(_StubRng(draw), max_states=len(draw) // 5)
+        assert np.signbit(model.weights).tolist() == negative_zero
+
+    def test_weight_sum_tolerance_is_the_constructors(self, monkeypatch):
+        """At a tolerance of 0, weights one ulp off 1 get the constructor's
+        error, and weights that sum to exactly 1 still take the fast path."""
+        monkeypatch.setattr(inequalities, "_WEIGHT_TOL", 0.0)
+        got, want = _draw_and_reference([0.96, 0.16] + _VALID_DRAW[2:])
+        assert got == want == (
+            ModelInvalidError, "weights must sum to 1 within 0.0, got 0.9999999999999999"
+        )
+        monkeypatch.setattr(DiscreteLHVModel, "__post_init__", _constructor_ran)
+        model = random_discrete_model(_StubRng(_VALID_DRAW), max_states=2)
+        assert float(np.add.reduce(model.weights)) == 1.0
+
+    def test_seeded_draws_take_the_fast_path(self, monkeypatch):
+        monkeypatch.setattr(DiscreteLHVModel, "__post_init__", _constructor_ran)
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(19)))
+        for max_states in (1, 2, 64, 1000):
+            for _ in range(50):
+                random_discrete_model(rng, max_states=max_states)
+
+    @pytest.mark.parametrize("max_states", [1, 2, 64, 1000])
+    def test_matches_validating_constructor(self, max_states):
+        for seed in range(200):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+            model = random_discrete_model(rng, max_states=max_states)
+            ref = DiscreteLHVModel(
+                weights=model.weights, response_a=model.response_a,
+                response_b=model.response_b,
+            )
+            for name in ("weights", "response_a", "response_b"):
+                got, want = getattr(model, name), getattr(ref, name)
+                assert (got.dtype, got.shape) == (want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            assert model.n_states == ref.n_states
+            assert eval_discrete_lhv(model) == eval_discrete_lhv(ref)
 
 
 class TestBatchedCH:
