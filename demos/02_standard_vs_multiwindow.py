@@ -8,13 +8,8 @@ negative for strong response (k above roughly 1) -- an apparent Bell
 violation produced by a completely local model.
 """
 
-import numpy as np
-
 from bellsim import (
-    ch_multiwindow,
-    ch_multiwindow_two_term,
-    ch_standard,
-    ch_union,
+    ch_curve_value,
     ch_zero_crossing,
     multiwindow_table,
     small_k_expansion,
@@ -25,9 +20,12 @@ print(f"{'k':>8} | {'standard':>10} | {'split-window':>12} | "
       f"{'two-term':>10} | {'union':>10}")
 print("-" * 62)
 for k in (0.03, 0.1, 0.3, 1.0, 1.036, 2.0, 4.0, 10.0, 40.0):
-    print(f"{k:>8.3f} | {ch_standard(k).ch:>+10.5f} | "
-          f"{ch_multiwindow(k).ch:>+12.5f} | "
-          f"{ch_multiwindow_two_term(k):>+10.5f} | {ch_union(k).ch:>+10.5f}")
+    standard = ch_curve_value(k, mode="standard")
+    split = ch_curve_value(k, mode="multiwindow-exact")
+    two_term = ch_curve_value(k, mode="multiwindow-two-term")
+    union = ch_curve_value(k, mode="multiwindow-union")
+    print(f"{k:>8.3f} | {standard:>+10.5f} | {split:>+12.5f} | "
+          f"{two_term:>+10.5f} | {union:>+10.5f}")
 
 print()
 print("standard: one window per trial -- positive everywhere (no anomaly).")

@@ -33,10 +33,6 @@ from .analytic import (
     QSet,
     SmallKReport,
     ch_curve_value,
-    ch_multiwindow,
-    ch_multiwindow_two_term,
-    ch_standard,
-    ch_union,
     ch_zero_crossing,
     multiwindow_table,
     q_joint,
@@ -149,11 +145,7 @@ __all__ = [
     "__version__",
     "batched_ch",
     "ch_curve_value",
-    "ch_multiwindow",
-    "ch_multiwindow_two_term",
-    "ch_standard",
     "ch_to_chsh",
-    "ch_union",
     "ch_value",
     "ch_zero_crossing",
     "chsh_value",

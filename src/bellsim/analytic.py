@@ -17,7 +17,7 @@ Q_XY).  For the split-window scheme three laws are provided:
 * ``multiwindow-paper``: the published fourth-power variant
   ``P_XY = 1 - [Q_X + Q_Y - Q_XY]^4``, which substitutes the same-half
   quantity ``Q_X + Q_Y - Q_XY`` for the cross-channel factor as well.
-* the two-term curve :func:`ch_multiwindow_two_term`,
+* the ``"multiwindow-two-term"`` mode of :func:`ch_curve_value`,
   ``2 [Q_A + Q_B' - Q_AB']^4 - 2 Q_A^2``: the published end formula, which
   additionally drops the AB and A'B' coincidence terms as if they cancelled
   (they do not; the difference is part of the reported spread).
@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive, _real
-from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
+from .inequalities import DEFAULT_QUAD, AngleQuad, ProbabilityTable, ch_value
 
 __all__ = [
     "CH_CURVE_MODES",
@@ -52,10 +52,6 @@ __all__ = [
     "QSet",
     "SmallKReport",
     "ch_curve_value",
-    "ch_multiwindow",
-    "ch_multiwindow_two_term",
-    "ch_standard",
-    "ch_union",
     "ch_zero_crossing",
     "multiwindow_table",
     "q_joint",
@@ -223,32 +219,6 @@ def multiwindow_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTa
 def union_coincidence_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
     """Split-window table for the plain Boolean coincidence."""
     return table_for_mode(k, quad, "multiwindow-union")
-
-
-def ch_standard(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
-    """Single-window CH; strictly positive for every k > 0 at the default quad."""
-    return ch_value(standard_table(k, quad))
-
-
-def ch_multiwindow(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
-    """Split-window CH under the exact pairing-channel law."""
-    return ch_value(multiwindow_table(k, quad))
-
-
-def ch_union(k: float, quad: AngleQuad = DEFAULT_QUAD) -> CHBreakdown:
-    """CH of the Boolean-union coincidence law (never negative)."""
-    return ch_value(union_coincidence_table(k, quad))
-
-
-def ch_multiwindow_two_term(k: float, quad: AngleQuad = DEFAULT_QUAD) -> float:
-    """The published end formula 2*[Q_A + Q_B' - Q_AB']^4 - 2*Q_A^2.
-
-    Keeps only the AB' (and by symmetry A'B) coincidence term, treating the
-    AB and A'B' fourth powers as equal and cancelling.  At the default quad
-    they are not equal, so this curve differs from the full paper-law table;
-    both are exposed on purpose.
-    """
-    return ch_curve_value(k, quad, "multiwindow-two-term")
 
 
 def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiwindow-exact") -> float:

@@ -319,8 +319,6 @@ def _parse_wave(args: argparse.Namespace) -> Waveform:
         raise _ConfigError(
             f"cannot parse --wave {args.wave!r}; expected comma-separated numbers"
         ) from None
-    if not coeffs:
-        raise _ConfigError("--wave needs at least one coefficient")
     return Waveform.from_coefficients(coeffs, omega=args.omega, amplitude=args.amplitude)
 
 
@@ -492,15 +490,19 @@ def _join_negative_angles(argv: Sequence[str]) -> list[str]:
     like ``-<digits>[.<digits>]``, so ``-30deg``, ``-0.5rad`` and ``-1e-7``
     after an angle flag would be taken for an option.  A token that starts
     with ``-`` and then a digit or ``.`` cannot be an option of this CLI, so
-    joining it to the angle flag before it changes nothing else.  Tokens
+    joining it to the angle flag before it changes nothing else.  The flag
+    may be abbreviated, as argparse allows, to a prefix of exactly one of the
+    four; ``--angle-a`` is itself, not short for ``--angle-a-prime``.  Tokens
     after ``--`` are left alone.
     """
     out = list(argv)
     end = out.index("--") if "--" in out else len(out)
     # Right to left, so that a join does not shift the tokens still to visit.
     for i in range(end - 2, -1, -1):
-        if out[i] in _ANGLE_FLAGS and out[i + 1][:1] == "-" and out[i + 1][1:2] in _DIGITS:
-            out[i : i + 2] = [f"{out[i]}={out[i + 1]}"]
+        flag, value = out[i], out[i + 1]
+        named = flag in _ANGLE_FLAGS or sum(name.startswith(flag) for name in _ANGLE_FLAGS) == 1
+        if named and value[:1] == "-" and value[1:2] in _DIGITS:
+            out[i : i + 2] = [f"{flag}={value}"]
     return out
 
 

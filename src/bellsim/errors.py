@@ -113,6 +113,14 @@ def _count(name: str, value: object, minimum: int = 1) -> int:
     return operator.index(value)
 
 
+def _sequence(name: str, value: object) -> list:
+    """``value`` as a list, for an argument that must be iterable."""
+    try:
+        return list(value)
+    except TypeError:
+        raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
+
+
 def _member(name: str, value: object, choices: tuple) -> object:
     """``value``, for an argument that must be one of ``choices``."""
     if value not in choices:

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import _bisect
-from .errors import InvalidInputError, _count, _interval, _positive, _real
+from .errors import InvalidInputError, _count, _interval, _positive, _real, _sequence
 
 __all__ = [
     "DelayStatistics",
@@ -713,15 +713,13 @@ def windowed_coincidence_counts(
 ) -> list[int]:
     """:func:`windowed_coincidences` at each width of ``windows``, in order,
     from the pair's one neighbour search."""
-    for window in windows:
-        _positive("window", window)
+    halves = [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
+    counts = [0] * len(halves)
     a = stream_a.times
     if a.size == 0 or stream_b.n == 0:
-        return [0] * len(windows)
+        return counts
     # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
     # window exactly when the nearest one on either side does.
-    halves = [0.5 * window for window in windows]
-    counts = [0] * len(halves)
     for block, after, before in _neighbour_blocks(stream_a, stream_b):
         x = a[block]
         for j, half in enumerate(halves):

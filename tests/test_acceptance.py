@@ -16,13 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from bellsim.analytic import (
-    ch_multiwindow,
-    ch_multiwindow_two_term,
-    ch_standard,
-    ch_zero_crossing,
-    small_k_expansion,
-)
+from bellsim.analytic import ch_curve_value, ch_zero_crossing, small_k_expansion
 from bellsim.detector import HalfWindowParams, gain
 from bellsim.inequalities import (
     ch_to_chsh,
@@ -60,7 +54,7 @@ def test_a1_standard_analysis_stays_positive():
     """Single-window CH is positive over six decades of detector response."""
     t0 = time.perf_counter()
     ks = np.geomspace(1e-3, 1e3, 200)
-    values = [ch_standard(float(k)).ch for k in ks]
+    values = [ch_curve_value(float(k), mode="standard") for k in ks]
     elapsed = time.perf_counter() - t0
     ok = all(v > 0.0 for v in values) and elapsed < 1.0
     line = report(
@@ -76,8 +70,8 @@ def test_a2_multiwindow_sign_flip_analytic_and_monte_carlo():
     """Split-window CH: +0.273 at k = 0.1, -0.031 at k = 4 (1e-9 analytic),
     and a 10^6-trial simulation within 5 sigma of both tables."""
     t0 = time.perf_counter()
-    v01 = ch_multiwindow(0.1).ch
-    v4 = ch_multiwindow(4.0).ch
+    v01 = ch_curve_value(0.1, mode="multiwindow-exact")
+    v4 = ch_curve_value(4.0, mode="multiwindow-exact")
     analytic_ok = (
         abs(v01 - CH_MULTIWINDOW_K01) <= 1e-9 and abs(v4 - CH_MULTIWINDOW_K4) <= 1e-9
     )
@@ -117,7 +111,9 @@ def test_a4_published_end_formula_asymptotics():
     slope = small_k_expansion(mode="multiwindow-two-term").slope
     slope_ok = abs(slope - 4.0) <= 0.01
 
-    tail = [ch_multiwindow_two_term(float(k)) for k in np.geomspace(4.0, 1e3, 50)]
+    tail = [
+        ch_curve_value(float(k), mode="multiwindow-two-term") for k in np.geomspace(4.0, 1e3, 50)
+    ]
     negative_ok = all(v < 0.0 for v in tail)
     decay_ok = abs(tail[-1]) < 1e-8 and abs(tail[-1]) < abs(tail[0])
     elapsed = time.perf_counter() - t0

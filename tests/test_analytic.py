@@ -21,10 +21,6 @@ from bellsim.analytic import (
     SWEEP_MODES,
     SmallKReport,
     ch_curve_value,
-    ch_multiwindow,
-    ch_multiwindow_two_term,
-    ch_standard,
-    ch_union,
     ch_zero_crossing,
     multiwindow_table,
     q_joint,
@@ -142,22 +138,22 @@ class TestStandardTable:
         """At the default settings Q_A = Q_B = Q_AB'... collapses CH to
         2*Q_AB' - 2*Q_A... i.e. the standard curve equals 2Q_A - 2Q_AB'."""
         for k in (0.1, 0.7, 4.0, 25.0):
-            b = ch_standard(k)
+            ch = ch_curve_value(k, mode="standard")
             q_a = q_single(k, DEFAULT_QUAD.a)
             q_ab_prime = q_joint(k, DEFAULT_QUAD.a, DEFAULT_QUAD.b_prime)
-            assert b.ch == pytest.approx(2 * q_a - 2 * q_ab_prime, abs=1e-12)
+            assert ch == pytest.approx(2 * q_a - 2 * q_ab_prime, abs=1e-12)
 
     def test_frozen_values(self):
-        assert ch_standard(0.1).ch == pytest.approx(CH_STANDARD_K01, abs=1e-15)
-        assert ch_standard(4.0).ch == pytest.approx(CH_STANDARD_K4, abs=1e-15)
+        assert ch_curve_value(0.1, mode="standard") == pytest.approx(CH_STANDARD_K01, abs=1e-15)
+        assert ch_curve_value(4.0, mode="standard") == pytest.approx(CH_STANDARD_K4, abs=1e-15)
 
     def test_always_positive(self):
         for k in np.geomspace(1e-3, 1e3, 200):
-            assert ch_standard(float(k)).ch > 0.0
+            assert ch_curve_value(float(k), mode="standard") > 0.0
 
     def test_matches_generic_functional(self):
         t = standard_table(2.0)
-        assert ch_standard(2.0).ch == pytest.approx(ch_value(t).ch, abs=1e-15)
+        assert ch_curve_value(2.0, mode="standard") == pytest.approx(ch_value(t).ch, abs=1e-15)
 
 
 class TestMultiwindowTable:
@@ -173,11 +169,11 @@ class TestMultiwindowTable:
         assert t.p_a_prime_b_prime == pytest.approx(0.98320384, abs=1e-12)
 
     def test_frozen_ch_values(self):
-        assert ch_multiwindow(0.1).ch == pytest.approx(CH_MULTIWINDOW_K01, abs=1e-9)
-        assert ch_multiwindow(4.0).ch == pytest.approx(CH_MULTIWINDOW_K4, abs=1e-9)
+        for k, frozen in ((0.1, CH_MULTIWINDOW_K01), (4.0, CH_MULTIWINDOW_K4)):
+            assert ch_curve_value(k, mode="multiwindow-exact") == pytest.approx(frozen, abs=1e-9)
 
     def test_exact_vs_paper_variant_differ(self):
-        exact = ch_multiwindow(4.0).ch
+        exact = ch_curve_value(4.0, mode="multiwindow-exact")
         paper = ch_curve_value(4.0, mode="multiwindow-paper")
         assert exact == pytest.approx(CH_MULTIWINDOW_K4, abs=1e-12)
         assert paper == pytest.approx(CH_PAPER_FULL_K4, abs=1e-12)
@@ -192,19 +188,16 @@ class TestMultiwindowTable:
 
     def test_sign_pattern(self):
         for k in np.geomspace(1e-3, 0.3, 40):
-            assert ch_multiwindow(float(k)).ch > 0.0, k
+            assert ch_curve_value(float(k), mode="multiwindow-exact") > 0.0, k
         for k in np.geomspace(2.0, 50.0, 40):
-            assert ch_multiwindow(float(k)).ch < 0.0, k
-
-    def test_two_term_shortcut_frozen(self):
-        assert ch_multiwindow_two_term(4.0) == pytest.approx(CH_TWO_TERM_K4, abs=1e-12)
+            assert ch_curve_value(float(k), mode="multiwindow-exact") < 0.0, k
 
     def test_two_term_shortcut_formula(self):
         # 2*(Q_A + Q_B' - Q_AB')^4 - 2*Q_A^2 from the same Q values.
         k = 2.3
         qs = qset(k, DEFAULT_QUAD)
         expected = 2 * (qs.q_a + qs.q_b_prime - qs.q_ab_prime) ** 4 - 2 * qs.q_a**2
-        assert ch_multiwindow_two_term(k) == pytest.approx(expected, abs=1e-15)
+        assert ch_curve_value(k, mode="multiwindow-two-term") == pytest.approx(expected, abs=1e-15)
 
 
 class TestUnionTable:
@@ -216,12 +209,13 @@ class TestUnionTable:
         assert t.p_a_prime_b_prime == pytest.approx(0.921600, abs=5e-7)
 
     def test_union_ch_frozen(self):
-        assert ch_union(4.0).ch == pytest.approx(CH_UNION_K4, abs=1e-12)
+        table = table_for_mode(4.0, mode="multiwindow-union")
+        assert ch_value(table).ch == pytest.approx(CH_UNION_K4, abs=1e-12)
 
     def test_union_never_violates(self):
         """Union counting is dead-time safe: its CH stays non-negative."""
         for k in np.geomspace(1e-3, 1e3, 120):
-            assert ch_union(float(k)).ch >= 0.0
+            assert ch_curve_value(float(k), mode="multiwindow-union") >= 0.0
 
     def test_union_joint_below_marginal(self):
         t = union_coincidence_table(4.0)
@@ -450,7 +444,7 @@ class TestDomain:
         """k*k overflows from ~1.3e154 on; the on-axis Q must not turn NaN."""
         assert q_single(1e200, 0.0) == pytest.approx(1e-200, rel=1e-15)
         assert q_joint(1e200, 0.0, 0.0) == pytest.approx(5e-201, rel=1e-15)
-        ch = ch_standard(1e200).ch
+        ch = ch_curve_value(1e200, mode="standard")
         assert math.isfinite(ch) and ch >= 0.0
 
     @settings(max_examples=300, deadline=None)
@@ -469,7 +463,7 @@ class TestDomain:
 
     def test_large_k_limit(self):
         """CH approaches zero from below as the response constant grows."""
-        values = [ch_multiwindow(float(k)).ch for k in (1e2, 1e3, 1e4)]
+        values = [ch_curve_value(float(k), mode="multiwindow-exact") for k in (1e2, 1e3, 1e4)]
         assert all(v < 0.0 for v in values)
         assert all(abs(a) > abs(b) for a, b in zip(values, values[1:]))
         assert abs(values[-1]) < 1e-3

@@ -19,7 +19,6 @@ import pytest
 from bellsim import errors
 from bellsim.analytic import (
     ch_curve_value,
-    ch_standard,
     ch_zero_crossing,
     q_joint,
     q_single,
@@ -88,7 +87,7 @@ CALLS = {
     "q_single-k-none": lambda: q_single(None, 0.0),
     "q_joint-k-str": lambda: q_joint("1", 0.0, 0.1),
     "qset-k-str": lambda: qset("1"),
-    "ch_standard-k-none": lambda: ch_standard(None),
+    "ch_curve_value-k-none": lambda: ch_curve_value(None, mode="standard"),
     "table_for_mode-mode-none": lambda: table_for_mode(1.0, mode=None),
     "table_for_mode-mode-list": lambda: table_for_mode(1.0, mode=["standard"]),
     "ch_curve_value-mode-none": lambda: ch_curve_value(1.0, mode=None),
@@ -175,6 +174,12 @@ CALLS = {
         lambda: windowed_coincidences(stream(), stream(), np.complex128(1 + 0j)),
     "windowed_coincidence_counts-none":
         lambda: windowed_coincidence_counts(stream(), stream(), [0.5, None]),
+    "windowed_coincidence_counts-windows-float":
+        lambda: windowed_coincidence_counts(stream(), stream(), 0.5),
+    "windowed_coincidence_counts-windows-none":
+        lambda: windowed_coincidence_counts(stream(), stream(), None),
+    "windowed_coincidence_counts-windows-float64":
+        lambda: windowed_coincidence_counts(stream(), stream(), np.float64(0.5)),
 }
 
 
@@ -194,6 +199,7 @@ PHRASES = {
     "must be an instance of": lambda: errors._instance("x", None, AngleQuad),
     "must be finite with": lambda: errors._interval("x", (1.0,)),
     "must be finite and >= 0": lambda: errors._nonnegative_array("x", [-1.0]),
+    "must be a sequence": lambda: errors._sequence("x", 0.5),
 }
 
 

@@ -269,7 +269,12 @@ class TestNegativeAngles:
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     @pytest.mark.parametrize(
-        "flag", ["--angle-a", "--angle-b", "--angle-a-prime", "--angle-b-prime"]
+        "flag",
+        [
+            "--angle-a", "--angle-b", "--angle-a-prime", "--angle-b-prime",
+            # Abbreviations argparse takes for exactly one flag.
+            "--angle-a-p", "--angle-b-pr", "--angle-a-",
+        ],
     )
     @pytest.mark.parametrize("value", ["-30deg", "-0.5rad", "-1e-7", "-.5deg", "-0.25"])
     def test_separate_token_matches_equals_form(self, capsys, command, flag, value):
@@ -287,6 +292,12 @@ class TestNegativeAngles:
         code, out, err = run(capsys, *self.COMMANDS[command], "--angle-a", "--angle-b", "1")
         assert (code, out) == (1, "")
         assert err.endswith("argument --angle-a: expected one argument\n")
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_ambiguous_abbreviation_is_a_usage_error(self, capsys, command):
+        code, out, err = run(capsys, *self.COMMANDS[command], "--angle-", "-30deg")
+        assert (code, out) == (1, "")
+        assert "ambiguous option: --angle- could match" in err
 
     def test_values_after_double_dash_are_not_joined(self, capsys):
         code, out, err = run(capsys, *self.COMMANDS["analytic"], "--", "--angle-a", "-30deg")
@@ -404,6 +415,7 @@ class TestWaveform:
     def test_bad_wave_exits_1(self, capsys):
         code, _, err = run(capsys, "waveform", "stats", "--wave", "")
         assert code == 1
+        assert err == "error: cannot parse --wave ''; expected comma-separated numbers\n"
 
     def test_bad_span_exits_1(self, capsys):
         code, _, err = run(capsys, "waveform", "delays", "--span", "-5")
