@@ -130,15 +130,19 @@ def _member(name: str, value: object, choices: tuple) -> object:
 
 def _interval(name: str, value: object, positive: bool = False) -> tuple[float, float]:
     """``value`` as floats (lo, hi), for finite numbers lo < hi (0 < lo < hi
-    with ``positive``)."""
+    with ``positive``) whose width hi - lo is finite too."""
     try:
         lo, hi = value
         if (not positive or lo > 0.0) and lo < hi and math.isfinite(lo) and math.isfinite(hi):
-            return float(lo), float(hi)
+            lo, hi = float(lo), float(hi)
+            if math.isfinite(hi - lo):
+                return lo, hi
     except (TypeError, ValueError):
         pass
     bound = "0 < " if positive else ""
-    raise InvalidInputError(f"{name} must be finite with {bound}lo < hi, got {value!r}")
+    raise InvalidInputError(
+        f"{name} must be finite with {bound}lo < hi and a finite width hi - lo, got {value!r}"
+    )
 
 
 def _nonnegative_array(name: str, values: object) -> np.ndarray:

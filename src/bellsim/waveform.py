@@ -334,16 +334,17 @@ class EventStream:
 
     The stream owns a read-only copy of ``times``, so the caller's array
     stays writable and a later write to it does not reach the stream.  It
-    also keeps its last neighbour search against a second stream, which the
-    delay and window scans of the same pair share.
+    also keeps its sorted nearest-neighbour gaps in the last second stream
+    it was scanned against, which the delay median and every window scan of
+    that pair read.
     """
 
     times: np.ndarray
     rate_scale: float
 
-    #: (weak reference to the B-stream, ``searchsorted(b.times, times)``),
+    #: (weak reference to the B-stream, :func:`_sorted_gaps` of the pair),
     #: read once and replaced whole; not a field.
-    _last_search = None
+    _last_gaps = None
 
     def __post_init__(self) -> None:
         self._own(np.array(self.times, dtype=float), self.rate_scale)
@@ -369,7 +370,7 @@ class EventStream:
 
     def __reduce__(self):
         # Copies and pickles go through the constructor: they own their
-        # times and start with no search (a weak reference cannot be pickled).
+        # times and start with no gaps (a weak reference cannot be pickled).
         return type(self), (self.times, self.rate_scale)
 
     @property
@@ -616,75 +617,113 @@ class DelayStatistics:
         """Histogram and median of precomputed delays.
 
         Without ``histogram_range`` the bins span +-max|delay| (+-1 when that
-        is 0 or there are no delays).  A given range must be finite with
-        lo < hi.
+        is 0 or there are no delays).  The range, given or not, must be
+        finite with lo < hi and a finite width, so a delay beyond the float
+        range, or one beyond half of it, needs a given range.  A NaN delay
+        is rejected.
         """
+        gaps = np.sort(np.abs(delays))
+        if gaps.size and np.isnan(gaps[-1]):  # the sort puts NaN last
+            raise InvalidInputError("delays must not be NaN")
+        return cls._from_gaps(delays, gaps, bins, histogram_range)
+
+    @classmethod
+    def _from_gaps(
+        cls,
+        delays: np.ndarray,
+        gaps: np.ndarray,
+        bins: int,
+        histogram_range: tuple[float, float] | None,
+    ) -> "DelayStatistics":
+        """:meth:`from_delays`, with ``gaps`` the sorted |delays|.  The
+        median is the middle gap, or for even n the mean of the middle two,
+        which is ``np.median``'s value bit for bit; max|delay| is the last."""
         bins = _count("bins", bins)
-        if histogram_range is not None:
-            histogram_range = _interval("histogram_range", histogram_range)
-        magnitudes = np.abs(delays)
         if histogram_range is None:
-            limit = float(np.max(magnitudes, initial=0.0)) or 1.0
-            histogram_range = (-limit, limit)
+            limit = (float(gaps[-1]) if gaps.size else 0.0) or 1.0
+            histogram_range = _interval("default histogram_range +-max|delay|", (-limit, limit))
+        else:
+            histogram_range = _interval("histogram_range", histogram_range)
         counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
-        # The median may reorder its own temporary instead of copying it.
-        median = float(np.median(magnitudes, overwrite_input=True)) if delays.size else None
+        n = gaps.size
+        median = float(np.mean(gaps[(n - 1) // 2 : n // 2 + 1])) if n else None
         return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=counts)
-
-
-def _search(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
-    """``np.searchsorted(b.times, a.times)``: for each A-event, the index of
-    the first B-event at or after it.
-
-    The index is kept on ``stream_a`` for the next call with the same
-    ``stream_b``, so the delay scan and every window scan of one pair share
-    one search (stream times cannot change).  The memo is one tuple, read
-    once and replaced whole, so a thread never pairs one stream's key with
-    another's index; it holds B by weak reference, so it keeps no stream
-    alive, and a dead reference matches no stream.
-    """
-    memo = stream_a._last_search
-    if memo is not None and memo[0]() is stream_b:
-        return memo[1]
-    idx = np.searchsorted(stream_b.times, stream_a.times)
-    idx.setflags(write=False)
-    object.__setattr__(stream_a, "_last_search", (weakref.ref(stream_b), idx))
-    return idx
 
 
 #: A-events per block of the neighbour scans, which keeps their temporaries small.
 _SCAN_BLOCK = 1 << 16
 
 
-def _neighbour_blocks(stream_a: EventStream, stream_b: EventStream):
+def _neighbour_blocks(stream_a: EventStream, stream_b: EventStream, pad: float = np.inf):
     """For each block of A-events: its slice, then for each event the first
-    B-event at or after it and the last B-event before it.  A missing
-    neighbour reads as +inf after the last B-event and -inf before the first.
+    B-event at or after it and the last B-event before it, from one
+    ``np.searchsorted(b.times, a.times)``.  A missing neighbour reads as
+    +pad after the last B-event and -pad before the first.
+
+    Every call searches anew.  A pair keeps its sorted gaps
+    (:func:`_sorted_gaps`), not the search, so a delay scan after a window
+    scan of the same pair costs a second search.
     """
-    idx = _search(stream_a, stream_b)
-    padded = np.concatenate(([-np.inf], stream_b.times, [np.inf]))
+    idx = np.searchsorted(stream_b.times, stream_a.times)
+    padded = np.concatenate(([-pad], stream_b.times, [pad]))
     for start in range(0, idx.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
         i = idx[block]
         yield block, padded[1:][i], padded[i]
 
 
+def _sorted_gaps(
+    stream_a: EventStream, stream_b: EventStream, delays: np.ndarray | None = None
+) -> np.ndarray:
+    """The pair's nearest-neighbour gaps, sorted: for each A-event x,
+    g = min(fl(after - x), fl(x - before)), which is |nearest delay|.  A
+    missing neighbour, and a gap beyond the float range, count as +inf.
+
+    Built from ``abs(delays)`` when they are given, else from a neighbour
+    search.  The gaps are kept on ``stream_a`` for the next call with the
+    same ``stream_b`` (stream times cannot change), in place of the search:
+    they take the same 8 bytes an event, and a delay scan after a window
+    scan searches again.  The memo is one tuple, read once and replaced
+    whole, so a thread never pairs one stream's key with another's gaps; it
+    holds B by weak reference, so it keeps no stream alive, and a dead
+    reference matches no stream.
+    """
+    memo = stream_a._last_gaps
+    if memo is not None and memo[0]() is stream_b:
+        return memo[1]
+    if delays is None:
+        a = stream_a.times
+        gaps = np.empty(a.size)
+        with np.errstate(over="ignore"):
+            for block, after, before in _neighbour_blocks(stream_a, stream_b):
+                x = a[block]
+                np.minimum(after - x, x - before, out=gaps[block])
+    else:
+        gaps = np.abs(delays)
+    gaps.sort()
+    gaps.setflags(write=False)
+    object.__setattr__(stream_a, "_last_gaps", (weakref.ref(stream_b), gaps))
+    return gaps
+
+
 def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
     """Signed delay from each Alice event to its nearest Bob event.
 
-    The later neighbour wins a tie.
+    The later neighbour wins a tie.  A delay beyond the float range reads
+    as +-inf.
     """
     a = stream_a.times
     if a.size == 0 or stream_b.n == 0:
         return np.empty(0)
     delays = np.empty(a.size)
-    for block, after, before in _neighbour_blocks(stream_a, stream_b):
-        x = a[block]
-        # after - x >= 0 is its own magnitude, and x - before is bit-equal
-        # to |before - x|: a rounded difference only changes sign when its
-        # operands swap.
-        d_after, d_before = after - x, x - before
-        delays[block] = np.where(d_after <= d_before, d_after, -d_before)
+    with np.errstate(over="ignore"):
+        for block, after, before in _neighbour_blocks(stream_a, stream_b):
+            x = a[block]
+            # after - x >= 0 is its own magnitude, and x - before is bit-equal
+            # to |before - x|: a rounded difference only changes sign when its
+            # operands swap.
+            d_after, d_before = after - x, x - before
+            delays[block] = np.where(d_after <= d_before, d_after, -d_before)
     return delays
 
 
@@ -694,8 +733,15 @@ def delay_statistics(
     bins: int = 64,
     histogram_range: tuple[float, float] | None = None,
 ) -> DelayStatistics:
-    """Histogram and median of nearest-neighbor delays from A-events to B-events."""
-    return DelayStatistics.from_delays(nearest_delays(stream_a, stream_b), bins, histogram_range)
+    """Histogram and median of nearest-neighbor delays from A-events to B-events.
+
+    The median and the default range are read from the pair's sorted gaps
+    (:func:`_sorted_gaps`), built here from the delays unless the pair
+    already has them, and kept for its window scans.
+    """
+    delays = nearest_delays(stream_a, stream_b)
+    gaps = _sorted_gaps(stream_a, stream_b, delays) if delays.size else delays
+    return DelayStatistics._from_gaps(delays, gaps, bins, histogram_range)
 
 
 def windowed_coincidences(
@@ -711,17 +757,42 @@ def windowed_coincidences(
 def windowed_coincidence_counts(
     stream_a: EventStream, stream_b: EventStream, windows: Sequence[float]
 ) -> list[int]:
-    """:func:`windowed_coincidences` at each width of ``windows``, in order,
-    from the pair's one neighbour search."""
+    """:func:`windowed_coincidences` at each width of ``windows``, in order.
+
+    Each width is counted by two binary searches in the pair's sorted gaps g
+    (:func:`_sorted_gaps`).  Rounding moves fl(after - x), fl(x - before)
+    and fl(x +- half) by less than tau = 2 eps (max|t| + half) together,
+    with max|t| over both streams.  So an A-event with g <= half - tau has a
+    B-event in its window, and one with g > half + tau has none.  When no
+    gap lies between, the count of the first is exact.  A width with a gap
+    in that band is counted exactly instead, by comparing each event's
+    neighbours with fl(x +- half), from one more search per call.  A
+    missing neighbour never coincides.
+    """
     halves = [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
-    counts = [0] * len(halves)
-    a = stream_a.times
-    if a.size == 0 or stream_b.n == 0:
-        return counts
-    # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
-    # window exactly when the nearest one on either side does.
-    for block, after, before in _neighbour_blocks(stream_a, stream_b):
-        x = a[block]
-        for j, half in enumerate(halves):
-            counts[j] += int(np.count_nonzero((after <= x + half) | (before >= x - half)))
+    a, b = stream_a.times, stream_b.times
+    if a.size == 0 or b.size == 0:
+        return [0] * len(halves)
+    gaps = _sorted_gaps(stream_a, stream_b)
+    reach = float(max(abs(a[0]), abs(a[-1]), abs(b[0]), abs(b[-1])))
+    # Python floats: a band edge beyond the float range is +-inf, silently.
+    edges: list[float] = []
+    for half in halves:
+        tau = 2.0 * math.ulp(1.0) * (reach + half)
+        edges += (half - tau, half + tau)
+    found = np.searchsorted(gaps, edges, side="right").tolist()
+    counts = found[::2]
+    band = [j for j in range(len(halves)) if counts[j] != found[2 * j + 1]]
+    if band:
+        for j in band:
+            counts[j] = 0
+        # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
+        # window exactly when the nearest one on either side does.  A NaN
+        # pad compares false, and an a +- half that overflows is +-inf.
+        with np.errstate(over="ignore"):
+            for block, after, before in _neighbour_blocks(stream_a, stream_b, np.nan):
+                x = a[block]
+                for j in band:
+                    half = halves[j]
+                    counts[j] += int(np.count_nonzero((after <= x + half) | (before >= x - half)))
     return counts

@@ -8,6 +8,7 @@ import pickle
 import sys
 import threading
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -437,8 +438,10 @@ class TestEventStream:
         a = EventStream(times=np.array([1.0, 2.0, 4.0]), rate_scale=2.0)
         b = EventStream(times=np.array([1.5, 3.0]), rate_scale=1.0)
         expected = nearest_delays(a, b)
+        windowed_coincidences(a, b, 1.0)
+        assert a._last_gaps is not None
         for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-            assert clone._last_search is None
+            assert clone._last_gaps is None
             assert not clone.times.flags.writeable
             assert np.array_equal(clone.times, a.times) and clone.rate_scale == 2.0
             assert np.array_equal(nearest_delays(clone, b), expected)
@@ -1109,8 +1112,23 @@ def scan(a, b, windows=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)):
     )
 
 
+def counted_searches(monkeypatch, b_streams):
+    """Count ``np.searchsorted`` calls: those into one of ``b_streams``'
+    times (a neighbour search), and the others (searches in sorted gaps)."""
+    calls, gap_calls = [], []
+    search = np.searchsorted
+
+    def counted(sorted_values, *args, **kwargs):
+        into_b = any(sorted_values is b.times for b in b_streams)
+        (calls if into_b else gap_calls).append(1)
+        return search(sorted_values, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return calls, gap_calls
+
+
 class TestSearchMemo:
-    """Each stream keeps its last neighbour search, keyed on the B-stream."""
+    """Each stream keeps its last pair's sorted gaps, keyed on the B-stream."""
 
     @staticmethod
     def streams(n, seed=31, span=200.0):
@@ -1124,16 +1142,10 @@ class TestSearchMemo:
 
     def test_one_search_per_pair(self, monkeypatch):
         """Demo 05's sequence: the delays of two pairs, then six widths per
-        pair, one call each, search twice; a third pair searches once more."""
+        pair, one call each, search A in B twice; a third pair searches once
+        more.  Each window call makes one search in the pair's gaps."""
         shared_a, shared_b, indep_a, indep_b = self.streams(4, seed=32)
-        calls = []
-        search = np.searchsorted
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(np, "searchsorted", counted)
+        calls, gap_calls = counted_searches(monkeypatch, (shared_b, indep_b))
         for a, b in ((shared_a, shared_b), (indep_a, indep_b)):
             delay_statistics(a, b, bins=13, histogram_range=(-0.325, 0.325))
         counts = [
@@ -1142,6 +1154,7 @@ class TestSearchMemo:
             for w in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
         ]
         assert len(calls) == 2
+        assert len(gap_calls) == 12
         crossed = windowed_coincidences(shared_a, indep_b, 0.5)
         assert len(calls) == 3
         monkeypatch.undo()
@@ -1208,9 +1221,85 @@ class TestSearchMemo:
         assert peak <= 29.5e6, peak
 
 
+class TestGapScreen:
+    """Window counts read from the pair's sorted gaps equal the brute-force
+    counts at the edge of the rounding band, inside it (where the exact path
+    decides) and where a window edge overflows."""
+
+    @staticmethod
+    def check_widths_at_gaps(a_times, b_times):
+        """Every width 2 g and its two float neighbours, for each gap g."""
+        a, b = (EventStream(times=np.unique(t), rate_scale=1.0) for t in (a_times, b_times))
+        widths = [
+            float(w)
+            for g in np.abs(nearest_delays(a, b))
+            for w in (np.nextafter(2 * g, 0.0), 2 * g, np.nextafter(2 * g, math.inf))
+            if w > 0.0
+        ]
+        expected = [brute_force_windows(a.times, b.times, w) for w in widths]
+        assert windowed_coincidence_counts(a, b, widths) == expected
+        assert [windowed_coincidences(a, b, w) for w in widths] == expected
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e15, -1e9])
+    def test_widths_at_twice_a_gap_and_either_side(self, offset):
+        rng = make_rng(505)
+        for _ in range(5):
+            self.check_widths_at_gaps(*(offset + rng.uniform(0.0, 10.0, (2, 30))))
+
+    def test_widths_at_twice_a_gap_across_zero(self):
+        """A-events on one side of 0 and B-events on the other: a gap then
+        reaches 2 max|t|, and a window edge's rounding grows with half."""
+        rng = make_rng(506)
+        for _ in range(300):
+            scale = 10.0 ** rng.uniform(-3.0, 6.0)
+            sides = rng.uniform(0.0, scale, (2, 3)) * [[-1.0], [1.0]]
+            self.check_widths_at_gaps(*(sides if rng.random() < 0.5 else sides[::-1]))
+
+    def test_band_widths_take_the_exact_path(self, monkeypatch):
+        """B = A +- half exactly puts every gap within rounding of half, so
+        that width is counted exactly, from one neighbour search per call;
+        a width far from every gap needs only the gaps."""
+        a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
+        for sign in (-1.0, 1.0):
+            a = EventStream(times=a_times, rate_scale=1.0)
+            b = EventStream(times=a_times + sign * 0.5, rate_scale=1.0)
+            expected = [brute_force_windows(a.times, b.times, w) for w in (1.0, 3.0)]
+            assert expected == [4, 4]
+            calls, gap_calls = counted_searches(monkeypatch, (b,))
+            # The first call searches for the gaps, then for the exact path.
+            assert windowed_coincidence_counts(a, b, [1.0, 3.0]) == expected
+            assert (len(calls), len(gap_calls)) == (2, 1)
+            assert windowed_coincidences(a, b, 1.0) == expected[0]
+            assert (len(calls), len(gap_calls)) == (3, 2)
+            assert windowed_coincidences(a, b, 3.0) == expected[1]
+            assert (len(calls), len(gap_calls)) == (3, 3)
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_missing_neighbour_never_coincides_when_the_edge_overflows(self, sign):
+        """x +- half beyond the float range is +-inf: a B-event on that side
+        coincides (as in the brute force), a missing one does not, and no
+        overflow warning is raised."""
+        a = EventStream(times=np.array([sign * 1.5e308]), rate_scale=1.0)
+        lone, far = (
+            EventStream(times=np.sort(np.array(t)), rate_scale=1.0)
+            for t in ([0.0], [0.0, sign * 1.7e308])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert windowed_coincidences(a, lone, 1e308) == 0
+            assert windowed_coincidence_counts(a, lone, [1e308, 1.7e308]) == [0, 0]
+            assert windowed_coincidences(a, far, 1e308) == 1
+            assert windowed_coincidence_counts(a, far, [1e-3, 1e308]) == [0, 1]
+
+
 class TestHistogramRange:
     @pytest.mark.parametrize(
-        "bad", [(1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 0.0)]
+        "bad",
+        [
+            (1.0, -1.0), (0.5, 0.5), (math.nan, 1.0), (-1.0, math.inf), (-math.inf, 0.0),
+            (-1.7e308, 1.7e308),
+        ],
     )
     def test_rejected_for_empty_and_full_streams(self, bad):
         empty = EventStream(times=np.array([]), rate_scale=1.0)
@@ -1218,6 +1307,15 @@ class TestHistogramRange:
         for a, b in ((empty, empty), (full, empty), (full, full)):
             with pytest.raises(InvalidInputError, match="histogram_range"):
                 delay_statistics(a, b, histogram_range=bad)
+
+    def test_default_range_is_the_largest_delay(self):
+        rng = make_rng(7)
+        a = sample_homogeneous_events(rate=2.0, span=50.0, rng=rng)
+        b = sample_homogeneous_events(rate=2.0, span=50.0, rng=rng)
+        delays = nearest_delays(a, b)
+        limit = float(np.max(np.abs(delays)))
+        for s in (delay_statistics(a, b, bins=5), DelayStatistics.from_delays(delays, 5)):
+            assert (s.bin_edges[0], s.bin_edges[-1]) == (-limit, limit)
 
     def test_valid_range_on_empty_streams(self):
         empty = EventStream(times=np.array([]), rate_scale=1.0)
@@ -1234,6 +1332,41 @@ class TestHistogramRange:
             assert np.array_equal(s.counts, t.counts)
             assert np.array_equal(s.bin_edges, t.bin_edges)
             assert s.median_abs_delay == t.median_abs_delay
+
+    @pytest.mark.parametrize("a_times, b_times", [([-1e308], [1e308]), ([0.0], [-1.7e308, 1.7e308])])
+    def test_delays_beyond_the_float_range(self, a_times, b_times):
+        """A delay beyond the float range, or a +-max|delay| range wider
+        than it, needs a given range: without one, InvalidInputError names
+        the range, with no warning.  Window counts stay exact."""
+        a, b = (EventStream(times=np.array(t), rate_scale=1.0) for t in (a_times, b_times))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # The window scan builds the pair's gaps, which the delay scan reads.
+            assert windowed_coincidence_counts(a, b, [1.0, 1e308, 1.7e308]) == [0, 0, 0]
+            for build in (lambda: delay_statistics(a, b),
+                          lambda: DelayStatistics.from_delays(nearest_delays(a, b))):
+                with pytest.raises(InvalidInputError, match="histogram_range"):
+                    build()
+            s = delay_statistics(a, b, bins=2, histogram_range=(-1.0, 1.0))
+        assert s.counts.tolist() == [0, 0]
+        assert s.median_abs_delay == abs(nearest_delays(a, b)[0])
+
+    def test_nan_delay_rejected(self):
+        """np.median of a NaN is NaN; the median read from sorted gaps would
+        skip it, so a NaN delay is turned away with or without a range."""
+        for histogram_range in (None, (-1.0, 1.0)):
+            with pytest.raises(InvalidInputError, match="NaN"):
+                DelayStatistics.from_delays(np.array([0.5, math.nan, -0.1]), 4, histogram_range)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 11, 4096])
+    def test_median_is_numpys(self, n):
+        """The median read from the sorted gaps is np.median's, bit for bit
+        (for even n, the mean of the middle two)."""
+        rng = make_rng(n)
+        delays = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+        delays[: n // 3] = delays[-1]  # ties
+        median = DelayStatistics.from_delays(delays).median_abs_delay
+        assert median == float(np.median(np.abs(delays)))
 
     @pytest.mark.parametrize("delays", [np.array([]), np.array([-0.5, 0.2, 1.0])])
     def test_non_integer_bins_rejected(self, delays):
