@@ -44,7 +44,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive, _real
-from .inequalities import DEFAULT_QUAD, AngleQuad, ProbabilityTable, ch_value
+from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
     "CH_CURVE_MODES",
@@ -78,9 +78,9 @@ CH_CURVE_MODES = SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
 _FACTORED_K = 1e150
 
 
-def _q_forms(k: float, operands: tuple[tuple[float, float, float], ...]) -> list[float]:
-    """Q = 1 / (1 + m k + k^2 c s) for each (m, c, s) of ``operands``, k
-    checked by the caller.
+def _q_forms(k: float, operands: tuple[tuple[float, float, float], ...], factored: bool) -> list:
+    """Q = 1 / (1 + m k + k^2 c s) for each (m, c, s) of ``operands``, at a
+    checked k (a float, or an array) in the form for ``k > _FACTORED_K``.
 
     Q_single takes m = 1 and (c, s) one angle's (cos^2, sin^2); Q_joint
     takes m = 2 and the sums of two angles' squares.
@@ -88,7 +88,7 @@ def _q_forms(k: float, operands: tuple[tuple[float, float, float], ...]) -> list
     # Plain loops, not comprehensions: before Python 3.12 a comprehension is
     # a function call of its own, a sizeable share of eight values' work.
     q = []
-    if k > _FACTORED_K:
+    if factored:
         for m, c, s in operands:
             q.append(1.0 / (1.0 + k * (m + k * c * s)))
     else:
@@ -105,7 +105,8 @@ def _q_values(k: float, quad: AngleQuad) -> list[float]:
     ``quad`` and k are checked once, and the (m, c, s) operands are those
     the quad keeps, so a table costs no trig and builds no operand.
     """
-    return _q_forms(_positive("k", k), _instance("quad", quad, AngleQuad)._operands)
+    k = _positive("k", k)
+    return _q_forms(k, _instance("quad", quad, AngleQuad)._operands, k > _FACTORED_K)
 
 
 def q_single(k: float, theta: float) -> float:
@@ -115,7 +116,7 @@ def q_single(k: float, theta: float) -> float:
     Tables do not call this; they take all eight Q values at once."""
     k = _positive("k", k)
     theta = _real("theta", theta)
-    return _q_forms(k, ((1.0, math.cos(theta) ** 2, math.sin(theta) ** 2),))[0]
+    return _q_forms(k, ((1.0, math.cos(theta) ** 2, math.sin(theta) ** 2),), k > _FACTORED_K)[0]
 
 
 def q_joint(k: float, theta: float, phi: float) -> float:
@@ -124,7 +125,7 @@ def q_joint(k: float, theta: float, phi: float) -> float:
     theta, phi = _real("theta", theta), _real("phi", phi)
     c = math.cos(theta) ** 2 + math.cos(phi) ** 2
     s = math.sin(theta) ** 2 + math.sin(phi) ** 2
-    return _q_forms(k, ((2.0, c, s),))[0]
+    return _q_forms(k, ((2.0, c, s),), k > _FACTORED_K)[0]
 
 
 @dataclass(frozen=True)
@@ -189,17 +190,11 @@ def table_for_mode(
     """
     single, pair = _LAWS[_member("mode", mode, _TABLE_MODES)]
     q_a, q_b, q_ap, q_bp, q_ab, q_abp, q_apb, q_apbp = _q_values(k, quad)
-    joints = [
-        0.0 if p < 0.0 else p
-        for p in (
-            pair(q_a, q_b, q_ab),
-            pair(q_a, q_bp, q_abp),
-            pair(q_ap, q_b, q_apb),
-            pair(q_ap, q_bp, q_apbp),
-        )
-    ]
-    # Field order: p_a, p_b, the four joints, p_a_prime, p_b_prime.
-    return ProbabilityTable(single(q_a), single(q_b), *joints, single(q_ap), single(q_bp))
+    p_ab, p_abp = pair(q_a, q_b, q_ab), pair(q_a, q_bp, q_abp)
+    p_apb, p_apbp = pair(q_ap, q_b, q_apb), pair(q_ap, q_bp, q_apbp)
+    return ProbabilityTable._new(
+        single(q_a), single(q_b), 0.0 if p_ab < 0.0 else p_ab, 0.0 if p_abp < 0.0 else p_abp,
+        0.0 if p_apb < 0.0 else p_apb, 0.0 if p_apbp < 0.0 else p_apbp, single(q_ap), single(q_bp))
 
 
 def standard_table(k: float, quad: AngleQuad = DEFAULT_QUAD) -> ProbabilityTable:
@@ -228,13 +223,43 @@ def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiw
     return plus - minus
 
 
+def _two_term(q_a, q_b, q_ap, q_bp, q_ab, q_abp, *_):
+    """The two-term end formula as (positive part, subtracted part)."""
+    return 2.0 * (q_a + q_bp - q_abp) ** 4, 2.0 * q_a**2
+
+
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     """CH(k) of a curve mode as (positive part, subtracted part); the mode is
-    checked by the callers, since the crossing scan calls this per point."""
+    checked by the callers, since the bisection calls this per point."""
     if mode == "multiwindow-two-term":
-        q_a, _, _, q_bp, _, q_abp, _, _ = _q_values(k, quad)
-        return 2.0 * (q_a + q_bp - q_abp) ** 4, 2.0 * q_a**2
+        return _two_term(*_q_values(k, quad))
     b = ch_value(table_for_mode(k, quad, mode))
+    return b.p_s, b.p_c
+
+
+class _LibmPow(np.ndarray):
+    """A float array whose ``**`` is libm ``pow`` per element, as on a float."""
+    _pow = np.frompyfunc(pow, 2, 1)
+
+    def __pow__(self, exponent):
+        return self._pow(self, exponent).astype(float)
+
+
+def _ch_parts_at(ks: np.ndarray, quad: AngleQuad, mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_ch_parts` at each k of a float array ``ks`` > 0, bit for bit:
+    the same formulas, broadcast, with ``np.where`` for the branch and the
+    clamp, and libm's ``**`` (``np.power``'s bits depend on the SIMD level)."""
+    operands = _instance("quad", quad, AngleQuad)._operands
+    with np.errstate(over="ignore", invalid="ignore"):  # in the form not taken
+        q = np.where(ks > _FACTORED_K, _q_forms(ks, operands, True), _q_forms(ks, operands, False))
+    if mode == "multiwindow-two-term":
+        return _two_term(*q.view(_LibmPow))
+    q_a, q_b, q_ap, q_bp, q_ab, q_abp, q_apb, q_apbp = q.view(_LibmPow)
+    single, pair = _LAWS[mode]
+    joints = np.array([pair(q_a, q_b, q_ab), pair(q_a, q_bp, q_abp),
+                       pair(q_ap, q_b, q_apb), pair(q_ap, q_bp, q_apbp)])
+    b = CHBreakdown._of(ProbabilityTable._new(
+        single(q_a), single(q_b), *np.where(joints < 0.0, 0.0, joints), single(q_ap), single(q_bp)))
     return b.p_s, b.p_c
 
 
@@ -249,7 +274,8 @@ def ch_zero_crossing(
 ) -> float | None:
     """Locate the k where CH(k) changes sign, or None if it never does.
 
-    A log-spaced scan of 241 values over ``bracket`` finds the first sign
+    A log-spaced scan of 241 values over ``bracket`` (one array call, with
+    the bits of :func:`ch_curve_value` at every value) finds the first sign
     change between scanned values that stand above rounding, i.e. |CH| >
     16 eps max(|Ps| + |Pc|, 1) for CH = Ps - Pc (each table entry is 1
     minus a value near 1, so it carries ~eps of absolute rounding however
@@ -264,13 +290,8 @@ def ch_zero_crossing(
     yield None rather than an exception.
     """
     _member("mode", mode, CH_CURVE_MODES)
-    lo, hi = _interval("bracket", bracket, positive=True)
-
-    def f(k: float) -> float:
-        return ch_curve_value(k, quad, mode)
-
-    ks = np.geomspace(lo, hi, _SCAN_POINTS)
-    plus, minus = np.array([_ch_parts(float(k), quad, mode) for k in ks]).T
+    ks = np.geomspace(*_interval("bracket", bracket, positive=True), _SCAN_POINTS)
+    plus, minus = _ch_parts_at(ks, quad, mode)
     values = plus - minus
     noise = 16.0 * np.finfo(float).eps * np.maximum(np.abs(plus) + np.abs(minus), 1.0)
     clear = np.flatnonzero(np.abs(values) > noise)
@@ -279,7 +300,8 @@ def ch_zero_crossing(
     if change.size == 0:
         return None
     i, j = int(clear[change[0]]), int(clear[change[0] + 1])
-    return _bisect(f, float(ks[i]), float(ks[j]), xtol=1e-15, rtol=1e-12)
+    return _bisect(lambda k: ch_curve_value(k, quad, mode), float(ks[i]), float(ks[j]),
+                   xtol=1e-15, rtol=1e-12)
 
 
 # Iteration budget of the bisection (scipy's default maxiter).
@@ -344,12 +366,15 @@ def small_k_expansion(
     vanish), so the slope is the limit of CH(h)/h over h = 1e-2, 1e-2/2,
     ... 1e-2/2^7, extrapolated with the standard Neville tableau;
     ``ch_at_zero`` is the same extrapolation applied to CH(h) itself (k = 0
-    is outside the closed forms' domain and never evaluated directly).  The
-    slope is measured, not assumed: all split-window laws give 4 at the
+    is outside the closed forms' domain and never evaluated directly); the
+    eight CH(h) are one array call, with the bits of :func:`ch_curve_value`.
+    The slope is measured, not assumed: all split-window laws give 4 at the
     default quad, the single-window curve gives 2.
     """
+    _member("mode", mode, CH_CURVE_MODES)
     hs = [1e-2 / 2.0**i for i in range(8)]
-    values = [ch_curve_value(h, quad, mode) for h in hs]
+    plus, minus = _ch_parts_at(np.array(hs), quad, mode)
+    values = (plus - minus).tolist()
 
     def neville(seq: list[float]) -> float:
         t = list(seq)

@@ -53,15 +53,16 @@ class NumericalInconsistencyError(BellsimError, ArithmeticError):
 # math.isfinite raises TypeError on a non-number, and a try costs nothing
 # when it does not: the k check runs on every closed-form evaluation, where
 # an isinstance(value, numbers.Real) test costs about five times as much.
-# A numpy complex scalar is the exception: it converts to float with a
-# ComplexWarning and loses its imaginary part, so it is turned away first
-# (after a type test that lets a Python float skip the slower isinstance).
+# A numpy complex scalar converts to float with a ComplexWarning and loses
+# its imaginary part, and a bool converts to 0 or 1, so both are turned away
+# first (after a type test that lets a Python float skip the slower isinstance).
+_NOT_REAL = (bool, np.bool_, np.complexfloating)
 
 def _real(name: str, value: object) -> float:
     """``value`` as a float, for an argument that must be a finite number."""
     try:
         if (
-            (type(value) is float or not isinstance(value, np.complexfloating))
+            (type(value) is float or not isinstance(value, _NOT_REAL))
             and math.isfinite(value)
         ):
             return float(value)
@@ -79,7 +80,7 @@ def _positive(name: str, value: object, zero: bool = False) -> float:
     """``value`` as a float, for a finite number > 0 (>= 0 with ``zero``)."""
     try:
         if (
-            (type(value) is float or not isinstance(value, np.complexfloating))
+            (type(value) is float or not isinstance(value, _NOT_REAL))
             and math.isfinite(value)
             and (value > 0.0 or zero and value == 0.0)
         ):

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelInvalidError, _count, _not_real, _real
+from .errors import _NOT_REAL, InvalidInputError, ModelInvalidError, _count, _not_real, _real
 
 __all__ = [
     "DEFAULT_QUAD",
@@ -106,6 +106,15 @@ class ProbabilityTable:
     p_a_prime: float
     p_b_prime: float
 
+    @classmethod
+    def _new(cls, p_a, p_b, p_ab, p_ab_prime, p_a_prime_b, p_a_prime_b_prime, p_a_prime, p_b_prime):
+        """The table the constructor builds, its instance dict filled in one step."""
+        table = object.__new__(cls)
+        table.__dict__.update(p_a=p_a, p_b=p_b, p_ab=p_ab, p_ab_prime=p_ab_prime,
+                              p_a_prime_b=p_a_prime_b, p_a_prime_b_prime=p_a_prime_b_prime,
+                              p_a_prime=p_a_prime, p_b_prime=p_b_prime)
+        return table
+
     def validate(self) -> None:
         """Raise :class:`InvalidInputError` unless every entry lies in [0, 1]."""
         # vars() is the eight fields in field order, at a small fraction of
@@ -115,9 +124,9 @@ class ProbabilityTable:
                 # A plain float in range needs no more tests.
                 if type(value) is float and 0.0 <= value <= 1.0:
                     continue
-                # A numpy complex scalar would pass isfinite with a
-                # ComplexWarning, its imaginary part dropped.
-                if isinstance(value, np.complexfloating):
+                # A bool would pass as 0 or 1, and a numpy complex scalar with
+                # a ComplexWarning, its imaginary part dropped.
+                if isinstance(value, _NOT_REAL):
                     raise _not_real(name, value)
                 if value is None or not math.isfinite(value):
                     raise InvalidInputError(f"{name} must be finite, got {value!r}")
@@ -150,6 +159,15 @@ class CHBreakdown:
     p_s: float
     p_c: float
     ch: float
+
+    @classmethod
+    def _of(cls, table: ProbabilityTable) -> CHBreakdown:
+        """:func:`ch_value` without its check, on float or array entries."""
+        p_s = table.p_a + table.p_b
+        p_c = table.p_ab + table.p_ab_prime + table.p_a_prime_b - table.p_a_prime_b_prime
+        breakdown = object.__new__(cls)
+        breakdown.__dict__.update(p_s=p_s, p_c=p_c, ch=p_s - p_c)
+        return breakdown
 
 
 @dataclass(frozen=True)
@@ -199,9 +217,7 @@ def ch_value(table: ProbabilityTable) -> CHBreakdown:
         reported parts always recombine bit-for-bit.
     """
     table.validate()
-    p_s = table.p_a + table.p_b
-    p_c = table.p_ab + table.p_ab_prime + table.p_a_prime_b - table.p_a_prime_b_prime
-    return CHBreakdown(p_s=p_s, p_c=p_c, ch=p_s - p_c)
+    return CHBreakdown._of(table)
 
 
 def chsh_value(correlators: CorrelatorSet) -> float:
@@ -294,9 +310,7 @@ class DiscreteLHVModel:
         ``__post_init__``, which this skips: the caller vouches for the
         shapes, the range of every entry and the weight sum."""
         model = object.__new__(cls)
-        object.__setattr__(model, "weights", weights)
-        object.__setattr__(model, "response_a", response_a)
-        object.__setattr__(model, "response_b", response_b)
+        model.__dict__.update(weights=weights, response_a=response_a, response_b=response_b)
         return model
 
     @property

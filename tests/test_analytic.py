@@ -7,8 +7,12 @@ library must reproduce them in float64.
 """
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, astuple
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,11 +400,15 @@ class TestZeroCrossing:
         noise, noise, noise, - and bisection must run across the noise."""
         import bellsim.analytic as an
 
-        monkeypatch.setattr(an, "_ch_parts", lambda k, quad, mode: (1.0, 1.0 + 1e-14 * (k - 2.0)))
-        ks = np.geomspace(1.0, 3.0, 5)
-        parts = np.array([an._ch_parts(k, None, None) for k in ks])
-        noise = 16 * np.finfo(float).eps * parts.sum(axis=1)
-        assert list(np.abs(parts[:, 0] - parts[:, 1]) > noise) == [True, False, False, False, True]
+        # The scan reads the array seam and the bisection the scalar one.
+        def parts(k, quad, mode):
+            return 1.0 + 0.0 * k, 1.0 + 1e-14 * (k - 2.0)
+
+        monkeypatch.setattr(an, "_ch_parts", parts)
+        monkeypatch.setattr(an, "_ch_parts_at", parts)
+        plus, minus = parts(np.geomspace(1.0, 3.0, 5), None, None)
+        noise = 16 * np.finfo(float).eps * (plus + minus)
+        assert list(np.abs(plus - minus) > noise) == [True, False, False, False, True]
         monkeypatch.setattr(an, "_SCAN_POINTS", 5)
         root = ch_zero_crossing(bracket=(1.0, 3.0))
         assert root == pytest.approx(2.0, abs=0.03)
@@ -555,3 +563,88 @@ class TestOneEvaluationPerTable:
             checked.clear()
             table_for_mode(1.5, DEFAULT_QUAD, mode)
             assert checked == ["k"], mode
+
+
+def _scalar_parts_bits(ks, quad, mode):
+    return [_bits(analytic._ch_parts(k, quad, mode)) for k in ks]
+
+
+def _array_parts_bits(ks, quad, mode):
+    plus, minus = analytic._ch_parts_at(np.array(ks), quad, mode)
+    return [_bits(parts) for parts in zip(plus.tolist(), minus.tolist())]
+
+
+class TestArrayPath:
+    """The crossing scan and the small-k expansion evaluate CH on arrays;
+    every point must carry the bits of the scalar path that the sweep rows
+    and the bisection use."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(wide_k, min_size=1, max_size=12), quad_angles, quad_angles,
+           quad_angles, quad_angles)
+    @example([1e-300, 1e-8, 1.0359500170058935, analytic._FACTORED_K, 1e160, 1e300],
+             math.pi / 6, math.pi / 3, 0.0, math.pi / 2)
+    # At this quad the two Q forms differ at k = _FACTORED_K in 4 of 8 values.
+    @example([analytic._FACTORED_K, math.nextafter(analytic._FACTORED_K, math.inf)],
+             -0.03, -0.3, 0.91, 1.73)
+    def test_bit_identical_to_scalar_path(self, ks, a, b, a_prime, b_prime):
+        quad = AngleQuad(a, b, a_prime, b_prime)
+        for mode in CH_CURVE_MODES:
+            assert _array_parts_bits(ks, quad, mode) == _scalar_parts_bits(ks, quad, mode), mode
+
+    def test_small_k_expansion_reads_the_scalar_curve(self):
+        hs = [1e-2 / 2.0**i for i in range(8)]
+        for mode in CH_CURVE_MODES:
+            plus, minus = analytic._ch_parts_at(np.array(hs), DEFAULT_QUAD, mode)
+            assert _bits(plus - minus) == _bits([ch_curve_value(h, mode=mode) for h in hs])
+
+    def test_power_terms_are_libm_pow(self):
+        x = np.array([0.1, 0.7, 1.0 - 2.0**-40]).view(analytic._LibmPow)
+        for exponent in (2, 4):
+            assert _bits(x**exponent) == _bits([v**exponent for v in x.tolist()])
+
+
+# One check per SIMD level, in a child interpreter that has numpy's kernels
+# above that level switched off: pseudo-random k over (1e-300, 1e300), the
+# two floats either side of the factored-form switch, and seven quads.
+_SIMD_CHECK = """
+import math, random
+from numpy._core._multiarray_umath import __cpu_features__
+from bellsim import analytic
+from bellsim.inequalities import DEFAULT_QUAD, AngleQuad
+import numpy as np
+
+rnd = random.Random(24)
+ks = [10.0 ** rnd.uniform(-300.0, 300.0) for _ in range(400)]
+ks += [analytic._FACTORED_K, math.nextafter(analytic._FACTORED_K, math.inf)]
+quads = [DEFAULT_QUAD, AngleQuad(0.0, math.pi / 2, 0.0, math.pi / 2), AngleQuad(-0.03, -0.3, 0.91, 1.73)]
+quads += [AngleQuad(*(rnd.uniform(-10.0, 10.0) for _ in range(4))) for _ in range(4)]
+bad = 0
+for quad in quads:
+    for mode in analytic.CH_CURVE_MODES:
+        plus, minus = analytic._ch_parts_at(np.array(ks), quad, mode)
+        array = list(zip(plus.tolist(), minus.tolist()))
+        bad += sum(a != analytic._ch_parts(k, quad, mode) for a, k in zip(array, ks))
+print(bad, *sorted(name for name, on in __cpu_features__.items() if on))
+"""
+
+
+def _simd_levels():
+    """For each SIMD level numpy dispatches to on this host, the features
+    above it, highest level first: the value of NPY_DISABLE_CPU_FEATURES."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
+    return [found[i:] for i in range(len(found), -1, -1)]
+
+
+@pytest.mark.parametrize("disabled", _simd_levels(), ids=lambda names: " ".join(names) or "all")
+def test_array_path_bits_at_each_simd_level(disabled):
+    src = Path(analytic.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SIMD_CHECK],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    mismatches, *features_on = proc.stdout.split()
+    assert not set(disabled) & set(features_on)
+    assert mismatches == "0"

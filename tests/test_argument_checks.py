@@ -2,10 +2,11 @@
 
 The checks live in ``bellsim/errors.py``; this file tries each public entry
 point that takes a number, count, angle, mode, interval or bracket with
-values of the wrong type (a string, None, a bool where a count is due, a
-non-integral float, a complex number, a pair of the wrong length, a quad
-that is not an ``AngleQuad``, a non-finite angle), and checks that no other
-module writes out a copy of the shared checks' messages.
+values of the wrong type (a string, None, a bool where a count, number or
+probability is due, a non-integral float, a complex number, a pair of the
+wrong length, a quad that is not an ``AngleQuad``, a non-finite angle), and
+checks that no other module writes out a copy of the shared checks'
+messages.
 """
 
 import ast
@@ -102,9 +103,14 @@ CALLS = {
     "qset-quad-tuple": lambda: qset(1.0, (0.0, 0.1, 0.2, 0.3)),
     "ch_curve_value-quad-str": lambda: ch_curve_value(1.0, "quad", "multiwindow-two-term"),
     "ch_zero_crossing-quad-none": lambda: ch_zero_crossing(None),
+    "small_k_expansion-quad-none": lambda: small_k_expansion(quad=None),
+    "table_for_mode-k-bool": lambda: table_for_mode(True),
+    "q_single-theta-bool": lambda: q_single(1.0, False),
     # detector
     "DetectorParams-k-str": lambda: DetectorParams("1"),
     "DetectorParams-k-none": lambda: DetectorParams(None),
+    "DetectorParams-k-bool": lambda: DetectorParams(True),
+    "DetectorParams-k-numpy-bool": lambda: DetectorParams(np.True_),
     "WindowScheme-str": lambda: WindowScheme("diagonal"),
     "run_trials-scheme-none": lambda: trials(scheme=None),
     "run_trials-theta-str": lambda: trials(theta="a"),
@@ -131,6 +137,10 @@ CALLS = {
     "AngleQuad-none": lambda: AngleQuad(0.0, 0.0, None, 0.0),
     "CorrelatorSet-str": lambda: CorrelatorSet("1", 0.0, 0.0, 0.0),
     "ch_value-entry-str": lambda: ch_value(ProbabilityTable("0.5", 0, 0, 0, 0, 0, 0, 0)),
+    "ch_value-entry-bool": lambda: ch_value(ProbabilityTable(True, 0, 0, 0, 0, 0, 0, 0)),
+    "ch_value-entry-numpy-bool":
+        lambda: ch_value(ProbabilityTable(0.5, 0, 0, 0, 0, 0, 0, np.False_)),
+    "AngleQuad-bool": lambda: AngleQuad(0.0, True, 0.0, 0.0),
     "random_discrete_model-str": lambda: random_discrete_model(rng(), "3"),
     "random_discrete_model-float": lambda: random_discrete_model(rng(), 2.5),
     "random_discrete_model-bool": lambda: random_discrete_model(rng(), True),
@@ -218,6 +228,20 @@ def test_complex_is_not_real(value, message):
         errors._real("x", value)
     with pytest.raises(InvalidInputError, match="^x must be positive and finite"):
         errors._positive("x", value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.True_], ids=["true", "false", "numpy"])
+def test_bool_is_not_real(value):
+    """A bool is 0 or 1 to arithmetic, but neither a real number nor a
+    probability, wherever one is due."""
+    message = f"must be a real number, got {value!r}"
+    with pytest.raises(InvalidInputError, match=f"^x {re.escape(message)}$"):
+        errors._real("x", value)
+    with pytest.raises(InvalidInputError, match="^x must be nonnegative and finite"):
+        errors._positive("x", value, zero=True)
+    table = ProbabilityTable(0.5, 0.5, 0.25, 0.25, 0.25, value, 0.5, 0.5)
+    with pytest.raises(InvalidInputError, match=f"^p_a_prime_b_prime {re.escape(message)}$"):
+        table.validate()
 
 
 BAD_ANGLES = {

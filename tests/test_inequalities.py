@@ -1,8 +1,10 @@
 """CH/CHSH functionals, discrete LHV models, and the pointwise inequality."""
 
+import copy
 import math
+import pickle
 import re
-from dataclasses import asdict, replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from bellsim.errors import InvalidInputError, ModelInvalidError
 from bellsim.inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
+    CHBreakdown,
     CorrelatorSet,
     DiscreteLHVModel,
     ProbabilityTable,
@@ -150,6 +153,42 @@ class TestChValue:
         assert ch_value(table_from(values)).ch == pytest.approx(
             ch_value(table_from(swapped)).ch, abs=1e-12
         )
+
+
+class TestPrivateConstructors:
+    """``ProbabilityTable._new`` and ``CHBreakdown._of`` build the closed-form
+    tables and every breakdown; what they build must be indistinguishable
+    from what the public constructor builds."""
+
+    @staticmethod
+    def assert_same(fast, public):
+        assert type(fast) is type(public)
+        assert fast == public and hash(fast) == hash(public)
+        assert repr(fast) == repr(public)
+        assert asdict(fast) == asdict(public)
+        assert list(vars(fast)) == list(vars(public)) == [f.name for f in fields(public)]
+        assert pickle.dumps(fast) == pickle.dumps(public)
+        for clone in (pickle.loads(pickle.dumps(fast)), copy.copy(fast), copy.deepcopy(fast)):
+            assert type(clone) is type(public) and clone == public
+            assert list(vars(clone)) == list(vars(public))
+        name = next(iter(vars(fast)))
+        with pytest.raises(FrozenInstanceError):
+            setattr(fast, name, 0.5)
+        with pytest.raises(FrozenInstanceError):
+            delattr(fast, name)
+
+    @given(st.lists(probability, min_size=8, max_size=8))
+    def test_table(self, values):
+        self.assert_same(ProbabilityTable._new(*values), ProbabilityTable(*values))
+
+    @given(st.lists(probability, min_size=8, max_size=8))
+    def test_breakdown(self, values):
+        t = table_from(values)
+        p_s = t.p_a + t.p_b
+        p_c = t.p_ab + t.p_ab_prime + t.p_a_prime_b - t.p_a_prime_b_prime
+        public = CHBreakdown(p_s=p_s, p_c=p_c, ch=p_s - p_c)
+        self.assert_same(CHBreakdown._of(t), public)
+        self.assert_same(ch_value(t), public)
 
 
 class TestChshValue:
