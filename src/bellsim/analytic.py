@@ -230,7 +230,7 @@ def _two_term(q_a, q_b, q_ap, q_bp, q_ab, q_abp, *_):
 
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     """CH(k) of a curve mode as (positive part, subtracted part); the mode is
-    checked by the callers, since the bisection calls this per point."""
+    checked by the caller, :func:`ch_curve_value`."""
     if mode == "multiwindow-two-term":
         return _two_term(*_q_values(k, quad))
     b = ch_value(table_for_mode(k, quad, mode))
