@@ -25,157 +25,64 @@ respects the CH inequality for every detector parameter k, while the
 two-half-window pairing bookkeeping drives CH negative for strong response
 (k above roughly 1) — an apparent violation produced entirely by how
 coincidences are counted, not by any nonlocality in the model.
+
+``import bellsim`` loads no submodule. ``bellsim.<name>``, a public name or
+a submodule, imports its module on first use (PEP 562) and is then an
+ordinary attribute, so a command pays only for the modules it uses.
 """
 
-from .analytic import (
-    CH_CURVE_MODES,
-    SWEEP_MODES,
-    QSet,
-    SmallKReport,
-    ch_curve_value,
-    ch_zero_crossing,
-    multiwindow_table,
-    q_joint,
-    q_single,
-    qset,
-    small_k_expansion,
-    standard_table,
-    table_for_mode,
-    union_coincidence_table,
-)
-from .detector import (
-    DetectorParams,
-    HalfWindowParams,
-    WindowScheme,
-    detect_prob,
-    gain,
-    multi_coincidence_prob,
-    multi_single_prob,
-    run_trials,
-)
-from .errors import (
-    BellsimError,
-    InvalidInputError,
-    ModelInvalidError,
-    NumericalInconsistencyError,
-)
-from .inequalities import (
-    DEFAULT_QUAD,
-    AngleQuad,
-    CHBreakdown,
-    CorrelatorSet,
-    DiscreteLHVModel,
-    ProbabilityTable,
-    batched_ch,
-    ch_to_chsh,
-    ch_value,
-    chsh_value,
-    eval_discrete_lhv,
-    pointwise_ch_inequality_check,
-    random_discrete_model,
-)
-from .montecarlo import (
-    ComparisonReport,
-    ComparisonRow,
-    EstimatedTable,
-    EstimateWithCI,
-    RunConfig,
-    compare_to_analytic,
-    estimate_table,
-)
-from .source import (
-    PHASE_MODES,
-    FieldSample,
-    IntensityPair,
-    intensities,
-    sample_field,
-)
-from .waveform import (
-    THREE_WAVE_COEFFS,
-    DelayStatistics,
-    EventStream,
-    HarmonicExpansion,
-    IntensityStats,
-    Waveform,
-    delay_statistics,
-    harmonic_expansion,
-    intensity_at,
-    intensity_stats,
-    sample_events,
-    sample_homogeneous_events,
-    three_wave,
-    windowed_coincidence_counts,
-    windowed_coincidences,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AngleQuad",
-    "BellsimError",
-    "CHBreakdown",
-    "CH_CURVE_MODES",
-    "ComparisonReport",
-    "ComparisonRow",
-    "CorrelatorSet",
-    "DEFAULT_QUAD",
-    "DelayStatistics",
-    "DetectorParams",
-    "DiscreteLHVModel",
-    "EstimateWithCI",
-    "EstimatedTable",
-    "EventStream",
-    "FieldSample",
-    "HalfWindowParams",
-    "HarmonicExpansion",
-    "IntensityPair",
-    "IntensityStats",
-    "InvalidInputError",
-    "ModelInvalidError",
-    "NumericalInconsistencyError",
-    "PHASE_MODES",
-    "ProbabilityTable",
-    "QSet",
-    "RunConfig",
-    "SWEEP_MODES",
-    "SmallKReport",
-    "THREE_WAVE_COEFFS",
-    "Waveform",
-    "WindowScheme",
-    "__version__",
-    "batched_ch",
-    "ch_curve_value",
-    "ch_to_chsh",
-    "ch_value",
-    "ch_zero_crossing",
-    "chsh_value",
-    "compare_to_analytic",
-    "delay_statistics",
-    "detect_prob",
-    "estimate_table",
-    "eval_discrete_lhv",
-    "gain",
-    "harmonic_expansion",
-    "intensities",
-    "intensity_at",
-    "intensity_stats",
-    "multi_coincidence_prob",
-    "multi_single_prob",
-    "multiwindow_table",
-    "pointwise_ch_inequality_check",
-    "q_joint",
-    "q_single",
-    "qset",
-    "random_discrete_model",
-    "run_trials",
-    "sample_events",
-    "sample_field",
-    "sample_homogeneous_events",
-    "small_k_expansion",
-    "standard_table",
-    "table_for_mode",
-    "three_wave",
-    "union_coincidence_table",
-    "windowed_coincidence_counts",
-    "windowed_coincidences",
-]
+#: Each submodule and the public names it defines; ``bellsim.<name>`` is
+#: ``bellsim.<submodule>.<name>``.
+_EXPORTS = {
+    "analytic": (
+        "CH_CURVE_MODES", "SWEEP_MODES", "QSet", "SmallKReport", "ch_curve_value",
+        "ch_zero_crossing", "multiwindow_table", "q_joint", "q_single", "qset",
+        "small_k_expansion", "standard_table", "table_for_mode", "union_coincidence_table",
+    ),
+    "detector": (
+        "DetectorParams", "HalfWindowParams", "WindowScheme", "detect_prob", "gain",
+        "multi_coincidence_prob", "multi_single_prob", "run_trials",
+    ),
+    "errors": (
+        "BellsimError", "InvalidInputError", "ModelInvalidError", "NumericalInconsistencyError",
+    ),
+    "inequalities": (
+        "DEFAULT_QUAD", "AngleQuad", "CHBreakdown", "CorrelatorSet", "DiscreteLHVModel",
+        "ProbabilityTable", "batched_ch", "ch_to_chsh", "ch_value", "chsh_value",
+        "eval_discrete_lhv", "pointwise_ch_inequality_check", "random_discrete_model",
+    ),
+    "montecarlo": (
+        "ComparisonReport", "ComparisonRow", "EstimatedTable", "EstimateWithCI", "RunConfig",
+        "compare_to_analytic", "estimate_table",
+    ),
+    "source": ("PHASE_MODES", "FieldSample", "IntensityPair", "intensities", "sample_field"),
+    "waveform": (
+        "THREE_WAVE_COEFFS", "DelayStatistics", "EventStream", "HarmonicExpansion",
+        "IntensityStats", "Waveform", "delay_statistics", "harmonic_expansion",
+        "intensity_at", "intensity_stats", "sample_events", "sample_homogeneous_events",
+        "three_wave", "windowed_coincidence_counts", "windowed_coincidences",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli")
+
+__all__ = sorted([*_ORIGIN, "__version__"])
+
+
+def __getattr__(name: str) -> object:
+    if name in _ORIGIN:
+        value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -21,15 +21,13 @@ suffix selects the unit explicitly (e.g. ``30deg``).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
-import json
 import math
 import sys
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -46,16 +44,11 @@ from .inequalities import (
     random_discrete_model,
 )
 from .montecarlo import RNG_CONTRACT, RunConfig, compare_to_analytic
-from .waveform import (
-    DelayStatistics,
-    Waveform,
-    harmonic_expansion,
-    intensity_stats,
-    nearest_delays,
-    sample_events,
-    sample_homogeneous_events,
-    windowed_coincidence_counts,
-)
+
+# waveform, json and csv are imported by the functions that use them, so a
+# command that needs none of them starts without compiling or loading them.
+if TYPE_CHECKING:
+    from .waveform import Waveform
 
 __all__ = ["main", "parse_angle"]
 
@@ -120,6 +113,8 @@ def _emit_text(text: str, out: str | None) -> None:
 
 
 def _emit_csv(header: Sequence[str], rows: Sequence[Sequence[object]], out: str | None) -> None:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -208,6 +203,8 @@ def _grid_value(grid: dict, key: str, default: float | int) -> float | int:
 def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     raw: dict = {}
     if args.spec is not None:
+        import json
+
         try:
             raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         except OSError as exc:
@@ -272,6 +269,8 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 # simulate
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    import json
+
     cfg = RunConfig(
         k=args.k,
         quad=_load_quad(args, {}),
@@ -313,6 +312,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # waveform
 
 def _parse_wave(args: argparse.Namespace) -> Waveform:
+    from .waveform import Waveform
+
     try:
         coeffs = tuple(float(part) for part in str(args.wave).split(","))
     except ValueError:
@@ -336,6 +337,8 @@ def _paired_streams(w: Waveform, span: float, rate: float, seed: int):
     the waveform intensity with rate_scale = rate / mean_intensity, the
     baseline pair is homogeneous at ``rate``.
     """
+    from .waveform import harmonic_expansion, sample_events, sample_homogeneous_events
+
     mean_intensity = harmonic_expansion(w).a0
     if mean_intensity <= 0:
         raise _ConfigError("waveform has zero mean intensity; no events to sample")
@@ -348,6 +351,13 @@ def _paired_streams(w: Waveform, span: float, rate: float, seed: int):
 
 
 def cmd_waveform(args: argparse.Namespace) -> int:
+    from .waveform import (
+        DelayStatistics,
+        intensity_stats,
+        nearest_delays,
+        windowed_coincidence_counts,
+    )
+
     w = _parse_wave(args)
     if args.waveform_command == "stats":
         stats = intensity_stats(

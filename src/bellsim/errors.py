@@ -134,7 +134,11 @@ def _interval(name: str, value: object, positive: bool = False) -> tuple[float, 
     with ``positive``) whose width hi - lo is finite too."""
     try:
         lo, hi = value
-        if (not positive or lo > 0.0) and lo < hi and math.isfinite(lo) and math.isfinite(hi):
+        if (
+            not isinstance(lo, _NOT_REAL) and not isinstance(hi, _NOT_REAL)
+            and (not positive or lo > 0.0) and lo < hi
+            and math.isfinite(lo) and math.isfinite(hi)
+        ):
             lo, hi = float(lo), float(hi)
             if math.isfinite(hi - lo):
                 return lo, hi

@@ -31,7 +31,6 @@ observed counts.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -182,6 +181,9 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
     assembles marginals, joints, the CH breakdown and its standard error
     (see the module docstring).  Bit-identical for fixed (cfg minus workers).
     """
+    # Imported here, so that only a run, not every import, loads the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     sizes = _chunk_sizes(cfg.n_trials)
     tasks = [
         (pair_idx, chunk_idx, size)

@@ -99,6 +99,8 @@ CALLS = {
     "ch_zero_crossing-bracket-str": lambda: ch_zero_crossing(bracket="ab"),
     "ch_zero_crossing-bracket-none": lambda: ch_zero_crossing(bracket=None),
     "ch_zero_crossing-bracket-zero": lambda: ch_zero_crossing(bracket=(0.0, 1.0)),
+    "ch_zero_crossing-bracket-bool": lambda: ch_zero_crossing(bracket=(True, 100.0)),
+    "ch_zero_crossing-bracket-numpy-bool": lambda: ch_zero_crossing(bracket=(1e-3, np.True_)),
     "table_for_mode-quad-none": lambda: table_for_mode(1.0, None),
     "qset-quad-tuple": lambda: qset(1.0, (0.0, 0.1, 0.2, 0.3)),
     "ch_curve_value-quad-str": lambda: ch_curve_value(1.0, "quad", "multiwindow-two-term"),
@@ -178,6 +180,8 @@ CALLS = {
     "from_delays-range-str-entry": lambda: DelayStatistics.from_delays(DELAYS, 4, ("a", 1.0)),
     "from_delays-range-1-tuple": lambda: DelayStatistics.from_delays(DELAYS, 4, (1.0,)),
     "from_delays-range-str": lambda: DelayStatistics.from_delays(DELAYS, 4, "ab"),
+    "from_delays-range-bool":
+        lambda: DelayStatistics.from_delays(np.array([0.1, -0.2, 0.3]), 4, (False, 1.0)),
     "delay_statistics-bins-bool": lambda: delay_statistics(stream(), stream(), bins=False),
     "windowed_coincidences-str": lambda: windowed_coincidences(stream(), stream(), "1"),
     "windowed_coincidences-complex":

@@ -1,8 +1,10 @@
 """The export lists: every name in ``bellsim.__all__`` and in each
 submodule's ``__all__`` resolves, none is listed twice, ``from bellsim import
 *`` runs clean, and the CH curve wrappers that ``ch_curve_value`` replaced
-stay gone."""
+stay gone. ``bellsim`` resolves its names on first use, so the start-up of a
+command loads only the modules that command uses."""
 
+import ast
 import importlib
 import os
 import pkgutil
@@ -37,13 +39,50 @@ def test_no_name_is_exported_twice(name):
     assert len(set(exported)) == len(exported)
 
 
-def test_star_import_runs_under_warnings_as_errors():
+def child(code: str) -> object:
+    """The value that ``code`` prints as a Python literal, run under
+    ``-W error`` in a fresh interpreter on ``src/``."""
     proc = subprocess.run(
-        [sys.executable, "-W", "error", "-c", "from bellsim import *; print(len(dir()))"],
+        [sys.executable, "-W", "error", "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)}, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert int(proc.stdout) >= len(bellsim.__all__)
+    return ast.literal_eval(proc.stdout)
+
+
+def test_star_import_runs_under_warnings_as_errors():
+    assert child("from bellsim import *; print(len(dir()))") >= len(bellsim.__all__)
+
+
+def test_bare_import_resolves_every_name_on_first_use():
+    names = bellsim.__all__ + [m.rpartition(".")[2] for m in MODULES[1:]]
+    assert child(
+        "import sys, bellsim\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('bellsim.'))\n"
+        "listed = set(bellsim.__all__) <= set(dir(bellsim))\n"
+        f"missing = [n for n in {names!r} if not hasattr(bellsim, n)]\n"
+        "print((loaded, missing, listed))"
+    ) == ([], [], True)
+
+
+#: Modules that only ``bellsim waveform``, ``simulate`` or a sweep spec file use.
+NOT_AT_START = ["bellsim.waveform", "concurrent.futures", "json", "csv"]
+
+
+def test_cli_start_up_leaves_unused_modules_unloaded():
+    assert child(
+        "import sys; before = set(sys.modules)\n"
+        "import bellsim, bellsim.cli; bellsim.cli.build_parser()\n"
+        f"print([m for m in {NOT_AT_START!r} if m in set(sys.modules) - before])"
+    ) == []
+
+
+def test_lazy_name_is_the_submodule_object_and_is_cached():
+    assert child(
+        "import bellsim\n"
+        "print(bellsim.sample_events is bellsim.waveform.sample_events"
+        " and 'sample_events' in vars(bellsim))"
+    )
 
 
 @pytest.mark.parametrize("module", [bellsim, bellsim.analytic], ids=["bellsim", "analytic"])
