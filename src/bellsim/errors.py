@@ -151,13 +151,17 @@ def _interval(name: str, value: object, positive: bool = False) -> tuple[float, 
 
 
 def _nonnegative_array(name: str, values: object) -> np.ndarray:
-    """``values`` as a float array, for numbers that must be finite and >= 0."""
+    """``values`` as a float array, for numbers that must be finite and >= 0.
+    A bool or complex value, or an array of them, is turned away by dtype;
+    a float64 array passes without a copy."""
     try:
-        arr = np.asarray(values, dtype=float)
-        # min/max propagate NaN and see +-inf, so one pair decides both
-        # finiteness and sign without a boolean temporary.
-        if not arr.size or arr.min() >= 0.0 and arr.max() < math.inf:
-            return arr
+        arr = np.asarray(values)
+        if not issubclass(arr.dtype.type, _NOT_REAL):
+            arr = np.asarray(arr, dtype=float)
+            # min/max propagate NaN and see +-inf, so one pair decides both
+            # finiteness and sign without a boolean temporary.
+            if not arr.size or arr.min() >= 0.0 and arr.max() < math.inf:
+                return arr
     except (TypeError, ValueError):
         pass
     raise InvalidInputError(f"{name} must be finite and >= 0")

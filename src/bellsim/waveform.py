@@ -334,9 +334,10 @@ class EventStream:
 
     The stream owns a read-only copy of ``times``, so the caller's array
     stays writable and a later write to it does not reach the stream.  It
-    also keeps its sorted nearest-neighbour gaps in the last second stream
-    it was scanned against, which the delay median and every window scan of
-    that pair read.
+    also keeps its sorted nearest-neighbour gaps g = |nearest delay| in the
+    last second stream it was scanned against, which the delay median and
+    every window scan of that pair read: an event coincides at window width
+    w when g <= w/2.
     """
 
     times: np.ndarray
@@ -650,54 +651,34 @@ class DelayStatistics:
         return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=counts)
 
 
-#: A-events per block of the neighbour scans, which keeps their temporaries small.
+#: A-events per block of the neighbour search in :func:`nearest_delays`, which
+#: keeps its temporaries small.  Window counts need no block: each width is one
+#: binary search in the pair's sorted gaps |nearest delay|.
 _SCAN_BLOCK = 1 << 16
-
-
-def _neighbour_blocks(stream_a: EventStream, stream_b: EventStream, pad: float = np.inf):
-    """For each block of A-events: its slice, then for each event the first
-    B-event at or after it and the last B-event before it, from one
-    ``np.searchsorted(b.times, a.times)``.  A missing neighbour reads as
-    +pad after the last B-event and -pad before the first.
-
-    Every call searches anew.  A pair keeps its sorted gaps
-    (:func:`_sorted_gaps`), not the search, so a delay scan after a window
-    scan of the same pair costs a second search.
-    """
-    idx = np.searchsorted(stream_b.times, stream_a.times)
-    padded = np.concatenate(([-pad], stream_b.times, [pad]))
-    for start in range(0, idx.size, _SCAN_BLOCK):
-        block = slice(start, start + _SCAN_BLOCK)
-        i = idx[block]
-        yield block, padded[1:][i], padded[i]
 
 
 def _sorted_gaps(
     stream_a: EventStream, stream_b: EventStream, delays: np.ndarray | None = None
 ) -> np.ndarray:
-    """The pair's nearest-neighbour gaps, sorted: for each A-event x,
-    g = min(fl(after - x), fl(x - before)), which is |nearest delay|.  A
-    missing neighbour, and a gap beyond the float range, count as +inf.
+    """The pair's nearest-neighbour gaps g = |nearest delay|, sorted: for
+    each A-event x, min(fl(after - x), fl(x - before)).  A missing
+    neighbour, and a gap beyond the float range, count as +inf.
 
-    Built from ``abs(delays)`` when they are given, else from a neighbour
-    search.  The gaps are kept on ``stream_a`` for the next call with the
-    same ``stream_b`` (stream times cannot change), in place of the search:
-    they take the same 8 bytes an event, and a delay scan after a window
-    scan searches again.  The memo is one tuple, read once and replaced
-    whole, so a thread never pairs one stream's key with another's gaps; it
-    holds B by weak reference, so it keeps no stream alive, and a dead
-    reference matches no stream.
+    Built from ``abs(delays)`` when they are given, else from
+    :func:`nearest_delays`.  The gaps are kept on ``stream_a`` for the next
+    call with the same ``stream_b`` (stream times cannot change): they take
+    8 bytes an event, and every window width of the pair is one binary
+    search in them.  The memo is one tuple, read once and replaced whole, so
+    a thread never pairs one stream's key with another's gaps; it holds B by
+    weak reference, so it keeps no stream alive, and a dead reference
+    matches no stream.
     """
     memo = stream_a._last_gaps
     if memo is not None and memo[0]() is stream_b:
         return memo[1]
     if delays is None:
-        a = stream_a.times
-        gaps = np.empty(a.size)
-        with np.errstate(over="ignore"):
-            for block, after, before in _neighbour_blocks(stream_a, stream_b):
-                x = a[block]
-                np.minimum(after - x, x - before, out=gaps[block])
+        gaps = nearest_delays(stream_a, stream_b)
+        np.abs(gaps, out=gaps)
     else:
         gaps = np.abs(delays)
     gaps.sort()
@@ -710,19 +691,25 @@ def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
     """Signed delay from each Alice event to its nearest Bob event.
 
     The later neighbour wins a tie.  A delay beyond the float range reads
-    as +-inf.
+    as +-inf.  This is the one search of A in B: every call searches anew,
+    and a pair keeps its sorted gaps (:func:`_sorted_gaps`), not the search.
     """
-    a = stream_a.times
-    if a.size == 0 or stream_b.n == 0:
+    a, b = stream_a.times, stream_b.times
+    if a.size == 0 or b.size == 0:
         return np.empty(0)
+    idx = np.searchsorted(b, a)
+    # A missing neighbour reads as +inf after the last B-event and -inf
+    # before the first, so the other side is nearer.
+    padded = np.concatenate(([-np.inf], b, [np.inf]))
     delays = np.empty(a.size)
     with np.errstate(over="ignore"):
-        for block, after, before in _neighbour_blocks(stream_a, stream_b):
-            x = a[block]
-            # after - x >= 0 is its own magnitude, and x - before is bit-equal
-            # to |before - x|: a rounded difference only changes sign when its
-            # operands swap.
-            d_after, d_before = after - x, x - before
+        for start in range(0, a.size, _SCAN_BLOCK):
+            block = slice(start, start + _SCAN_BLOCK)
+            i, x = idx[block], a[block]
+            # after - x >= 0 is its own magnitude, and x - before > 0 is
+            # bit-equal to |before - x|: a rounded difference only changes
+            # sign when its operands swap.
+            d_after, d_before = padded[1:][i] - x, x - padded[i]
             delays[block] = np.where(d_after <= d_before, d_after, -d_before)
     return delays
 
@@ -747,7 +734,9 @@ def delay_statistics(
 def windowed_coincidences(
     stream_a: EventStream, stream_b: EventStream, window: float
 ) -> int:
-    """Count A-events with at least one B-event within +-window/2 (inclusive).
+    """Count A-events that coincide with a B-event at this window width:
+    those whose nearest B-event is within window/2, |nearest delay| <=
+    window/2 (inclusive), with the delay of :func:`nearest_delays`.
 
     Monotone nondecreasing in the window width for fixed streams.
     """
@@ -759,40 +748,12 @@ def windowed_coincidence_counts(
 ) -> list[int]:
     """:func:`windowed_coincidences` at each width of ``windows``, in order.
 
-    Each width is counted by two binary searches in the pair's sorted gaps g
-    (:func:`_sorted_gaps`).  Rounding moves fl(after - x), fl(x - before)
-    and fl(x +- half) by less than tau = 2 eps (max|t| + half) together,
-    with max|t| over both streams.  So an A-event with g <= half - tau has a
-    B-event in its window, and one with g > half + tau has none.  When no
-    gap lies between, the count of the first is exact.  A width with a gap
-    in that band is counted exactly instead, by comparing each event's
-    neighbours with fl(x +- half), from one more search per call.  A
-    missing neighbour never coincides.
+    An A-event coincides when its gap g = |nearest delay| is at most
+    window/2, so each width is counted by one binary search in the pair's
+    sorted gaps (:func:`_sorted_gaps`), and all widths of a call by one
+    ``np.searchsorted``.  A missing neighbour never coincides.
     """
     halves = [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
-    a, b = stream_a.times, stream_b.times
-    if a.size == 0 or b.size == 0:
+    if stream_a.n == 0 or stream_b.n == 0:
         return [0] * len(halves)
-    gaps = _sorted_gaps(stream_a, stream_b)
-    reach = float(max(abs(a[0]), abs(a[-1]), abs(b[0]), abs(b[-1])))
-    # Python floats: a band edge beyond the float range is +-inf, silently.
-    edges: list[float] = []
-    for half in halves:
-        tau = 2.0 * math.ulp(1.0) * (reach + half)
-        edges += (half - tau, half + tau)
-    found = np.searchsorted(gaps, edges, side="right").tolist()
-    counts = found[::2]
-    band = [j for j in range(len(halves)) if counts[j] != found[2 * j + 1]]
-    if band:
-        for j in band:
-            counts[j] = 0
-        # Since fl(a - half) <= a <= fl(a + half), some B-event lies in the
-        # window exactly when the nearest one on either side does.  A NaN
-        # pad compares false, and an a +- half that overflows is +-inf.
-        with np.errstate(over="ignore"):
-            for block, after, before in _neighbour_blocks(stream_a, stream_b, np.nan):
-                x = a[block]
-                for j in band:
-                    half = halves[j]
-                    counts[j] += int(np.count_nonzero((after <= x + half) | (before >= x - half)))
-    return counts
+    return np.searchsorted(_sorted_gaps(stream_a, stream_b), halves, side="right").tolist()

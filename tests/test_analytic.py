@@ -7,12 +7,8 @@ library must reproduce them in float64.
 """
 
 import math
-import os
-import subprocess
-import sys
 from dataclasses import asdict, astuple
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -626,22 +622,9 @@ print(bad, *sorted(name for name, on in __cpu_features__.items() if on))
 """
 
 
-def _simd_levels():
-    """For each SIMD level numpy dispatches to on this host, the features
-    above it, highest level first: the value of NPY_DISABLE_CPU_FEATURES."""
-    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
-    found = [name for name in __cpu_dispatch__ if __cpu_features__.get(name)]
-    return [found[i:] for i in range(len(found), -1, -1)]
-
-
-@pytest.mark.parametrize("disabled", _simd_levels(), ids=lambda names: " ".join(names) or "all")
-def test_array_path_bits_at_each_simd_level(disabled):
-    src = Path(analytic.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src), "NPY_DISABLE_CPU_FEATURES": " ".join(disabled)}
-    proc = subprocess.run([sys.executable, "-W", "error", "-c", _SIMD_CHECK],
-                          env=env, capture_output=True, text=True, timeout=120)
+def test_array_path_bits_at_each_simd_level(simd_disabled, simd_child):
+    proc = simd_child(_SIMD_CHECK)
     assert proc.returncode == 0, proc.stderr
     mismatches, *features_on = proc.stdout.split()
-    assert not set(disabled) & set(features_on)
+    assert not set(simd_disabled) & set(features_on)
     assert mismatches == "0"

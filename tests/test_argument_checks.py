@@ -123,12 +123,16 @@ CALLS = {
     "run_trials-phase_mode-none": lambda: trials(phase_mode=None),
     "detect_prob-intensity-str": lambda: detect_prob(DetectorParams(1.0), "a"),
     "detect_prob-intensity-none": lambda: detect_prob(DetectorParams(1.0), None),
+    "detect_prob-intensity-bool": lambda: detect_prob(DetectorParams(1.0), True),
+    "detect_prob-intensity-bool-array":
+        lambda: detect_prob(DetectorParams(1.0), np.array([True, False])),
     "HalfWindowParams-p-str": lambda: HalfWindowParams("0.1", 0.2),
     "HalfWindowParams-q-none": lambda: HalfWindowParams(0.1, None),
     "multi_single_prob-str": lambda: multi_single_prob("0.1"),
     "multi_single_prob-none": lambda: multi_single_prob(None),
     # source
     "FieldSample-x-str": lambda: FieldSample(x="a", y=1.0),
+    "FieldSample-x-bool": lambda: FieldSample(x=True, y=1.0),
     "sample_field-size-bool": lambda: sample_field(rng(), True),
     "sample_field-size-str": lambda: sample_field(rng(), "4"),
     "sample_field-size-float": lambda: sample_field(rng(), 2.5),

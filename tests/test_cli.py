@@ -732,6 +732,17 @@ SIMULATE_SHA256 = {
 }
 
 
+#: Run in a child interpreter: the features still on, then the two waveform
+#: golden commands' stdout.
+_WAVEFORM_GOLDEN_CHECK = """
+from numpy._core._multiarray_umath import __cpu_features__
+from bellsim.cli import main
+print(*sorted(name for name, on in __cpu_features__.items() if on))
+assert main(["waveform", "windows", "--seed", "0"]) == 0
+assert main(["waveform", "delays", "--seed", "0", "--bins", "8"]) == 0
+"""
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_waveform_windows(self, capsys, seed):
@@ -751,6 +762,16 @@ class TestGoldenOutput:
         assert code == 0
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == WAVEFORM_SHA256[WAVEFORM_STREAM][("delays", seed)]
+
+    def test_waveform_goldens_at_each_simd_level(self, simd_disabled, simd_child):
+        """``waveform windows --seed 0`` and ``waveform delays --seed 0 --bins
+        8`` print the pinned bytes with numpy's kernels above each level off."""
+        proc = simd_child(_WAVEFORM_GOLDEN_CHECK)
+        assert proc.returncode == 0, proc.stderr
+        features_on, out = proc.stdout.split("\n", 1)
+        assert not set(simd_disabled) & set(features_on.split())
+        golden = WINDOWS_GOLDEN[WAVEFORM_STREAM]["0"] + DELAYS_GOLDEN[WAVEFORM_STREAM]["0"]
+        assert out == golden
 
     @pytest.mark.parametrize("argv", list(STATS_SHA256))
     def test_waveform_stats(self, capsys, argv):

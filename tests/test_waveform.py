@@ -986,8 +986,22 @@ class TestPoissonLimit:
 
 
 def brute_force_windows(a, b, window):
+    """A-events whose nearest B-event is within window/2, from every
+    |b - x|: rounding is monotone, so the least of them is the nearest
+    side's gap bit for bit."""
     half = 0.5 * window
-    return sum(bool(np.any((b >= x - half) & (b <= x + half))) for x in a)
+    return sum(bool(np.min(np.abs(b - x)) <= half) for x in a)
+
+
+def widths_at_gaps(a, b):
+    """Every width 2 g and its two float neighbours, for each gap g of the
+    pair: the widths at which a count can change."""
+    return [
+        float(w)
+        for g in np.abs(nearest_delays(a, b))
+        for w in (np.nextafter(2 * g, 0.0), 2 * g, np.nextafter(2 * g, math.inf))
+        if w > 0.0
+    ]
 
 
 def brute_force_delays(a, b):
@@ -1223,19 +1237,13 @@ class TestSearchMemo:
 
 class TestGapScreen:
     """Window counts read from the pair's sorted gaps equal the brute-force
-    counts at the edge of the rounding band, inside it (where the exact path
-    decides) and where a window edge overflows."""
+    counts of |nearest delay| <= window/2 at widths of twice a gap and its
+    float neighbours, and where a window edge would overflow."""
 
     @staticmethod
     def check_widths_at_gaps(a_times, b_times):
-        """Every width 2 g and its two float neighbours, for each gap g."""
         a, b = (EventStream(times=np.unique(t), rate_scale=1.0) for t in (a_times, b_times))
-        widths = [
-            float(w)
-            for g in np.abs(nearest_delays(a, b))
-            for w in (np.nextafter(2 * g, 0.0), 2 * g, np.nextafter(2 * g, math.inf))
-            if w > 0.0
-        ]
+        widths = widths_at_gaps(a, b)
         expected = [brute_force_windows(a.times, b.times, w) for w in widths]
         assert windowed_coincidence_counts(a, b, widths) == expected
         assert [windowed_coincidences(a, b, w) for w in widths] == expected
@@ -1248,31 +1256,30 @@ class TestGapScreen:
 
     def test_widths_at_twice_a_gap_across_zero(self):
         """A-events on one side of 0 and B-events on the other: a gap then
-        reaches 2 max|t|, and a window edge's rounding grows with half."""
+        reaches 2 max|t|."""
         rng = make_rng(506)
         for _ in range(300):
             scale = 10.0 ** rng.uniform(-3.0, 6.0)
             sides = rng.uniform(0.0, scale, (2, 3)) * [[-1.0], [1.0]]
             self.check_widths_at_gaps(*(sides if rng.random() < 0.5 else sides[::-1]))
 
-    def test_band_widths_take_the_exact_path(self, monkeypatch):
-        """B = A +- half exactly puts every gap within rounding of half, so
-        that width is counted exactly, from one neighbour search per call;
-        a width far from every gap needs only the gaps."""
+    def test_widths_at_a_partner_half_a_unit_away(self, monkeypatch):
+        """B = A +- 0.5 puts every gap within rounding of 0.5: the widths at
+        twice each gap and either side, and 1.0 and 3.0, match the brute
+        force.  The pair searches A in B once, and each call makes one
+        search in its gaps."""
         a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
         for sign in (-1.0, 1.0):
             a = EventStream(times=a_times, rate_scale=1.0)
             b = EventStream(times=a_times + sign * 0.5, rate_scale=1.0)
-            expected = [brute_force_windows(a.times, b.times, w) for w in (1.0, 3.0)]
-            assert expected == [4, 4]
+            widths = [1.0, 3.0, *widths_at_gaps(a, b)]
+            expected = [brute_force_windows(a.times, b.times, w) for w in widths]
+            assert expected[:2] == [4, 4]
             calls, gap_calls = counted_searches(monkeypatch, (b,))
-            # The first call searches for the gaps, then for the exact path.
-            assert windowed_coincidence_counts(a, b, [1.0, 3.0]) == expected
-            assert (len(calls), len(gap_calls)) == (2, 1)
-            assert windowed_coincidences(a, b, 1.0) == expected[0]
-            assert (len(calls), len(gap_calls)) == (3, 2)
-            assert windowed_coincidences(a, b, 3.0) == expected[1]
-            assert (len(calls), len(gap_calls)) == (3, 3)
+            assert windowed_coincidence_counts(a, b, widths) == expected
+            assert (len(calls), len(gap_calls)) == (1, 1)
+            assert [windowed_coincidences(a, b, w) for w in widths] == expected
+            assert (len(calls), len(gap_calls)) == (1, 1 + len(widths))
             monkeypatch.undo()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1291,6 +1298,34 @@ class TestGapScreen:
             assert windowed_coincidence_counts(a, lone, [1e308, 1.7e308]) == [0, 0]
             assert windowed_coincidences(a, far, 1e308) == 1
             assert windowed_coincidence_counts(a, far, [1e-3, 1e308]) == [0, 1]
+
+
+@st.composite
+def stream_pairs(draw):
+    """Two streams of up to ~25 events each, sharing some events, at an
+    offset of 0 (so that they may cross 0), +-1e6 or +-1e15."""
+    times = st.lists(st.floats(-10.0, 10.0, allow_nan=False), max_size=15)
+    offset = draw(st.sampled_from([0.0, 1e6, -1e6, 1e15, -1e15]))
+    shared = draw(times)
+    a, b = (np.unique(offset + np.array(draw(times) + shared, dtype=float)) for _ in "ab")
+    return EventStream(times=a, rate_scale=1.0), EventStream(times=b, rate_scale=1.0)
+
+
+class TestCoincidenceIsNearestDelay:
+    @settings(max_examples=200, deadline=None)
+    @given(stream_pairs(), st.lists(st.floats(1e-3, 30.0), max_size=4))
+    def test_counts_are_nearest_delays_within_half_a_width(self, pair, drawn):
+        """At twice each gap, its float neighbours and drawn widths, the
+        count is that of |nearest delay| <= width/2, and it never falls as
+        the width grows."""
+        a, b = pair
+        gaps = np.abs(nearest_delays(a, b))
+        widths = widths_at_gaps(a, b) + drawn
+        counts = windowed_coincidence_counts(a, b, widths)
+        assert counts == [int(np.count_nonzero(gaps <= w / 2)) for w in widths]
+        assert [windowed_coincidences(a, b, w) for w in widths] == counts
+        by_width = [c for _, c in sorted(zip(widths, counts))]
+        assert by_width == sorted(by_width)
 
 
 class TestHistogramRange:
