@@ -150,18 +150,50 @@ def _interval(name: str, value: object, positive: bool = False) -> tuple[float, 
     )
 
 
-def _nonnegative_array(name: str, values: object) -> np.ndarray:
-    """``values`` as a float array, for numbers that must be finite and >= 0.
-    A bool or complex value, or an array of them, is turned away by dtype;
-    a float64 array passes without a copy."""
+def _as_real_array(values: object) -> np.ndarray | None:
+    """``values`` as an array of real numbers, with a float dtype kept and
+    integers as float64, or None when any item is not a real number.
+
+    An integer or float array passes by its dtype, and a bool, complex or
+    string one fails by it.  Anything else (a list, a scalar, an object
+    array) is read item by item, because numpy parses a numeric string, and
+    turns a bool mixed into a list of numbers into a number, without a
+    word.  An item is a real number when ``_real`` would take it, a
+    non-finite one included.
+    """
     try:
         arr = np.asarray(values)
-        if not issubclass(arr.dtype.type, _NOT_REAL):
-            arr = np.asarray(arr, dtype=float)
-            # min/max propagate NaN and see +-inf, so one pair decides both
-            # finiteness and sign without a boolean temporary.
-            if not arr.size or arr.min() >= 0.0 and arr.max() < math.inf:
-                return arr
-    except (TypeError, ValueError):
-        pass
+        if arr.dtype.kind not in "iufO":
+            return None
+        if arr.dtype.kind == "O" or not isinstance(values, np.ndarray):
+            for item in np.asarray(values, dtype=object).flat:
+                if isinstance(item, _NOT_REAL):
+                    return None
+                math.isfinite(item)  # TypeError for a non-number
+        return arr if arr.dtype.kind == "f" else arr.astype(float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _real_array(name: str, values: object) -> np.ndarray:
+    """``values`` as an array of real numbers (see :func:`_as_real_array`)."""
+    arr = _as_real_array(values)
+    if arr is None:
+        raise InvalidInputError(f"{name} must be real numbers")
+    return arr
+
+
+def _nonnegative_array(name: str, values: object) -> np.ndarray:
+    """``values`` as a float64 array, for real numbers that must be finite
+    and >= 0.  A float64 array passes without a copy or an extra pass;
+    anything else is read by :func:`_as_real_array` first."""
+    arr = values
+    if type(arr) is not np.ndarray or arr.dtype != np.float64:
+        arr = _as_real_array(values)
+        if arr is not None:
+            arr = arr.astype(float, copy=False)
+    # min/max propagate NaN and see +-inf, so one pair decides both
+    # finiteness and sign without a boolean temporary.
+    if arr is not None and (not arr.size or arr.min() >= 0.0 and arr.max() < math.inf):
+        return arr
     raise InvalidInputError(f"{name} must be finite and >= 0")

@@ -33,7 +33,9 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analytic import _bisect
-from .errors import InvalidInputError, _count, _interval, _positive, _real, _sequence
+from .errors import (
+    InvalidInputError, _count, _interval, _positive, _real, _real_array, _sequence,
+)
 
 __all__ = [
     "DelayStatistics",
@@ -334,44 +336,42 @@ class EventStream:
 
     The stream owns a read-only copy of ``times``, so the caller's array
     stays writable and a later write to it does not reach the stream.  It
-    also keeps its sorted nearest-neighbour gaps g = |nearest delay| in the
-    last second stream it was scanned against, which the delay median and
-    every window scan of that pair read: an event coincides at window width
-    w when g <= w/2.
+    also keeps the sorted signed nearest-neighbour delays to the last second
+    stream it was scanned against, which the delay statistics and every
+    window scan of that pair read: an event coincides at window width w when
+    its |nearest delay| <= w/2.
     """
 
     times: np.ndarray
     rate_scale: float
 
-    #: (weak reference to the B-stream, :func:`_sorted_gaps` of the pair),
+    #: (weak reference to the B-stream, :func:`_sorted_delays` of the pair),
     #: read once and replaced whole; not a field.
-    _last_gaps = None
+    _last_delays = None
 
     def __post_init__(self) -> None:
-        self._own(np.array(self.times, dtype=float), self.rate_scale)
+        times = np.array(_real_array("event times", self.times), dtype=float)
+        if times.ndim != 1:
+            raise InvalidInputError("times must be one-dimensional")
+        _check_increasing(times)
+        self._own(times, self.rate_scale)
 
     @classmethod
     def _adopt(cls, times: np.ndarray, rate_scale: float) -> "EventStream":
-        """The stream of ``times``, a float array that no caller holds, taken
-        over without a copy."""
+        """The stream of ``times``, a checked 1-d float array that no caller
+        holds, taken over without a copy."""
         stream = cls.__new__(cls)
         stream._own(times, rate_scale)
         return stream
 
     def _own(self, times: np.ndarray, rate_scale: float) -> None:
-        if times.ndim != 1:
-            raise InvalidInputError("times must be one-dimensional")
-        if times.size and not np.all(np.isfinite(times)):
-            raise InvalidInputError("event times must be finite")
-        if not np.all(times[1:] > times[:-1]):
-            raise InvalidInputError("event times must be strictly increasing")
         times.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "rate_scale", _positive("rate_scale", rate_scale, zero=True))
 
     def __reduce__(self):
         # Copies and pickles go through the constructor: they own their
-        # times and start with no gaps (a weak reference cannot be pickled).
+        # times and start with no delays (a weak reference cannot be pickled).
         return type(self), (self.times, self.rate_scale)
 
     @property
@@ -379,15 +379,37 @@ class EventStream:
         return int(self.times.size)
 
 
+def _increasing(times: np.ndarray) -> bool:
+    """Whether the 1-d float ``times`` are finite and strictly increasing,
+    from one comparison pass: a strictly increasing array holds no NaN, and
+    can hold +-inf only at its ends."""
+    return not times.size or bool(
+        np.all(times[1:] > times[:-1])
+        and math.isfinite(times[0])
+        and math.isfinite(times[-1])
+    )
+
+
+def _check_increasing(times: np.ndarray) -> None:
+    """Raise unless the 1-d float ``times`` are finite and strictly
+    increasing; where they are not, a second pass names what is wrong."""
+    if not _increasing(times):
+        if not np.all(np.isfinite(times)):
+            raise InvalidInputError("event times must be finite")
+        raise InvalidInputError("event times must be strictly increasing")
+
+
 def _as_stream(times: np.ndarray, rate_scale: float) -> EventStream:
-    """The stream of ``times``, a fresh array that is sorted in place.
-    Exact duplicates are dropped, so that the stream strictly increases (a
-    53-bit uniform draw can repeat at large counts, and a repeat carries no
-    information)."""
+    """The stream of ``times``, a fresh 1-d float array that is sorted in
+    place.  Exact duplicates are dropped, so that the stream strictly
+    increases (a 53-bit uniform draw can repeat at large counts, and a
+    repeat carries no information); they are looked for only when the one
+    check pass of :func:`_increasing` fails."""
     times.sort()
-    fresh = times[1:] != times[:-1]
-    if not fresh.all():
+    if not _increasing(times):
+        fresh = times[1:] != times[:-1]
         times = np.concatenate((times[:1], times[1:][fresh]))
+        _check_increasing(times)
     return EventStream._adopt(times, rate_scale)
 
 
@@ -596,7 +618,10 @@ class DelayStatistics:
 
     ``delays`` holds, for each first-stream event, the signed time to the
     nearest second-stream event (positive when that event is later).
-    ``median_abs_delay`` is None when either stream is empty.
+    ``median_abs_delay`` is None when either stream is empty.  Every figure
+    is read from the delays sorted once: the median |delay| and the default
+    range from a few entries, and ``counts`` by one binary search per bin
+    edge, which gives ``np.histogram``'s counts for the same edges.
     """
 
     delays: np.ndarray
@@ -619,101 +644,152 @@ class DelayStatistics:
 
         Without ``histogram_range`` the bins span +-max|delay| (+-1 when that
         is 0 or there are no delays).  The range, given or not, must be
-        finite with lo < hi and a finite width, so a delay beyond the float
-        range, or one beyond half of it, needs a given range.  A NaN delay
-        is rejected.
+        finite with lo < hi and a finite width, and wide enough for ``bins``
+        bins of nonzero float width, so a delay beyond the float range, or
+        one beyond half of it, needs a given range.  A NaN delay, and one
+        that is not a real number (a bool, a complex number or a string), is
+        rejected.
         """
-        gaps = np.sort(np.abs(delays))
-        if gaps.size and np.isnan(gaps[-1]):  # the sort puts NaN last
+        delays = _real_array("delays", delays)
+        ordered = np.sort(delays, axis=None)
+        if ordered.size and np.isnan(ordered[-1]):  # the sort puts NaN last
             raise InvalidInputError("delays must not be NaN")
-        return cls._from_gaps(delays, gaps, bins, histogram_range)
+        return cls._from_sorted(delays, ordered, bins, histogram_range)
 
     @classmethod
-    def _from_gaps(
+    def _from_sorted(
         cls,
         delays: np.ndarray,
-        gaps: np.ndarray,
+        ordered: np.ndarray,
         bins: int,
         histogram_range: tuple[float, float] | None,
     ) -> "DelayStatistics":
-        """:meth:`from_delays`, with ``gaps`` the sorted |delays|.  The
-        median is the middle gap, or for even n the mean of the middle two,
-        which is ``np.median``'s value bit for bit; max|delay| is the last."""
+        """:meth:`from_delays`, with ``ordered`` the sorted ``delays``.
+
+        ``np.histogram`` puts d in bin i when edge_i <= d < edge_i+1, closes
+        the last bin and drops d outside the range, so each edge's count of
+        smaller delays (of delays up to it, for the last edge) gives the
+        counts bit for bit.  max|delay| is the larger of the two ends' |d|.
+        The median is the middle |delay| of :func:`_kth_abs`, or for even n
+        ``np.mean`` of the middle two, which is ``np.median(np.abs(delays))``
+        bit for bit."""
         bins = _count("bins", bins)
         if histogram_range is None:
-            limit = (float(gaps[-1]) if gaps.size else 0.0) or 1.0
+            limit = (max(-float(ordered[0]), float(ordered[-1])) if ordered.size else 0.0) or 1.0
             histogram_range = _interval("default histogram_range +-max|delay|", (-limit, limit))
         else:
             histogram_range = _interval("histogram_range", histogram_range)
-        counts, edges = np.histogram(delays, bins=bins, range=histogram_range)
-        n = gaps.size
-        median = float(np.mean(gaps[(n - 1) // 2 : n // 2 + 1])) if n else None
-        return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=counts)
+        try:
+            edges = np.histogram_bin_edges(ordered, bins, histogram_range)
+        except ValueError as err:  # numpy's "Too many bins": two edges round together
+            raise InvalidInputError(f"histogram_range {histogram_range!r}: {err}") from None
+        below = np.searchsorted(ordered, edges)
+        below[-1] = np.searchsorted(ordered, edges[-1], side="right")
+        n = ordered.size
+        median = None
+        if n:
+            negatives = int(np.searchsorted(ordered, 0.0))
+            middle = [_kth_abs(ordered, negatives, k) for k in range((n - 1) // 2, n // 2 + 1)]
+            median = float(np.mean(middle))
+        return cls(delays=delays, median_abs_delay=median, bin_edges=edges, counts=np.diff(below))
 
 
-#: A-events per block of the neighbour search in :func:`nearest_delays`, which
-#: keeps its temporaries small.  Window counts need no block: each width is one
-#: binary search in the pair's sorted gaps |nearest delay|.
-_SCAN_BLOCK = 1 << 16
+def _kth_abs(ordered: np.ndarray, negatives: int, k: int):
+    """The k-th smallest |d| (counting from 0) of the sorted delays
+    ``ordered``, whose first ``negatives`` are < 0.
+
+    |d| falls along ordered[:negatives] and rises along the rest, so the
+    k + 1 smallest are the last i negative delays and the first k + 1 - i
+    others, for the least i whose next negative |d| is no smaller than the
+    last other one taken.  A binary search finds that i, and the k-th
+    smallest is the larger of the two |d| taken last.
+    """
+    lo, hi = max(0, k + 1 - (ordered.size - negatives)), min(k + 1, negatives)
+    while lo < hi:
+        i = (lo + hi) // 2
+        if -ordered[negatives - 1 - i] >= ordered[negatives + k - i]:
+            hi = i
+        else:
+            lo = i + 1
+    taken = [ordered[negatives + k - lo]] if lo <= k else []
+    if lo:
+        taken.append(-ordered[negatives - lo])
+    return abs(max(taken))
 
 
-def _sorted_gaps(
+#: A-events per block of the neighbour search in :func:`nearest_delays`.  Each
+#: block is searched only in its own slice of B, which keeps the search in
+#: cache and its temporaries small.
+_SCAN_BLOCK = 1 << 13
+
+
+def _sorted_delays(
     stream_a: EventStream, stream_b: EventStream, delays: np.ndarray | None = None
 ) -> np.ndarray:
-    """The pair's nearest-neighbour gaps g = |nearest delay|, sorted: for
-    each A-event x, min(fl(after - x), fl(x - before)).  A missing
-    neighbour, and a gap beyond the float range, count as +inf.
+    """The pair's signed nearest-neighbour delays, sorted: ``delays`` when
+    they are given, else those of :func:`nearest_delays`.
 
-    Built from ``abs(delays)`` when they are given, else from
-    :func:`nearest_delays`.  The gaps are kept on ``stream_a`` for the next
-    call with the same ``stream_b`` (stream times cannot change): they take
-    8 bytes an event, and every window width of the pair is one binary
-    search in them.  The memo is one tuple, read once and replaced whole, so
-    a thread never pairs one stream's key with another's gaps; it holds B by
-    weak reference, so it keeps no stream alive, and a dead reference
-    matches no stream.
+    They are kept on ``stream_a`` for the next call with the same
+    ``stream_b`` (stream times cannot change): they take 8 bytes an event,
+    and the median, the histogram and every window width of the pair are
+    binary searches in them.  The memo is one tuple, read once and replaced
+    whole, so a thread never pairs one stream's key with another's delays;
+    it holds B by weak reference, so it keeps no stream alive, and a dead
+    reference matches no stream.
     """
-    memo = stream_a._last_gaps
+    memo = stream_a._last_delays
     if memo is not None and memo[0]() is stream_b:
         return memo[1]
     if delays is None:
-        gaps = nearest_delays(stream_a, stream_b)
-        np.abs(gaps, out=gaps)
+        ordered = nearest_delays(stream_a, stream_b)
+        ordered.sort()
     else:
-        gaps = np.abs(delays)
-    gaps.sort()
-    gaps.setflags(write=False)
-    object.__setattr__(stream_a, "_last_gaps", (weakref.ref(stream_b), gaps))
-    return gaps
+        ordered = np.sort(delays)
+    ordered.setflags(write=False)
+    object.__setattr__(stream_a, "_last_delays", (weakref.ref(stream_b), ordered))
+    return ordered
 
 
 def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
     """Signed delay from each Alice event to its nearest Bob event.
 
-    The later neighbour wins a tie.  A delay beyond the float range reads
-    as +-inf.  This is the one search of A in B: every call searches anew,
-    and a pair keeps its sorted gaps (:func:`_sorted_gaps`), not the search.
+    The later neighbour wins a tie, and a missing neighbour is infinitely
+    far.  A delay beyond the float range reads as +-inf; past Bob's last
+    event such a delay ties with the missing later neighbour and reads +inf.
+    Every call searches anew: Alice's events up to Bob's first take their
+    delay from it, those past Bob's last from that one, and those between
+    are searched in blocks of ``_SCAN_BLOCK`` events, each only in its own
+    slice of Bob's times, whose bounds come from one search of the block
+    starts.  The delays are bit for bit those of the neighbours that one
+    ``np.searchsorted`` of all of A in B picks.
     """
     a, b = stream_a.times, stream_b.times
     if a.size == 0 or b.size == 0:
         return np.empty(0)
-    idx = np.searchsorted(b, a)
-    # A missing neighbour reads as +inf after the last B-event and -inf
-    # before the first, so the other side is nearer.
-    padded = np.concatenate(([-np.inf], b, [np.inf]))
+    # a[:head] has no earlier B-event, and a[tail:] no later one.
+    head, tail = np.searchsorted(a, [b[0], b[-1]], side="right").tolist()
     delays = np.empty(a.size)
     with np.errstate(over="ignore"):
-        for start in range(0, a.size, _SCAN_BLOCK):
-            block = slice(start, start + _SCAN_BLOCK)
-            i, x = idx[block], a[block]
-            # after - x >= 0 is its own magnitude, and x - before > 0 is
-            # bit-equal to |before - x|: a rounded difference only changes
-            # sign when its operands swap.
-            d_after, d_before = padded[1:][i] - x, x - padded[i]
-            delays[block] = np.where(d_after <= d_before, d_after, -d_before)
+        np.subtract(b[0], a[:head], out=delays[:head])
+        before = np.subtract(a[tail:], b[-1], out=delays[tail:])
+        np.negative(before, out=before, where=before < math.inf)
+        # Each block's neighbours lie from one before its first event's
+        # insertion point in B up to the next block's (B's last for the
+        # last block), and x - before > 0 is bit-equal to |before - x|.
+        starts = range(head, tail, _SCAN_BLOCK)
+        bounds = np.searchsorted(b, a[head:tail:_SCAN_BLOCK]).tolist() + [b.size - 1]
+        for start, lo, hi in zip(starts, bounds, bounds[1:]):
+            stop = min(start + _SCAN_BLOCK, tail)
+            x, out = a[start:stop], delays[start:stop]
+            neighbours = b[lo - 1 : hi + 1]
+            i = np.searchsorted(neighbours[1:], x)
+            after = neighbours[1:].take(i)
+            after -= x
+            np.subtract(x, neighbours.take(i), out=out)
+            later = after <= out
+            np.negative(out, out=out)
+            np.copyto(out, after, where=later)
     return delays
-
-
 def delay_statistics(
     stream_a: EventStream,
     stream_b: EventStream,
@@ -722,13 +798,13 @@ def delay_statistics(
 ) -> DelayStatistics:
     """Histogram and median of nearest-neighbor delays from A-events to B-events.
 
-    The median and the default range are read from the pair's sorted gaps
-    (:func:`_sorted_gaps`), built here from the delays unless the pair
-    already has them, and kept for its window scans.
+    Both are read from the pair's sorted delays (:func:`_sorted_delays`),
+    sorted here unless the pair already has them, and kept for its window
+    scans.
     """
     delays = nearest_delays(stream_a, stream_b)
-    gaps = _sorted_gaps(stream_a, stream_b, delays) if delays.size else delays
-    return DelayStatistics._from_gaps(delays, gaps, bins, histogram_range)
+    ordered = _sorted_delays(stream_a, stream_b, delays) if delays.size else delays
+    return DelayStatistics._from_sorted(delays, ordered, bins, histogram_range)
 
 
 def windowed_coincidences(
@@ -748,12 +824,17 @@ def windowed_coincidence_counts(
 ) -> list[int]:
     """:func:`windowed_coincidences` at each width of ``windows``, in order.
 
-    An A-event coincides when its gap g = |nearest delay| is at most
-    window/2, so each width is counted by one binary search in the pair's
-    sorted gaps (:func:`_sorted_gaps`), and all widths of a call by one
-    ``np.searchsorted``.  A missing neighbour never coincides.
+    An A-event coincides when its nearest delay d has |d| <= window/2, so
+    each width counts the pair's sorted delays (:func:`_sorted_delays`) in
+    [-window/2, window/2], by a binary search at each end, and all widths
+    of a call take one ``np.searchsorted`` per end.  A missing neighbour
+    never coincides.
     """
-    halves = [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
+    halves = np.array(
+        [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
+    )
     if stream_a.n == 0 or stream_b.n == 0:
         return [0] * len(halves)
-    return np.searchsorted(_sorted_gaps(stream_a, stream_b), halves, side="right").tolist()
+    ordered = _sorted_delays(stream_a, stream_b)
+    within = np.searchsorted(ordered, halves, side="right") - np.searchsorted(ordered, -halves)
+    return within.tolist()

@@ -126,6 +126,10 @@ CALLS = {
     "detect_prob-intensity-bool": lambda: detect_prob(DetectorParams(1.0), True),
     "detect_prob-intensity-bool-array":
         lambda: detect_prob(DetectorParams(1.0), np.array([True, False])),
+    "detect_prob-intensity-numeric-str": lambda: detect_prob(DetectorParams(1.0), "1.5"),
+    "detect_prob-intensity-numeric-str-list":
+        lambda: detect_prob(DetectorParams(1.0), ["1.5", 2]),
+    "detect_prob-intensity-bool-in-list": lambda: detect_prob(DetectorParams(1.0), [True, 1.5]),
     "HalfWindowParams-p-str": lambda: HalfWindowParams("0.1", 0.2),
     "HalfWindowParams-q-none": lambda: HalfWindowParams(0.1, None),
     "multi_single_prob-str": lambda: multi_single_prob("0.1"),
@@ -133,6 +137,7 @@ CALLS = {
     # source
     "FieldSample-x-str": lambda: FieldSample(x="a", y=1.0),
     "FieldSample-x-bool": lambda: FieldSample(x=True, y=1.0),
+    "FieldSample-x-numeric-str": lambda: FieldSample(x="2", y=1.0),
     "sample_field-size-bool": lambda: sample_field(rng(), True),
     "sample_field-size-str": lambda: sample_field(rng(), "4"),
     "sample_field-size-float": lambda: sample_field(rng(), 2.5),
@@ -176,6 +181,9 @@ CALLS = {
         lambda: intensity_stats(three_wave(), detection_time="0.3"),
     "box_filtered-none": lambda: harmonic_expansion(three_wave()).box_filtered(None),
     "EventStream-rate_scale-str": lambda: EventStream(times=np.array([1.0]), rate_scale="1"),
+    "EventStream-times-numeric-str-list": lambda: EventStream(times=["1.5", "2.5"], rate_scale=1.0),
+    "EventStream-times-bool-in-list": lambda: EventStream(times=[True, 2.0], rate_scale=1.0),
+    "EventStream-times-str-array": lambda: EventStream(times=np.array(["1", "2"]), rate_scale=1.0),
     "sample_events-span-str": lambda: sample_events(three_wave(), "5", 1.0, rng()),
     "sample_events-rate_scale-none": lambda: sample_events(three_wave(), 5.0, None, rng()),
     "sample_homogeneous_events-rate-str": lambda: sample_homogeneous_events("1", 5.0, rng()),
@@ -186,6 +194,11 @@ CALLS = {
     "from_delays-range-str": lambda: DelayStatistics.from_delays(DELAYS, 4, "ab"),
     "from_delays-range-bool":
         lambda: DelayStatistics.from_delays(np.array([0.1, -0.2, 0.3]), 4, (False, 1.0)),
+    "from_delays-delays-bool": lambda: DelayStatistics.from_delays(np.array([True, False])),
+    "from_delays-delays-complex": lambda: DelayStatistics.from_delays(np.array([0.5 + 1j, -0.25])),
+    "from_delays-delays-str": lambda: DelayStatistics.from_delays(np.array(["0.5", "-0.25"])),
+    "from_delays-range-too-narrow-for-bins":
+        lambda: DelayStatistics.from_delays([0.0], bins=64, histogram_range=(1.0, 1.0 + 2**-50)),
     "delay_statistics-bins-bool": lambda: delay_statistics(stream(), stream(), bins=False),
     "windowed_coincidences-str": lambda: windowed_coincidences(stream(), stream(), "1"),
     "windowed_coincidences-complex":
@@ -217,6 +230,7 @@ PHRASES = {
     "must be an instance of": lambda: errors._instance("x", None, AngleQuad),
     "must be finite with": lambda: errors._interval("x", (1.0,)),
     "must be finite and >= 0": lambda: errors._nonnegative_array("x", [-1.0]),
+    "must be real numbers": lambda: errors._real_array("x", ["1.5"]),
     "must be a sequence": lambda: errors._sequence("x", 0.5),
 }
 

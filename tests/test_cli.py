@@ -700,6 +700,15 @@ WAVEFORM_SHA256 = {
         ("delays", "7"): "f9f5317d00d397da0a48bf4b069b869b91989bcec365d46749f6c3f3f35a9aee",
     },
 }
+#: sha256 of stdout at ``--span 300000 --seed 3``, per waveform stream: ~3e5
+#: events a stream, so the neighbour search runs over many blocks.  Captured
+#: before that search was cut into blocks, from one search of all of A in B.
+MULTI_BLOCK_SHA256 = {
+    3: {
+        "windows": "c44627e82a059621cd101f40245dda2a8e6924b7e90eadafed3a9a3596a27732",
+        "delays": "d3ecb0ef64ff9ea5b72312e7706cad12b74b3eba9b4b682c7e9d58cb6461a5a0",
+    },
+}
 #: sha256 of ``waveform stats`` stdout, from the Brent-refined maximum of
 #: stream 1.  The three-wave peaks at a grid point, so its maximum prints as
 #: 16.0 and its argmax as math.pi exactly.
@@ -743,6 +752,31 @@ assert main(["waveform", "delays", "--seed", "0", "--bins", "8"]) == 0
 """
 
 
+#: Run in a child interpreter: the features still on, then line 2 of
+#: ``lhv-check --models 2000 --seed 0`` and the digest of each ``simulate``
+#: report of :func:`TestGoldenOutput.test_simulate_report`.
+_LHV_SIMULATE_GOLDEN_CHECK = """
+import contextlib, hashlib, io, json
+from numpy._core._multiarray_umath import __cpu_features__
+from bellsim.cli import main
+
+def stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return out.getvalue()
+
+print(*sorted(name for name, on in __cpu_features__.items() if on))
+print(stdout("lhv-check", "--models", "2000", "--seed", "0").splitlines()[1])
+for scheme in ("single", "halves"):
+    report = json.loads(stdout(
+        "simulate", "--scheme", scheme, "--k", "4", "--trials", "70000", "--seed", "3"
+    ))
+    del report["runtime_seconds"]
+    print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
+"""
+
+
 class TestGoldenOutput:
     @pytest.mark.parametrize("seed", ["0", "7"])
     def test_waveform_windows(self, capsys, seed):
@@ -772,6 +806,25 @@ class TestGoldenOutput:
         assert not set(simd_disabled) & set(features_on.split())
         golden = WINDOWS_GOLDEN[WAVEFORM_STREAM]["0"] + DELAYS_GOLDEN[WAVEFORM_STREAM]["0"]
         assert out == golden
+
+    @pytest.mark.parametrize("command", ["windows", "delays"])
+    def test_waveform_over_many_scan_blocks(self, capsys, command):
+        assert WAVEFORM_STREAM in MULTI_BLOCK_SHA256, "new waveform stream: pin its digest"
+        code, out, _ = run(capsys, "waveform", command, "--span", "300000", "--seed", "3")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == MULTI_BLOCK_SHA256[WAVEFORM_STREAM][command]
+
+    def test_lhv_check_and_simulate_goldens_at_each_simd_level(self, simd_disabled, simd_child):
+        """The pinned ``lhv-check --models 2000 --seed 0`` line and the
+        ``simulate`` digests of both schemes hold with numpy's kernels above
+        each level off."""
+        proc = simd_child(_LHV_SIMULATE_GOLDEN_CHECK)
+        assert proc.returncode == 0, proc.stderr
+        features_on, line, *digests = proc.stdout.splitlines()
+        assert not set(simd_disabled) & set(features_on.split())
+        assert line == "min_ch=0.16011825975742311 (model 922, n_states=1)"
+        assert digests == [SIMULATE_SHA256[RNG_CONTRACT][scheme] for scheme in ("single", "halves")]
 
     @pytest.mark.parametrize("argv", list(STATS_SHA256))
     def test_waveform_stats(self, capsys, argv):

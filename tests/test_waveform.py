@@ -400,6 +400,18 @@ class TestEventStream:
         with pytest.raises(InvalidInputError):
             EventStream(times=np.array([1.0, math.nan]), rate_scale=1.0)
 
+    @pytest.mark.parametrize("times", [
+        [1.0, math.inf], [-math.inf, 1.0], [math.inf], [0.0, math.nan, 1.0], [0.0, 1.0, math.nan],
+    ])
+    def test_non_finite_times_rejected(self, times):
+        """One comparison pass cannot see +-inf at an end, nor a lone
+        non-finite time: the end check and the fallback name them, for
+        given and for sampled times alike."""
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            EventStream(times=np.array(times), rate_scale=1.0)
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            wf._as_stream(np.array(times), 1.0)
+
     def test_times_read_only(self):
         s = EventStream(times=np.array([1.0, 2.0]), rate_scale=1.0)
         with pytest.raises(ValueError):
@@ -439,9 +451,9 @@ class TestEventStream:
         b = EventStream(times=np.array([1.5, 3.0]), rate_scale=1.0)
         expected = nearest_delays(a, b)
         windowed_coincidences(a, b, 1.0)
-        assert a._last_gaps is not None
+        assert a._last_delays is not None
         for clone in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
-            assert clone._last_gaps is None
+            assert clone._last_delays is None
             assert not clone.times.flags.writeable
             assert np.array_equal(clone.times, a.times) and clone.rate_scale == 2.0
             assert np.array_equal(nearest_delays(clone, b), expected)
@@ -1126,19 +1138,31 @@ def scan(a, b, windows=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)):
     )
 
 
-def counted_searches(monkeypatch, b_streams):
-    """Count ``np.searchsorted`` calls: those into one of ``b_streams``'
-    times (a neighbour search), and the others (searches in sorted gaps)."""
-    calls, gap_calls = [], []
-    search = np.searchsorted
+def counted_scans(monkeypatch):
+    """Record the neighbour scans of A in B (the calls of ``nearest_delays``,
+    as the ids of the two streams) and the arrays that ``np.searchsorted``
+    searches, scans included."""
+    scans, searched = [], []
+    scan, search = wf.nearest_delays, np.searchsorted
 
-    def counted(sorted_values, *args, **kwargs):
-        into_b = any(sorted_values is b.times for b in b_streams)
-        (calls if into_b else gap_calls).append(1)
+    def counted_scan(stream_a, stream_b):
+        scans.append((id(stream_a), id(stream_b)))
+        return scan(stream_a, stream_b)
+
+    def counted_search(sorted_values, *args, **kwargs):
+        searched.append(sorted_values)
         return search(sorted_values, *args, **kwargs)
 
-    monkeypatch.setattr(np, "searchsorted", counted)
-    return calls, gap_calls
+    monkeypatch.setattr(wf, "nearest_delays", counted_scan)
+    monkeypatch.setattr(np, "searchsorted", counted_search)
+    return scans, searched
+
+
+def only_sorted_delays(searched, a, b):
+    """Whether every array in ``searched`` is the (a, b) pair's kept sorted
+    delays, none of them a slice of B's times."""
+    kept = a._last_delays[1]
+    return all(x is kept and not np.shares_memory(x, b.times) for x in searched)
 
 
 class TestSearchMemo:
@@ -1156,21 +1180,22 @@ class TestSearchMemo:
 
     def test_one_search_per_pair(self, monkeypatch):
         """Demo 05's sequence: the delays of two pairs, then six widths per
-        pair, one call each, search A in B twice; a third pair searches once
-        more.  Each window call makes one search in the pair's gaps."""
+        pair, one call each, scan A in B twice; a third pair scans once
+        more.  Each window call searches only the pair's sorted delays, once
+        per end of [-window/2, window/2]."""
         shared_a, shared_b, indep_a, indep_b = self.streams(4, seed=32)
-        calls, gap_calls = counted_searches(monkeypatch, (shared_b, indep_b))
-        for a, b in ((shared_a, shared_b), (indep_a, indep_b)):
+        pairs = ((shared_a, shared_b), (indep_a, indep_b))
+        scans, searched = counted_scans(monkeypatch)
+        for a, b in pairs:
             delay_statistics(a, b, bins=13, histogram_range=(-0.325, 0.325))
-        counts = [
-            windowed_coincidences(a, b, window=w)
-            for a, b in ((shared_a, shared_b), (indep_a, indep_b))
-            for w in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
-        ]
-        assert len(calls) == 2
-        assert len(gap_calls) == 12
+        counts, widths = [], (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)
+        for a, b in pairs:
+            searched.clear()
+            counts += [windowed_coincidences(a, b, window=w) for w in widths]
+            assert len(searched) == 12 and only_sorted_delays(searched, a, b)
+        assert scans == [(id(a), id(b)) for a, b in pairs]
         crossed = windowed_coincidences(shared_a, indep_b, 0.5)
-        assert len(calls) == 3
+        assert scans == [(id(a), id(b)) for a, b in (*pairs, (shared_a, indep_b))]
         monkeypatch.undo()
         assert counts[-1] == windowed_coincidences(fresh(indep_a), fresh(indep_b), 0.5)
         assert crossed == windowed_coincidences(fresh(shared_a), fresh(indep_b), 0.5)
@@ -1214,9 +1239,11 @@ class TestSearchMemo:
         """The benchmark's scan on four ~5e5-event streams (two three-wave,
         two homogeneous): the delay statistics of both pairs, then 7 widths
         per pair, one call each.  With a new search and full-size neighbour
-        arrays per call its traced peak was 29.5 MB; one kept search per
-        pair (a 4 MB index on each A-stream), neighbours gathered in blocks
-        and one |delay| temporary measure 24.3 MB."""
+        arrays per call its traced peak was 29.5 MB; one full search per
+        pair with neighbours gathered in blocks measured 22.6 MB, and a
+        search of each block in its own slice of B, with no index or padded
+        copy of B, 16.0 MB (what each pair keeps: its delays and their
+        sorted copy, 4 MB each)."""
         w, span = three_wave(), 5e5
         shared_a, shared_b = (sample_events(w, span, 1.0 / 3.0, make_rng(s)) for s in (1, 2))
         indep_a, indep_b = (sample_homogeneous_events(1.0, span, make_rng(s)) for s in (3, 4))
@@ -1266,8 +1293,8 @@ class TestGapScreen:
     def test_widths_at_a_partner_half_a_unit_away(self, monkeypatch):
         """B = A +- 0.5 puts every gap within rounding of 0.5: the widths at
         twice each gap and either side, and 1.0 and 3.0, match the brute
-        force.  The pair searches A in B once, and each call makes one
-        search in its gaps."""
+        force.  The pair scans A in B once, and each call then searches only
+        the pair's sorted delays, once per end of each width's interval."""
         a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
         for sign in (-1.0, 1.0):
             a = EventStream(times=a_times, rate_scale=1.0)
@@ -1275,11 +1302,13 @@ class TestGapScreen:
             widths = [1.0, 3.0, *widths_at_gaps(a, b)]
             expected = [brute_force_windows(a.times, b.times, w) for w in widths]
             assert expected[:2] == [4, 4]
-            calls, gap_calls = counted_searches(monkeypatch, (b,))
+            scans, searched = counted_scans(monkeypatch)
             assert windowed_coincidence_counts(a, b, widths) == expected
-            assert (len(calls), len(gap_calls)) == (1, 1)
+            assert scans == [(id(a), id(b))]
+            searched.clear()
             assert [windowed_coincidences(a, b, w) for w in widths] == expected
-            assert (len(calls), len(gap_calls)) == (1, 1 + len(widths))
+            assert scans == [(id(a), id(b))]
+            assert len(searched) == 2 * len(widths) and only_sorted_delays(searched, a, b)
             monkeypatch.undo()
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -1326,6 +1355,121 @@ class TestCoincidenceIsNearestDelay:
         assert [windowed_coincidences(a, b, w) for w in widths] == counts
         by_width = [c for _, c in sorted(zip(widths, counts))]
         assert by_width == sorted(by_width)
+
+
+def full_search_delays(a, b):
+    """Nearest delays from one ``np.searchsorted`` of all of A in B, with B
+    padded by -inf and +inf where a neighbour is missing; the later
+    neighbour wins a tie."""
+    idx = np.searchsorted(b, a)
+    padded = np.concatenate(([-np.inf], b, [np.inf]))
+    with np.errstate(over="ignore"):
+        d_after, d_before = padded[1:][idx] - a, a - padded[idx]
+    return np.where(d_after <= d_before, d_after, -d_before)
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x, dtype=float).view(np.int64),
+                          np.asarray(y, dtype=float).view(np.int64))
+
+
+class TestBlockSearch:
+    """:func:`nearest_delays` searches each block of A only in its own slice
+    of B, and gives the delays of one search of all of A in B, bit for bit."""
+
+    def test_blocks_match_one_full_search(self):
+        """A over 3.5 blocks, with events before B's first and after its
+        last, shared events and exact ties; no B-event lies within A's
+        second searched block."""
+        n = wf._SCAN_BLOCK
+        rng = make_rng(808)
+        grid = np.arange(0.0, 100.0, 0.5)
+        a = np.unique(np.concatenate((rng.uniform(0.0, 100.0, int(3.5 * n)), grid)))
+        b = np.concatenate(([1.0], rng.uniform(1.0, 99.0, 3 * n), grid[10:190:7] + 0.25))
+        head = int(np.searchsorted(a, 1.0, side="right"))
+        quiet_lo, quiet_hi = a[head + n], a[head + 2 * n]
+        b = np.unique(np.concatenate((b, rng.choice(a[(a > 1.0) & (a < 99.0)], 300))))
+        b = b[(b < quiet_lo) | (b > quiet_hi)]
+        assert np.searchsorted(b, quiet_lo) == np.searchsorted(b, quiet_hi)
+        assert a[0] < b[0] and a[-1] > b[-1] and a.size > 3 * n
+        got = nearest_delays(*(EventStream(times=t, rate_scale=1.0) for t in (a, b)))
+        assert same_bits(got, full_search_delays(a, b))
+
+    @pytest.mark.parametrize("a_times, b_times", [
+        ([-1.7e308, 0.0], [1e308]),
+        ([0.0, 1.7e308], [-1e308]),
+        ([-1.7e308, -1.0, 0.0, 1.0, 1.5e308, 1.7e308], [-1e308, 1e308]),
+    ])
+    def test_delays_beyond_the_float_range(self, monkeypatch, a_times, b_times):
+        """Before B's first event, after its last (where a delay beyond the
+        float range ties with the missing later neighbour and reads +inf)
+        and between, in blocks of two, with no overflow warning."""
+        monkeypatch.setattr(wf, "_SCAN_BLOCK", 2)
+        a, b = (EventStream(times=np.array(t), rate_scale=1.0) for t in (a_times, b_times))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_delays(a, b)
+        assert same_bits(got, full_search_delays(a.times, b.times))
+
+
+@st.composite
+def delays_and_range(draw):
+    """Delays with +-0.0, ties, odd and even counts and +-inf, some of them
+    at a bin edge or a float either side of one, with a given range (always
+    when a delay is infinite) or none."""
+    bins = draw(st.integers(1, 12))
+    lo = draw(st.floats(-5.0, 4.0))
+    histogram_range = (lo, lo + draw(st.floats(1e-3, 10.0)))
+    edges = np.histogram_bin_edges(np.empty(0), bins, histogram_range)
+    near_edges = [
+        float(x) for e in edges for x in (np.nextafter(e, -math.inf), e, np.nextafter(e, math.inf))
+    ]
+    special = st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.25, -0.25, *near_edges])
+    finite = draw(st.lists(st.one_of(special, st.floats(-6.0, 6.0)), max_size=30))
+    infinite = draw(st.lists(st.sampled_from([math.inf, -math.inf]), max_size=3))
+    delays = np.array(draw(st.permutations(finite + infinite)), dtype=float)
+    if not infinite and draw(st.booleans()):
+        histogram_range = None
+    return delays, bins, histogram_range
+
+
+class TestStatisticsMatchNumpy:
+    """Counts, edges and median read from the sorted delays are those of
+    ``np.histogram`` and ``np.median(np.abs(delays))``, bit for bit."""
+
+    @staticmethod
+    def check(s, delays, bins, histogram_range):
+        if histogram_range is None:
+            limit = float(np.max(np.abs(delays))) if delays.size else 0.0
+            histogram_range = (-(limit or 1.0), limit or 1.0)
+        counts, edges = np.histogram(delays, bins, histogram_range)
+        assert np.array_equal(s.counts, counts) and s.counts.dtype == counts.dtype
+        assert same_bits(s.bin_edges, edges)
+        if delays.size:
+            assert same_bits(s.median_abs_delay, np.median(np.abs(delays)))
+        else:
+            assert s.median_abs_delay is None
+
+    @settings(max_examples=400, deadline=None)
+    @given(delays_and_range())
+    @example((np.array([-0.0, 0.0, -0.0]), 3, None))
+    @example((np.array([math.inf, -math.inf, -0.5, 0.5]), 4, (-1.0, 1.0)))
+    @example((np.array([]), 2, (0.0, 1.0)))
+    def test_from_delays(self, case):
+        delays, bins, histogram_range = case
+        s = DelayStatistics.from_delays(delays, bins, histogram_range)
+        self.check(s, delays, bins, histogram_range)
+
+    @settings(max_examples=200, deadline=None)
+    @given(stream_pairs(), st.integers(1, 12), st.none() | st.just((-0.3, 0.7)),
+           st.lists(st.floats(1e-3, 30.0), max_size=4))
+    def test_delay_statistics_and_windows(self, pair, bins, histogram_range, widths):
+        a, b = pair
+        delays = nearest_delays(a, b)
+        self.check(delay_statistics(a, b, bins, histogram_range), delays, bins, histogram_range)
+        widths = widths + widths_at_gaps(a, b)
+        expected = [brute_force_windows(a.times, b.times, w) if b.n else 0 for w in widths]
+        assert windowed_coincidence_counts(a, b, widths) == expected
 
 
 class TestHistogramRange:
