@@ -1435,14 +1435,22 @@ def delays_and_range(draw):
 
 class TestStatisticsMatchNumpy:
     """Counts, edges and median read from the sorted delays are those of
-    ``np.histogram`` and ``np.median(np.abs(delays))``, bit for bit."""
+    ``np.histogram`` and ``np.median(np.abs(delays))``, bit for bit; where
+    ``np.histogram`` rejects the range (bins narrower than a float step),
+    the statistics raise ``InvalidInputError``."""
 
     @staticmethod
-    def check(s, delays, bins, histogram_range):
+    def check(build, delays, bins, histogram_range):
         if histogram_range is None:
             limit = float(np.max(np.abs(delays))) if delays.size else 0.0
             histogram_range = (-(limit or 1.0), limit or 1.0)
-        counts, edges = np.histogram(delays, bins, histogram_range)
+        try:
+            counts, edges = np.histogram(delays, bins, histogram_range)
+        except ValueError:
+            with pytest.raises(InvalidInputError, match="histogram_range"):
+                build()
+            return
+        s = build()
         assert np.array_equal(s.counts, counts) and s.counts.dtype == counts.dtype
         assert same_bits(s.bin_edges, edges)
         if delays.size:
@@ -1455,10 +1463,11 @@ class TestStatisticsMatchNumpy:
     @example((np.array([-0.0, 0.0, -0.0]), 3, None))
     @example((np.array([math.inf, -math.inf, -0.5, 0.5]), 4, (-1.0, 1.0)))
     @example((np.array([]), 2, (0.0, 1.0)))
+    @example((np.array([0.0, 0.0, 0.0, -5e-324]), 3, None))
     def test_from_delays(self, case):
         delays, bins, histogram_range = case
-        s = DelayStatistics.from_delays(delays, bins, histogram_range)
-        self.check(s, delays, bins, histogram_range)
+        self.check(lambda: DelayStatistics.from_delays(delays, bins, histogram_range),
+                   delays, bins, histogram_range)
 
     @settings(max_examples=200, deadline=None)
     @given(stream_pairs(), st.integers(1, 12), st.none() | st.just((-0.3, 0.7)),
@@ -1466,7 +1475,8 @@ class TestStatisticsMatchNumpy:
     def test_delay_statistics_and_windows(self, pair, bins, histogram_range, widths):
         a, b = pair
         delays = nearest_delays(a, b)
-        self.check(delay_statistics(a, b, bins, histogram_range), delays, bins, histogram_range)
+        self.check(lambda: delay_statistics(a, b, bins, histogram_range),
+                   delays, bins, histogram_range)
         widths = widths + widths_at_gaps(a, b)
         expected = [brute_force_windows(a.times, b.times, w) if b.n else 0 for w in widths]
         assert windowed_coincidence_counts(a, b, widths) == expected
