@@ -1141,13 +1141,17 @@ def scan(a, b, windows=(0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0)):
 def counted_scans(monkeypatch):
     """Record the neighbour scans of A in B (the calls of ``nearest_delays``,
     as the ids of the two streams) and the arrays that ``np.searchsorted``
-    searches, scans included."""
+    searches outside them."""
     scans, searched = [], []
     scan, search = wf.nearest_delays, np.searchsorted
 
     def counted_scan(stream_a, stream_b):
         scans.append((id(stream_a), id(stream_b)))
-        return scan(stream_a, stream_b)
+        before = len(searched)
+        try:
+            return scan(stream_a, stream_b)
+        finally:
+            del searched[before:]
 
     def counted_search(sorted_values, *args, **kwargs):
         searched.append(sorted_values)
@@ -1194,8 +1198,10 @@ class TestSearchMemo:
             counts += [windowed_coincidences(a, b, window=w) for w in widths]
             assert len(searched) == 12 and only_sorted_delays(searched, a, b)
         assert scans == [(id(a), id(b)) for a, b in pairs]
+        searched.clear()
         crossed = windowed_coincidences(shared_a, indep_b, 0.5)
         assert scans == [(id(a), id(b)) for a, b in (*pairs, (shared_a, indep_b))]
+        assert len(searched) == 2 and only_sorted_delays(searched, shared_a, indep_b)
         monkeypatch.undo()
         assert counts[-1] == windowed_coincidences(fresh(indep_a), fresh(indep_b), 0.5)
         assert crossed == windowed_coincidences(fresh(shared_a), fresh(indep_b), 0.5)
@@ -1293,8 +1299,9 @@ class TestGapScreen:
     def test_widths_at_a_partner_half_a_unit_away(self, monkeypatch):
         """B = A +- 0.5 puts every gap within rounding of 0.5: the widths at
         twice each gap and either side, and 1.0 and 3.0, match the brute
-        force.  The pair scans A in B once, and each call then searches only
-        the pair's sorted delays, once per end of each width's interval."""
+        force.  The pair scans A in B once.  Each call then searches only
+        the pair's sorted delays, once per end: one search per end for all
+        widths of a call, and so two per one-width call."""
         a_times = np.array([0.1, 1.3, 7.77, 1e6 + 0.3])
         for sign in (-1.0, 1.0):
             a = EventStream(times=a_times, rate_scale=1.0)
@@ -1305,6 +1312,7 @@ class TestGapScreen:
             scans, searched = counted_scans(monkeypatch)
             assert windowed_coincidence_counts(a, b, widths) == expected
             assert scans == [(id(a), id(b))]
+            assert len(searched) == 2 and only_sorted_delays(searched, a, b)
             searched.clear()
             assert [windowed_coincidences(a, b, w) for w in widths] == expected
             assert scans == [(id(a), id(b))]
