@@ -16,13 +16,22 @@ sensitivity parameter.  A trial is one time window of a run:
   - ``any_paired_coincidence``: coincidence counted per pairing channel.
     The four half-window pairings (1,1), (2,2), (1,2), (2,1) are treated as
     independently evaluated channels: the two same-half channels reuse that
-    half's shot pair, while each cross-half channel is evaluated on fresh
-    source realizations, so the no-coincidence probability factorizes
-    exactly into (1-P_XY)^2 (1-P_X*P_Y)^2.  Counted this way, a pairing of
-    shots in different halves is an accidental coincidence independent of
-    everything else, which is what makes the split-window CH combination go
-    negative at large k; the union flag, by contrast, defines a bona fide
-    local model and never violates the inequality.
+    half's shot pair, while each cross-half channel stands for one shot of
+    each side on its own fresh source realization, so the no-coincidence
+    probability factorizes exactly into (1-P_XY)^2 (1-P_X*P_Y)^2.  Counted
+    this way, a pairing of shots in different halves is an accidental
+    coincidence independent of everything else, which is what makes the
+    split-window CH combination go negative at large k; the union flag, by
+    contrast, defines a bona fide local model and never violates the
+    inequality.
+
+    So each cross-half channel is drawn as one Bernoulli(P_X*P_Y) shot.
+    This is exact, not an approximation: two independent shots on fresh
+    realizations both fire with probability P_X*P_Y, and a shot's marginal
+    P = E[1 - exp(-k*I)] over the thermal field is known in closed form
+    (Mandel, Proc. Phys. Soc. 72, 1037 (1958)): 1 - 1/((1 + k c^2)(1 + k s^2))
+    with suppressed phases, and k/(1 + k) with sampled ones, whose uniform
+    relative phase makes I unit-mean exponential at every angle.
 
 :func:`run_trials` draws a batch of trials and returns only the counts of
 these flags, never the per-trial flags.
@@ -97,6 +106,22 @@ def detect_prob(
     return np.negative(p, out=p)
 
 
+def _shot_prob(k: float, angle: float, sampled: bool) -> float:
+    """Probability that one shot on a fresh source realization fires at
+    ``angle``: the mean of 1 - exp(-k*I) over the field (module docstring).
+
+    Suppressed, it is k (1 + k c^2 s^2) / ((1 + k c^2)(1 + k s^2)), with c
+    and s as :func:`bellsim.source.intensities` takes them.  Every term is
+    positive, so nothing cancels at small k, and the two factors below stay
+    finite for every finite k.  Sampled, it is k / (1 + k) at every angle.
+    """
+    if sampled:
+        return k / (1.0 + k)
+    c, s = np.cos(angle), np.sin(angle)
+    c2, s2 = c**2, s**2
+    return float(k / (1.0 + k * c2) * ((1.0 + k * c2 * s2) / (1.0 + k * s2)))
+
+
 #: Keys of the counts returned by :func:`run_trials`.
 COUNT_KEYS = (
     "any_alice",
@@ -152,27 +177,26 @@ def run_trials(
 
     Notes
     -----
-    Draw order (RNG contract 3, see
-    :data:`bellsim.montecarlo.RNG_CONTRACT`; it keeps contract 2's order and
-    changes only the bit generator); each item is ``n`` values, and the
-    bracketed phases are drawn only with ``phase_mode="sampled"``:
+    Draw order (RNG contract 4, see
+    :data:`bellsim.montecarlo.RNG_CONTRACT`); each item is ``n`` values,
+    and the bracketed phases are drawn only with ``phase_mode="sampled"``:
 
     * single: x, y, [chi, xi]; Alice's uniforms; Bob's uniforms.
     * halves: the single-window draws for half 1, then the same for half 2;
-      then for channel (1,2) and after it channel (2,1): Alice's side x, y,
-      [chi], Alice's uniforms; Bob's side x, y, [xi], Bob's uniforms.
+      then one batch of uniforms for channel (1,2) and one for channel
+      (2,1), each compared with P_X*P_Y (module docstring).
 
     Every field draw is thus followed by the uniforms of the shots it
     drives, which keeps few ``n``-sized arrays alive at a time.
 
-    In suppressed mode that is 4 values per trial on single and 20 on
-    halves.
+    That is 4 values per trial on single and 10 on halves in suppressed
+    mode, and 6 and 14 in sampled mode.
 
     Each call allocates one workspace: four float arrays of ``n`` (the field
     x and y, the intensity, the uniforms) and the shot flags (two arrays of
     ``n`` on single, five on halves).  Every field draw, projection,
     detection probability and uniform batch is written into it, so the call
-    draws the contract-3 stream above with no other ``n``-sized allocation
+    draws the contract-4 stream above with no other ``n``-sized allocation
     in suppressed mode (sampled phases are still allocated by
     :func:`bellsim.source.sample_field`).
     """
@@ -184,38 +208,33 @@ def run_trials(
     x, y, i, u = np.empty((4, n))
     flags = np.empty((5 if scheme is WindowScheme.HALVES else 2, n), dtype=bool)
 
-    def shots(alice: float | None, bob: float | None, chi: bool, xi: bool,
-              flag_a: np.ndarray | None, flag_b: np.ndarray | None) -> None:
-        # One fresh field draw projected onto the given sides (None: side not
-        # projected; Bob's intensity reuses x), then a uniform batch per
-        # projected side, Alice first, whose shots land in that side's flags.
-        sample = sample_field(rng, n, chi, xi, out=(x, y))
-        pair = intensities(sample, alice, bob, phase_mode, out=(i, x), work=u)
+    def shots(flag_a: np.ndarray, flag_b: np.ndarray) -> None:
+        # One fresh field draw projected onto both sides, then a uniform
+        # batch per side, Alice first, whose shots land in that side's flags.
+        sample = sample_field(rng, n, sampled, sampled, out=(x, y))
+        pair = intensities(sample, theta, phi, phase_mode, out=(i, x), work=u)
         for intensity, flag in ((pair.i_a, flag_a), (pair.i_b, flag_b)):
-            if intensity is not None:
-                prob = detect_prob(params, intensity, out=intensity)
-                np.less(rng.random(out=u), prob, out=flag)
+            prob = detect_prob(params, intensity, out=intensity)
+            np.less(rng.random(out=u), prob, out=flag)
 
     if scheme is WindowScheme.SINGLE:
         a, b = flags
-        shots(theta, phi, sampled, sampled, a, b)
+        shots(a, b)
         n_a, n_b = np.count_nonzero(a), np.count_nonzero(b)
         coinc = np.count_nonzero(np.logical_and(a, b, out=a))
         return _counts(n_a, n_b, coinc, coinc, coinc, coinc)
 
     alice, bob, shot_a, shot_b, paired = flags
-    shots(theta, phi, sampled, sampled, alice, bob)
+    shots(alice, bob)
     np.logical_and(alice, bob, out=paired)
-    shots(theta, phi, sampled, sampled, shot_a, shot_b)
+    shots(shot_a, shot_b)
     alice |= shot_a
     bob |= shot_b
     paired |= np.logical_and(shot_a, shot_b, out=shot_a)
-    # Cross-half pairing channels (1,2) then (2,1), each on fresh
-    # realizations: one for Alice's side, one for Bob's.
+    # Cross-half pairing channels (1,2) then (2,1), each one Bernoulli(P_X*P_Y).
+    p_cross = _shot_prob(params.k, theta, sampled) * _shot_prob(params.k, phi, sampled)
     for _ in range(2):
-        shots(theta, None, sampled, False, shot_a, None)
-        shots(None, phi, False, sampled, None, shot_b)
-        paired |= np.logical_and(shot_a, shot_b, out=shot_a)
+        paired |= np.less(rng.random(out=u), p_cross, out=shot_a)
 
     def both(f: np.ndarray, g: np.ndarray) -> int:
         return np.count_nonzero(np.logical_and(f, g, out=shot_a))

@@ -50,9 +50,10 @@ class NumericalInconsistencyError(BellsimError, ArithmeticError):
     """
 
 
-# math.isfinite raises TypeError on a non-number, and a try costs nothing
-# when it does not: the k check runs on every closed-form evaluation, where
-# an isinstance(value, numbers.Real) test costs about five times as much.
+# math.isfinite raises TypeError on a non-number and OverflowError on an int
+# beyond the float range, and a try costs nothing when it raises neither: the
+# k check runs on every closed-form evaluation, where an
+# isinstance(value, numbers.Real) test costs about five times as much.
 # A numpy complex scalar converts to float with a ComplexWarning and loses
 # its imaginary part, and a bool converts to 0 or 1, so both are turned away
 # first (after a type test that lets a Python float skip the slower isinstance).
@@ -66,7 +67,7 @@ def _real(name: str, value: object) -> float:
             and math.isfinite(value)
         ):
             return float(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     raise _not_real(name, value)
 
@@ -85,7 +86,7 @@ def _positive(name: str, value: object, zero: bool = False) -> float:
             and (value > 0.0 or zero and value == 0.0)
         ):
             return float(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         pass
     sign = "nonnegative" if zero else "positive"
     raise InvalidInputError(f"{name} must be {sign} and finite, got {value!r}")
@@ -142,7 +143,7 @@ def _interval(name: str, value: object, positive: bool = False) -> tuple[float, 
             lo, hi = float(lo), float(hi)
             if math.isfinite(hi - lo):
                 return lo, hi
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pass
     bound = "0 < " if positive else ""
     raise InvalidInputError(

@@ -62,8 +62,10 @@ CHUNK_TRIALS = 1 << 16
 #: between versions only when this number changes.  History:
 #: 1, the original kernel (Philox, every value of a trial drawn);
 #: 2, the lean draw order (Philox, only the values a trial uses);
-#: 3, contract 2's draw order from SFC64 instead of Philox.
-RNG_CONTRACT = 3
+#: 3, contract 2's draw order from SFC64 instead of Philox;
+#: 4, contract 3 with each cross-half channel one Bernoulli(P_X*P_Y) uniform
+#: batch in place of two fresh-field shots.
+RNG_CONTRACT = 4
 
 _Z_LIMIT = 5.0
 

@@ -108,11 +108,14 @@ CALLS = {
     "small_k_expansion-quad-none": lambda: small_k_expansion(quad=None),
     "table_for_mode-k-bool": lambda: table_for_mode(True),
     "q_single-theta-bool": lambda: q_single(1.0, False),
+    "ch_zero_crossing-bracket-int-beyond-float": lambda: ch_zero_crossing(bracket=(1e-3, 10**400)),
     # detector
     "DetectorParams-k-str": lambda: DetectorParams("1"),
     "DetectorParams-k-none": lambda: DetectorParams(None),
     "DetectorParams-k-bool": lambda: DetectorParams(True),
     "DetectorParams-k-numpy-bool": lambda: DetectorParams(np.True_),
+    "DetectorParams-k-int-beyond-float": lambda: DetectorParams(10**400),
+    "run_trials-theta-int-beyond-float": lambda: trials(theta=-(10**400)),
     "WindowScheme-str": lambda: WindowScheme("diagonal"),
     "run_trials-scheme-none": lambda: trials(scheme=None),
     "run_trials-theta-str": lambda: trials(theta="a"),
@@ -173,6 +176,7 @@ CALLS = {
     "Waveform-amplitude-none": lambda: three_wave(amplitude=None),
     "three_wave-omega-complex": lambda: three_wave(omega=np.complex128(1 + 1j)),
     "three_wave-amplitude-complex64": lambda: three_wave(amplitude=np.complex64(2)),
+    "three_wave-omega-int-beyond-float": lambda: three_wave(omega=10**400),
     "Waveform-harmonic-str": lambda: Waveform(((1.0, "2"),)),
     "from_coefficients-str": lambda: Waveform.from_coefficients(["x"]),
     "intensity_stats-samples-bool": lambda: intensity_stats(three_wave(), True),
@@ -197,6 +201,8 @@ CALLS = {
     "from_delays-delays-bool": lambda: DelayStatistics.from_delays(np.array([True, False])),
     "from_delays-delays-complex": lambda: DelayStatistics.from_delays(np.array([0.5 + 1j, -0.25])),
     "from_delays-delays-str": lambda: DelayStatistics.from_delays(np.array(["0.5", "-0.25"])),
+    "from_delays-range-int-beyond-float":
+        lambda: DelayStatistics.from_delays(DELAYS, 4, (-(10**400), 1.0)),
     "from_delays-range-too-narrow-for-bins":
         lambda: DelayStatistics.from_delays([0.0], bins=64, histogram_range=(1.0, 1.0 + 2**-50)),
     "delay_statistics-bins-bool": lambda: delay_statistics(stream(), stream(), bins=False),
@@ -250,6 +256,19 @@ def test_complex_is_not_real(value, message):
         errors._real("x", value)
     with pytest.raises(InvalidInputError, match="^x must be positive and finite"):
         errors._positive("x", value)
+
+
+@pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_int_beyond_float_range(value):
+    """An int too large for a float is no finite number: each check raises
+    its own message, not the OverflowError of converting it."""
+    with pytest.raises(InvalidInputError, match=f"^x must be a real number, got {value}$"):
+        errors._real("x", value)
+    with pytest.raises(InvalidInputError, match=f"^x must be positive and finite, got {value}$"):
+        errors._positive("x", value)
+    for pair in ((0, value), (value, 0)):
+        with pytest.raises(InvalidInputError, match="^x must be finite with lo < hi"):
+            errors._interval("x", pair)
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=["true", "false", "numpy"])

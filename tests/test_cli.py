@@ -738,6 +738,10 @@ SIMULATE_SHA256 = {
         "single": "b3bfd0edb4c52e2da9b1534388808c8f5c184aaf1f59431d63434c852444380c",
         "halves": "70b8c8a14de43b33b18fd032086e8f33aaf39ab56cdb3c55e170263f0c4a3b85",
     },
+    4: {
+        "single": "a4f90b6ed61b779b24b5061dd23d5cd4d8be2249a5365a3421c2fe890d99d85d",
+        "halves": "8f0500fd806a334c8b526b43eafb7c42c18d5d9cff5247cb31cf72c5b0725244",
+    },
 }
 
 

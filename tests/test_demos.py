@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from bellsim.montecarlo import RNG_CONTRACT
 from bellsim.waveform import WAVEFORM_STREAM
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -22,12 +23,21 @@ DEMO_SHA256 = {
     "01_bell_theorem_playground.py": "5b14dd13fd16095b23bf31bd0c46abbad9022aced03b8ab5170c7b96f6928b74",
     "02_standard_vs_multiwindow.py": "f48f915260a522af4f4e31c58deea425e18fb97e92d47b509011def2184eb1ab",
     "03_window_algebra.py": "9dada146586a759e6ba23d3ca305f3b74192390889ad6f6e6f456c9e646594e2",
-    "04_simulation_validation.py": "687d5a415316204021ef79d0a7ca605f37bee22a11cca8a6ab14bff10e35852e",
+    # Runs Monte Carlo trials, so its digest is pinned per RNG contract.
+    "04_simulation_validation.py": {
+        3: "687d5a415316204021ef79d0a7ca605f37bee22a11cca8a6ab14bff10e35852e",
+        4: "09859c7631880a8848a09a3807bf93d9d7f73c061bd183b88684dab5e0568009",
+    },
     # Draws event streams, so its digest is pinned per waveform stream.
     "05_chaotic_light_timing.py": {
         2: "c0fb642c950ec82f92b59fe8db668ac8a2fe1048a4fb792a309c9bfa05809fe0",
         3: "e739937b63cfc0d187a49502f6f5784c791588e45be63c212da70d791f04c485",
     },
+}
+#: The stream version that keys each demo's per-version digests above.
+_STREAM_VERSION = {
+    "04_simulation_validation.py": RNG_CONTRACT,
+    "05_chaotic_light_timing.py": WAVEFORM_STREAM,
 }
 
 _RUN = "import runpy, sys; sys.modules['scipy'] = None; runpy.run_path(sys.argv[1], run_name='__main__')"
@@ -47,6 +57,6 @@ def test_demo_stdout(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     expected = DEMO_SHA256[demo]
     if isinstance(expected, dict):
-        assert WAVEFORM_STREAM in expected, "new waveform stream: pin its digest"
-        expected = expected[WAVEFORM_STREAM]
+        assert _STREAM_VERSION[demo] in expected, "new stream version: pin its digest"
+        expected = expected[_STREAM_VERSION[demo]]
     assert hashlib.sha256(proc.stdout).hexdigest() == expected, proc.stdout.decode()

@@ -5,6 +5,7 @@ import math
 import re
 import tracemalloc
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,14 +17,16 @@ from bellsim.detector import (
     DetectorParams,
     HalfWindowParams,
     WindowScheme,
+    _shot_prob,
     detect_prob,
     gain,
     multi_coincidence_prob,
     multi_single_prob,
     run_trials,
 )
-from bellsim.analytic import union_coincidence_table
+from bellsim.analytic import standard_table, union_coincidence_table
 from bellsim.errors import BellsimError, InvalidInputError, NumericalInconsistencyError
+from bellsim.inequalities import DEFAULT_QUAD, AngleQuad
 from bellsim.montecarlo import CHUNK_TRIALS
 from bellsim.source import FieldSample, intensities, sample_field
 
@@ -187,9 +190,8 @@ class TestTrialCounts:
 
 class TestDrawOrder:
     """run_trials consumes exactly the documented draws (the order of RNG
-    contracts 2 and 3, which differ only in the bit generator):
-    replaying them by hand leaves the generator in the same state, so the
-    next draws agree."""
+    contract 4): replaying them by hand leaves the generator in the same
+    state, so the next draws agree."""
 
     @staticmethod
     def replay(rng, n, scheme, sampled):
@@ -205,9 +207,7 @@ class TestDrawOrder:
             return
         field(2)
         rng.random(n), rng.random(n)
-        for _ in range(4):  # both sides of both cross channels
-            field(1)
-            rng.random(n)
+        rng.random(n), rng.random(n)  # one batch per cross channel
 
     @pytest.mark.parametrize("scheme", list(WindowScheme))
     @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
@@ -220,8 +220,9 @@ class TestDrawOrder:
 
 
 def reference_counts(k, scheme, theta, phi, rng, n, phase_mode):
-    """The contract-3 draw order written out plainly: every draw, projection
-    and comparison allocates its own array."""
+    """The contract-4 draw order written out plainly: every draw, projection
+    and comparison allocates its own array, and each cross-half channel
+    fires with the product of the closed-form shot probabilities."""
     sampled = phase_mode == "sampled"
 
     def project(x, y, angle, phase):
@@ -231,30 +232,25 @@ def reference_counts(k, scheme, theta, phi, rng, n, phase_mode):
         rx, ry = np.sqrt(x), np.sqrt(y)
         return (rx * c + ry * s * np.cos(phase)) ** 2 + (ry * s * np.sin(phase)) ** 2
 
-    def shots(alice, bob):
+    def shots():
         x = rng.standard_exponential(n)
         y = rng.standard_exponential(n)
-        phases = [
-            rng.uniform(0.0, 2.0 * np.pi, size=n) if sampled and angle is not None else None
-            for angle in (alice, bob)
-        ]
+        phases = [rng.uniform(0.0, 2.0 * np.pi, size=n) if sampled else None for _ in range(2)]
         return [
-            None if angle is None
-            else rng.random(n) < -np.expm1(-k * project(x, y, angle, phase))
-            for angle, phase in zip((alice, bob), phases)
+            rng.random(n) < -np.expm1(-k * project(x, y, angle, phase))
+            for angle, phase in zip((theta, phi), phases)
         ]
 
-    a1, b1 = shots(theta, phi)
+    a1, b1 = shots()
     if scheme is WindowScheme.SINGLE:
         c = a1 & b1
         flags = (a1, b1, c, c, c, c)
     else:
-        a2, b2 = shots(theta, phi)
+        a2, b2 = shots()
         paired = (a1 & b1) | (a2 & b2)
+        p_cross = _shot_prob(k, theta, sampled) * _shot_prob(k, phi, sampled)
         for _ in range(2):
-            ca, _ = shots(theta, None)
-            _, cb = shots(None, phi)
-            paired = paired | (ca & cb)
+            paired = paired | (rng.random(n) < p_cross)
         alice, bob = a1 | a2, b1 | b2
         flags = (alice, bob, alice & bob, paired, paired & alice, paired & bob)
     return {key: int(f.sum()) for key, f in zip(COUNT_KEYS, flags)}
@@ -305,6 +301,61 @@ class TestKernelEquivalence:
         assert np.array_equal(out, expected)
         assert detect_prob(params, i, out=i) is i
         assert np.array_equal(i, expected)
+
+
+class TestCrossShotLaw:
+    """The law behind contract 4's cross-half channels: the closed-form
+    probability that one shot on a fresh source realization fires."""
+
+    EPS = 2.0**-52
+    QUADS = [
+        DEFAULT_QUAD,
+        AngleQuad(0.3, 1.1, 2.0, -0.7),
+        AngleQuad(math.radians(10), 0.4, 1.0, math.radians(80)),
+    ]
+
+    @pytest.mark.parametrize("quad", QUADS, ids=["default", "quad1", "quad2"])
+    def test_suppressed_matches_standard_marginals(self, quad):
+        """Within 4 ulp of 1 of every marginal of ``standard_table`` (1.5 ulp
+        measured).  The bound is absolute: 1 - Q loses P's leading digits at
+        small k, which the closed form here does not."""
+        for k in np.geomspace(1e-6, 1e3, 91):
+            table = standard_table(float(k), quad)
+            for angle, p in ((quad.a, table.p_a), (quad.b, table.p_b),
+                             (quad.a_prime, table.p_a_prime), (quad.b_prime, table.p_b_prime)):
+                assert abs(_shot_prob(float(k), angle, False) - p) <= 4 * self.EPS, (k, angle)
+
+    @pytest.mark.parametrize("angle", [0.0, math.pi / 6, math.pi / 2, 0.3, -0.7, 2.0])
+    def test_suppressed_is_accurate_at_every_finite_k(self, angle):
+        """Within 4 eps relative of the exact mean of 1 - exp(-k (x c^2 +
+        y s^2)), 1 - 1/((1 + k c^2)(1 + k s^2)) in rationals at the float c^2
+        and s^2 (1.2 eps measured), from k = 1e-300, where 1 - Q is 0, to
+        k = 1e300, where k^2 overflows."""
+        c, s = np.cos(angle), np.sin(angle)
+        c2, s2 = Fraction(float(c**2)), Fraction(float(s**2))
+        for k in np.geomspace(1e-300, 1e300, 61):
+            exact = 1 - 1 / ((1 + Fraction(k) * c2) * (1 + Fraction(k) * s2))
+            assert abs(Fraction(_shot_prob(float(k), angle, False)) - exact) <= 4 * self.EPS * exact
+
+    @pytest.mark.parametrize("k", [1e-300, 1e-6, 0.5, 4.0, 1e300])
+    def test_sampled_is_k_over_one_plus_k(self, k):
+        for angle in (0.0, math.pi / 6, 1.1):
+            assert _shot_prob(k, angle, True) == k / (1.0 + k)
+
+    @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
+    @pytest.mark.parametrize("k, angle", [(0.05, math.pi / 6), (1.0, 1.1), (8.0, -0.7)])
+    def test_fresh_field_shot_rate(self, phase_mode, k, angle):
+        """Contract 3's cross shot written out, at n = 2^22 in four batches:
+        a fresh field, its projection, the detection probability and a
+        uniform.  Its rate is the closed form's within 5 standard errors."""
+        sampled = phase_mode == "sampled"
+        rng, batch, fired = sfc64(2028), 1 << 20, 0
+        for _ in range(4):
+            sample = sample_field(rng, batch, sampled, False)
+            pair = intensities(sample, angle, None, phase_mode)
+            fired += np.count_nonzero(rng.random(batch) < detect_prob(DetectorParams(k), pair.i_a))
+        n, p = 4 * batch, _shot_prob(k, angle, sampled)
+        assert abs(fired / n - p) <= 5 * math.sqrt(p * (1 - p) / n)
 
 
 # (exception class, message) of each check for each bad value, captured from

@@ -307,6 +307,18 @@ class TestRngContract:
                 "paired_and_bob": 957,
             }),
         },
+        4: {
+            "single": (1.0, {
+                "any_alice": 528, "any_bob": 490, "any_coincidence": 280,
+                "any_paired_coincidence": 280, "paired_and_alice": 280,
+                "paired_and_bob": 280,
+            }),
+            "halves": (4.0, {
+                "any_alice": 990, "any_bob": 962, "any_coincidence": 953,
+                "any_paired_coincidence": 995, "paired_and_alice": 985,
+                "paired_and_bob": 960,
+            }),
+        },
     }
 
     @pytest.mark.parametrize("scheme", ["single", "halves"])
