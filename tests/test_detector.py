@@ -195,18 +195,17 @@ class TestDrawOrder:
 
     @staticmethod
     def replay(rng, n, scheme, sampled):
-        def field(phases):
+        def window():
             rng.standard_exponential(n)
             rng.standard_exponential(n)
-            for _ in range(phases if sampled else 0):
+            for _ in range(2 if sampled else 0):
                 rng.uniform(0.0, 2.0 * np.pi, size=n)
+            rng.random(n), rng.random(n)
 
-        field(2)
-        rng.random(n), rng.random(n)
+        window()
         if scheme is WindowScheme.SINGLE:
             return
-        field(2)
-        rng.random(n), rng.random(n)
+        window()
         rng.random(n), rng.random(n)  # one batch per cross channel
 
     @pytest.mark.parametrize("scheme", list(WindowScheme))
