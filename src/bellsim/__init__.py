@@ -40,31 +40,33 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "analytic": (
         "CH_CURVE_MODES", "SWEEP_MODES", "QSet", "SmallKReport", "ch_curve_value",
-        "ch_zero_crossing", "multiwindow_table", "q_joint", "q_single", "qset",
-        "small_k_expansion", "standard_table", "table_for_mode", "union_coincidence_table",
+        "ch_zero_crossing", "multiwindow_table", "qset", "small_k_expansion", "standard_table",
+        "table_for_mode", "union_coincidence_table",
     ),
     "detector": (
-        "DetectorParams", "HalfWindowParams", "WindowScheme", "detect_prob", "gain",
-        "multi_coincidence_prob", "multi_single_prob", "run_trials",
+        "COUNT_KEYS", "DetectorParams", "HalfWindowParams", "WindowScheme", "detect_prob",
+        "gain", "multi_coincidence_prob", "multi_single_prob", "run_trials",
     ),
     "errors": (
         "BellsimError", "InvalidInputError", "ModelInvalidError", "NumericalInconsistencyError",
     ),
     "inequalities": (
         "DEFAULT_QUAD", "AngleQuad", "CHBreakdown", "CorrelatorSet", "DiscreteLHVModel",
-        "ProbabilityTable", "batched_ch", "ch_to_chsh", "ch_value", "chsh_value",
-        "eval_discrete_lhv", "pointwise_ch_inequality_check", "random_discrete_model",
+        "PointwiseCase", "PointwiseReport", "ProbabilityTable", "batched_ch", "ch_to_chsh",
+        "ch_value", "chsh_value", "eval_discrete_lhv", "pointwise_ch_inequality_check",
+        "random_discrete_model",
     ),
     "montecarlo": (
-        "ComparisonReport", "ComparisonRow", "EstimatedTable", "EstimateWithCI", "RunConfig",
-        "compare_to_analytic", "estimate_table",
+        "CHUNK_TRIALS", "RNG_CONTRACT", "ComparisonReport", "ComparisonRow", "EstimatedTable",
+        "EstimateWithCI", "RunConfig", "compare_to_analytic", "estimate_table",
     ),
     "source": ("PHASE_MODES", "FieldSample", "IntensityPair", "intensities", "sample_field"),
     "waveform": (
-        "THREE_WAVE_COEFFS", "DelayStatistics", "EventStream", "HarmonicExpansion",
-        "IntensityStats", "Waveform", "delay_statistics", "harmonic_expansion",
-        "intensity_at", "intensity_stats", "sample_events", "sample_homogeneous_events",
-        "three_wave", "windowed_coincidence_counts", "windowed_coincidences",
+        "QUOTED_MEAN_NOTE", "THREE_WAVE_COEFFS", "WAVEFORM_STREAM", "DelayStatistics",
+        "EventStream", "HarmonicExpansion", "IntensityStats", "Waveform", "delay_statistics",
+        "harmonic_expansion", "intensity_at", "intensity_stats", "sample_events",
+        "sample_homogeneous_events", "three_wave", "windowed_coincidence_counts",
+        "windowed_coincidences",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -43,7 +43,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive, _real
+from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
 __all__ = [
@@ -54,8 +54,6 @@ __all__ = [
     "ch_curve_value",
     "ch_zero_crossing",
     "multiwindow_table",
-    "q_joint",
-    "q_single",
     "qset",
     "small_k_expansion",
     "standard_table",
@@ -107,25 +105,6 @@ def _q_values(k: float, quad: AngleQuad) -> list[float]:
     """
     k = _positive("k", k)
     return _q_forms(k, _instance("quad", quad, AngleQuad)._operands, k > _FACTORED_K)
-
-
-def q_single(k: float, theta: float) -> float:
-    """No-detection probability of one detector at analyzer angle theta.
-
-    k must be > 0: the dark limit k -> 0+ is extrapolated, never evaluated.
-    Tables do not call this; they take all eight Q values at once."""
-    k = _positive("k", k)
-    theta = _real("theta", theta)
-    return _q_forms(k, ((1.0, math.cos(theta) ** 2, math.sin(theta) ** 2),), k > _FACTORED_K)[0]
-
-
-def q_joint(k: float, theta: float, phi: float) -> float:
-    """Probability that neither side fires in one shared window."""
-    k = _positive("k", k)
-    theta, phi = _real("theta", theta), _real("phi", phi)
-    c = math.cos(theta) ** 2 + math.cos(phi) ** 2
-    s = math.sin(theta) ** 2 + math.sin(phi) ** 2
-    return _q_forms(k, ((2.0, c, s),), k > _FACTORED_K)[0]
 
 
 @dataclass(frozen=True)

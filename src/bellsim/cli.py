@@ -76,22 +76,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_angle(text: str | float) -> float:
-    """Parse an angle: bare numbers are radians, 'Xdeg'/'Xrad' are explicit."""
-    if isinstance(text, (int, float)):
-        value = float(text)
-    else:
-        s = str(text).strip().lower()
-        try:
+    """Parse an angle: bare numbers are radians, 'Xdeg'/'Xrad' are explicit.
+    A bool is no angle, though Python counts it as an int."""
+    try:
+        if isinstance(text, (int, float)) and not isinstance(text, bool):
+            value = float(text)
+        else:
+            s = str(text).strip().lower()
             if s.endswith("deg"):
                 value = math.radians(float(s[: -len("deg")]))
             elif s.endswith("rad"):
                 value = float(s[: -len("rad")])
             else:
                 value = float(s)
-        except ValueError:
-            raise _ConfigError(
-                f"cannot parse angle {text!r} (use radians, or a deg/rad suffix)"
-            ) from None
+    except ValueError:
+        raise _ConfigError(
+            f"cannot parse angle {text!r} (use radians, or a deg/rad suffix)"
+        ) from None
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
     if not math.isfinite(value):
         raise _ConfigError(f"angle must be finite, got {text!r}")
     return value

@@ -211,7 +211,7 @@ def run_trials(
     def shots(flag_a: np.ndarray, flag_b: np.ndarray) -> None:
         # One fresh field draw projected onto both sides, then a uniform
         # batch per side, Alice first, whose shots land in that side's flags.
-        sample = sample_field(rng, n, sampled, sampled, out=(x, y))
+        sample = sample_field(rng, n, sampled, out=(x, y))
         pair = intensities(sample, theta, phi, phase_mode, out=(i, x), work=u)
         for intensity, flag in ((pair.i_a, flag_a), (pair.i_b, flag_b)):
             prob = detect_prob(params, intensity, out=intensity)

@@ -99,20 +99,15 @@ def _instance(name: str, value: object, cls: type) -> object:
     return value
 
 
-def _is_count(value: object, minimum: int = 1) -> bool:
-    """Whether ``value`` is an integer (numpy's included) >= ``minimum``.
+def _count(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as an int, for an integer (numpy's included) >= ``minimum``.
     A bool is not a count, although Python counts it as an int."""
     try:
-        return not isinstance(value, bool) and operator.index(value) >= minimum
+        if not isinstance(value, bool) and operator.index(value) >= minimum:
+            return operator.index(value)
     except TypeError:
-        return False
-
-
-def _count(name: str, value: object, minimum: int = 1) -> int:
-    """``value`` as an int, for a count of at least ``minimum``."""
-    if not _is_count(value, minimum):
-        raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
-    return operator.index(value)
+        pass
+    raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 def _sequence(name: str, value: object) -> list:

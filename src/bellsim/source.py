@@ -13,17 +13,20 @@ The closed-form predictions in :mod:`bellsim.analytic` integrate the phases
 out, which is equivalent to fixing chi = xi = pi/2; ``phase_mode`` selects
 between that suppressed form and the full sampled cross terms so simulations
 can measure how much the phase terms actually move the detection rates.
+
+Both observers see one shared realization: :func:`sample_field` draws both
+phases or neither, and :func:`intensities` projects a sample onto both
+analyzers.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    InvalidInputError, NumericalInconsistencyError, _is_count, _member, _nonnegative_array,
+    InvalidInputError, NumericalInconsistencyError, _count, _member, _nonnegative_array, _real,
 )
 
 __all__ = [
@@ -58,22 +61,21 @@ class FieldSample:
 
 def sample_field(
     rng: np.random.Generator,
-    size: int | None = None,
-    chi: bool = True,
-    xi: bool = True,
+    size: int,
+    phases: bool = True,
     out: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> FieldSample:
-    """Draw source realizations from a seeded generator.
+    """Draw a batch of source realizations from a seeded generator.
 
     Parameters
     ----------
     rng:
         numpy Generator; the only source of randomness.
     size:
-        None for a scalar sample, otherwise the batch length.
-    chi, xi:
-        Whether to draw Alice's and Bob's relative phase; a phase that is
-        not drawn is None in the sample and consumes no random numbers.
+        The batch length, a positive integer.
+    phases:
+        Whether to draw the relative phases ``chi`` and ``xi``; without
+        them both are None in the sample and consume no random numbers.
     out:
         Optional pair of float64 arrays of shape ``(size,)`` that receive
         ``x`` and ``y`` (the sample then holds these very arrays).  The
@@ -90,28 +92,25 @@ def sample_field(
     Raises
     ------
     InvalidInputError
-        If ``size`` is neither None nor a positive integer.
+        If ``size`` is not a positive integer.
     """
-    if not (size is None or _is_count(size)):
-        raise InvalidInputError(f"size must be None or a positive integer, got {size!r}")
+    size = _count("size", size)
     out_x, out_y = (None, None) if out is None else out
-    # With size=None every draw is already a Python float.
     x = rng.standard_exponential(size, out=out_x)
     y = rng.standard_exponential(size, out=out_y)
-    return FieldSample(
-        x=x,
-        y=y,
-        chi=rng.uniform(0.0, 2.0 * np.pi, size=size) if chi else None,
-        xi=rng.uniform(0.0, 2.0 * np.pi, size=size) if xi else None,
-    )
+    chi = xi = None
+    if phases:
+        chi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+        xi = rng.uniform(0.0, 2.0 * np.pi, size=size)
+    return FieldSample(x=x, y=y, chi=chi, xi=xi)
 
 
 @dataclass(frozen=True)
 class IntensityPair:
-    """Cycle-averaged intensities at the two analyzers (None: not projected)."""
+    """Cycle-averaged intensities at the two analyzers."""
 
-    i_a: float | np.ndarray | None
-    i_b: float | np.ndarray | None
+    i_a: float | np.ndarray
+    i_b: float | np.ndarray
 
 
 def _project(
@@ -143,10 +142,10 @@ def _project(
 
 def intensities(
     sample: FieldSample,
-    theta: float | None,
-    phi: float | None,
+    theta: float,
+    phi: float,
     phase_mode: str = "suppressed",
-    out: tuple[np.ndarray | None, np.ndarray | None] | None = None,
+    out: tuple[np.ndarray, np.ndarray] | None = None,
     work: np.ndarray | None = None,
 ) -> IntensityPair:
     """Project a source sample onto analyzer angles theta (Alice), phi (Bob).
@@ -156,17 +155,16 @@ def intensities(
     sample:
         Realization(s) from :func:`sample_field`.
     theta, phi:
-        Analyzer angles in radians; None skips that side, whose intensity
-        is then None.
+        Analyzer angles in radians, finite real numbers.
     phase_mode:
         ``"suppressed"`` drops the interference cross terms (the phase
         average used by the closed forms); ``"sampled"`` keeps them with the
         sampled ``chi`` (Alice) / ``xi`` (Bob).
     out:
         Optional ``(i_a, i_b)`` float64 arrays of the sample's shape that
-        receive the intensities (an entry for a side not projected is
-        unused).  Alice's side is written first, so ``i_b`` may be
-        ``sample.x`` itself: Bob's side reads the sample before writing it.
+        receive the intensities.  Alice's side is written first, so ``i_b``
+        may be ``sample.x`` itself: Bob's side reads the sample before
+        writing it.
     work:
         Optional float64 scratch array of the sample's shape for the
         ``y*sin^2`` products; overwritten.  The values are the same with and
@@ -181,29 +179,20 @@ def intensities(
     Raises
     ------
     InvalidInputError
-        Unknown ``phase_mode``, a non-finite angle, or ``"sampled"`` on a
-        side whose phase was not drawn.
+        Unknown ``phase_mode``, an angle that is not a finite real number
+        (a bool or a complex number included), or ``"sampled"`` on a sample
+        whose phases were not drawn.
     NumericalInconsistencyError
         If any computed intensity is negative.  The sampled form is a
         squared modulus, so this is impossible for correct inputs and
         indicates an implementation bug; it is never silently clipped.
     """
     _member("phase_mode", phase_mode, PHASE_MODES)
-    try:
-        finite = all(angle is None or math.isfinite(angle) for angle in (theta, phi))
-    except TypeError:
-        finite = False
-    if not finite:
-        raise InvalidInputError(
-            f"analyzer angles must be finite, got theta={theta!r}, phi={phi!r}"
-        )
+    angles = _real("theta", theta), _real("phi", phi)
     result = []
     for angle, phase_name, side_out in zip(
-        (theta, phi), ("chi", "xi"), (None, None) if out is None else out
+        angles, ("chi", "xi"), (None, None) if out is None else out
     ):
-        if angle is None:
-            result.append(None)
-            continue
         phase = getattr(sample, phase_name)
         if phase_mode == "sampled" and phase is None:
             raise InvalidInputError(f"sampled phase_mode needs {phase_name}, which was not drawn")
@@ -214,4 +203,4 @@ def intensities(
                 "negative intensity: squared-modulus algebra was violated"
             )
         result.append(i)
-    return IntensityPair(i_a=result[0], i_b=result[1])
+    return IntensityPair(*result)

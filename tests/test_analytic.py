@@ -23,8 +23,6 @@ from bellsim.analytic import (
     ch_curve_value,
     ch_zero_crossing,
     multiwindow_table,
-    q_joint,
-    q_single,
     qset,
     small_k_expansion,
     standard_table,
@@ -51,36 +49,44 @@ k_values = st.floats(min_value=1e-4, max_value=1e4, allow_nan=False)
 angles = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
 
 
+def q_value(k, theta, *phi):
+    """Q_single(k, theta), or Q_joint(k, theta, phi) given phi, as ``qset``
+    reports it: its ``q_a`` or ``q_ab`` at a quad that sets A to theta and
+    B to phi."""
+    qs = qset(k, AngleQuad(theta, phi[0] if phi else 0.0, 0.0, 0.0))
+    return qs.q_ab if phi else qs.q_a
+
+
 class TestQSingle:
     def test_on_axis(self):
         # theta = 0 kills the k^2 term: Q = 1/(1+k).
-        assert q_single(3.0, 0.0) == pytest.approx(0.25, abs=1e-15)
+        assert q_value(3.0, 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_default_alice_angle(self):
         # k = 4, theta = pi/6: 1/(1 + 4 + 16*(3/4)*(1/4)) = 1/8.
-        assert q_single(4.0, math.pi / 6) == pytest.approx(0.125, abs=1e-15)
+        assert q_value(4.0, math.pi / 6) == pytest.approx(0.125, abs=1e-15)
 
     def test_complementary_angles_equal(self):
         # cos^2*sin^2 is symmetric about pi/4.
-        assert q_single(2.5, math.pi / 6) == pytest.approx(
-            q_single(2.5, math.pi / 3), abs=1e-15
+        assert q_value(2.5, math.pi / 6) == pytest.approx(
+            q_value(2.5, math.pi / 3), abs=1e-15
         )
 
     @given(k_values, angles)
     def test_q_in_unit_interval(self, k, theta):
-        q = q_single(k, theta)
+        q = q_value(k, theta)
         assert 0.0 < q < 1.0
 
     @given(angles)
     def test_q_decreasing_in_k(self, theta):
         ks = np.geomspace(1e-3, 1e3, 40)
-        qs = [q_single(k, theta) for k in ks]
+        qs = [q_value(k, theta) for k in ks]
         assert all(a > b for a, b in zip(qs, qs[1:]))
 
     def test_rejects_nonpositive_k(self):
         for bad in (0.0, -2.0):
             with pytest.raises(InvalidInputError):
-                q_single(bad, 0.5)
+                q_value(bad, 0.5)
 
 
 class TestQJoint:
@@ -88,40 +94,42 @@ class TestQJoint:
         # theta = 0, phi = pi/2 selects opposite modes; joint no-click
         # factorizes into the product of singles: 1/(1+k)^2.
         k = 4.0
-        assert q_joint(k, 0.0, math.pi / 2) == pytest.approx(
-            q_single(k, 0.0) * q_single(k, math.pi / 2), abs=1e-15
+        assert q_value(k, 0.0, math.pi / 2) == pytest.approx(
+            q_value(k, 0.0) * q_value(k, math.pi / 2), abs=1e-15
         )
-        assert q_joint(k, 0.0, math.pi / 2) == pytest.approx(1.0 / 25.0, abs=1e-15)
+        assert q_value(k, 0.0, math.pi / 2) == pytest.approx(1.0 / 25.0, abs=1e-15)
 
     def test_default_pair(self):
         # k = 4, (pi/6, pi/3): 1/(1 + 8 + 16*(3/4+1/4... )) evaluates to 1/25?
         # Direct: c^2=3/4, s^2=1/4, c'^2=1/4, s'^2=3/4;
         # (c^2+c'^2)(s^2+s'^2) = 1*1 = 1 -> 1/(1+8+16) = 1/25.
-        assert q_joint(4.0, math.pi / 6, math.pi / 3) == pytest.approx(0.04, abs=1e-15)
+        assert q_value(4.0, math.pi / 6, math.pi / 3) == pytest.approx(0.04, abs=1e-15)
 
     def test_unprimed_primed_cross_pair(self):
         # k = 4, (pi/6, pi/2): (3/4+0)(1/4+1) = 15/16 -> 1/(9+15) = 1/24.
-        assert q_joint(4.0, math.pi / 6, math.pi / 2) == pytest.approx(1.0 / 24.0, abs=1e-15)
+        assert q_value(4.0, math.pi / 6, math.pi / 2) == pytest.approx(1.0 / 24.0, abs=1e-15)
 
     @given(k_values, angles, angles)
     def test_joint_below_singles(self, k, theta, phi):
-        q = q_joint(k, theta, phi)
+        q = q_value(k, theta, phi)
         assert 0.0 < q < 1.0
-        assert q <= q_single(k, theta) + 1e-15
-        assert q <= q_single(k, phi) + 1e-15
+        assert q <= q_value(k, theta) + 1e-15
+        assert q <= q_value(k, phi) + 1e-15
 
     @given(k_values, angles, angles)
     def test_symmetric_in_settings(self, k, theta, phi):
-        assert q_joint(k, theta, phi) == pytest.approx(q_joint(k, phi, theta), abs=1e-15)
+        assert q_value(k, theta, phi) == pytest.approx(q_value(k, phi, theta), abs=1e-15)
 
 
 class TestQSet:
     def test_matches_scalar_functions(self):
+        """Each field reads its own settings: it equals Q_single or Q_joint
+        read from a quad that holds only those angles."""
         qs = qset(4.0, DEFAULT_QUAD)
-        assert qs.q_a == q_single(4.0, DEFAULT_QUAD.a)
-        assert qs.q_b_prime == q_single(4.0, DEFAULT_QUAD.b_prime)
-        assert qs.q_ab == q_joint(4.0, DEFAULT_QUAD.a, DEFAULT_QUAD.b)
-        assert qs.q_a_prime_b_prime == q_joint(
+        assert qs.q_a == q_value(4.0, DEFAULT_QUAD.a)
+        assert qs.q_b_prime == q_value(4.0, DEFAULT_QUAD.b_prime)
+        assert qs.q_ab == q_value(4.0, DEFAULT_QUAD.a, DEFAULT_QUAD.b)
+        assert qs.q_a_prime_b_prime == q_value(
             4.0, DEFAULT_QUAD.a_prime, DEFAULT_QUAD.b_prime
         )
 
@@ -139,8 +147,8 @@ class TestStandardTable:
         2*Q_AB' - 2*Q_A... i.e. the standard curve equals 2Q_A - 2Q_AB'."""
         for k in (0.1, 0.7, 4.0, 25.0):
             ch = ch_curve_value(k, mode="standard")
-            q_a = q_single(k, DEFAULT_QUAD.a)
-            q_ab_prime = q_joint(k, DEFAULT_QUAD.a, DEFAULT_QUAD.b_prime)
+            q_a = q_value(k, DEFAULT_QUAD.a)
+            q_ab_prime = q_value(k, DEFAULT_QUAD.a, DEFAULT_QUAD.b_prime)
             assert ch == pytest.approx(2 * q_a - 2 * q_ab_prime, abs=1e-12)
 
     def test_frozen_values(self):
@@ -249,7 +257,7 @@ class TestTableForMode:
             table = table_for_mode(2.0, quad, mode)
             power = 1 if mode == "standard" else 2
             for name in ("a", "b", "a_prime", "b_prime"):
-                expected = 1.0 - q_single(2.0, getattr(quad, name)) ** power
+                expected = 1.0 - q_value(2.0, getattr(quad, name)) ** power
                 assert getattr(table, f"p_{name}") == pytest.approx(expected, abs=1e-15)
 
     def test_registry_covers_the_table_modes(self):
@@ -434,8 +442,8 @@ class TestSmallK:
 class TestDomain:
     def test_k_must_be_positive_everywhere(self):
         for fn in (
-            lambda: q_single(0.0, 0.1),
-            lambda: q_joint(-1.0, 0.1, 0.2),
+            lambda: q_value(0.0, 0.1),
+            lambda: q_value(-1.0, 0.1, 0.2),
             lambda: standard_table(0.0),
             lambda: multiwindow_table(-4.0),
             lambda: ch_curve_value(0.0),
@@ -446,8 +454,8 @@ class TestDomain:
 
     def test_overflowing_k_on_axis(self):
         """k*k overflows from ~1.3e154 on; the on-axis Q must not turn NaN."""
-        assert q_single(1e200, 0.0) == pytest.approx(1e-200, rel=1e-15)
-        assert q_joint(1e200, 0.0, 0.0) == pytest.approx(5e-201, rel=1e-15)
+        assert q_value(1e200, 0.0) == pytest.approx(1e-200, rel=1e-15)
+        assert q_value(1e200, 0.0, 0.0) == pytest.approx(5e-201, rel=1e-15)
         ch = ch_curve_value(1e200, mode="standard")
         assert math.isfinite(ch) and ch >= 0.0
 
@@ -455,7 +463,7 @@ class TestDomain:
     @given(st.floats(min_value=-3.0, max_value=300.0), angles, angles)
     def test_q_in_unit_interval_up_to_1e300(self, log_k, theta, phi):
         k = 10.0 ** log_k
-        for q in (q_single(k, theta), q_joint(k, theta, phi)):
+        for q in (q_value(k, theta), q_value(k, theta, phi)):
             assert math.isfinite(q) and 0.0 <= q <= 1.0
 
     @settings(max_examples=100, deadline=None)
@@ -474,7 +482,7 @@ class TestDomain:
 
 
 def _reference_q_single(k, theta):
-    """q_single written the old way, with its own trig and formula."""
+    """Q_single written out, with its own trig and formula."""
     c2 = math.cos(theta) ** 2
     s2 = math.sin(theta) ** 2
     if k > analytic._FACTORED_K:
@@ -483,7 +491,7 @@ def _reference_q_single(k, theta):
 
 
 def _reference_q_joint(k, theta, phi):
-    """q_joint written the old way, with its own trig and formula."""
+    """Q_joint written out, with its own trig and formula."""
     c2t, s2t = math.cos(theta) ** 2, math.sin(theta) ** 2
     c2p, s2p = math.cos(phi) ** 2, math.sin(phi) ** 2
     if k > analytic._FACTORED_K:
@@ -539,7 +547,7 @@ class TestOneEvaluationPerTable:
         expected = _reference_qs(k, quad)
         assert _bits(analytic._q_values(k, quad)) == _bits(expected)
         assert _bits(astuple(qset(k, quad))) == _bits(expected)
-        assert _bits([q_single(k, a), q_joint(k, a_prime, b)]) == _bits(
+        assert _bits([q_value(k, a), q_value(k, a_prime, b)]) == _bits(
             [expected[0], expected[6]]
         )
         for mode in analytic._LAWS:

@@ -21,8 +21,6 @@ from bellsim import errors
 from bellsim.analytic import (
     ch_curve_value,
     ch_zero_crossing,
-    q_joint,
-    q_single,
     qset,
     small_k_expansion,
     table_for_mode,
@@ -59,6 +57,8 @@ from bellsim.waveform import (
     windowed_coincidences,
 )
 
+from test_analytic import q_value
+
 SRC = Path(errors.__file__).resolve().parent
 
 
@@ -84,9 +84,9 @@ DELAYS = np.array([-0.5, 0.25])
 
 CALLS = {
     # analytic
-    "q_single-k-str": lambda: q_single("1", 0.0),
-    "q_single-k-none": lambda: q_single(None, 0.0),
-    "q_joint-k-str": lambda: q_joint("1", 0.0, 0.1),
+    "q_single-k-str": lambda: q_value("1", 0.0),
+    "q_single-k-none": lambda: q_value(None, 0.0),
+    "q_joint-k-str": lambda: q_value("1", 0.0, 0.1),
     "qset-k-str": lambda: qset("1"),
     "ch_curve_value-k-none": lambda: ch_curve_value(None, mode="standard"),
     "table_for_mode-mode-none": lambda: table_for_mode(1.0, mode=None),
@@ -107,7 +107,7 @@ CALLS = {
     "ch_zero_crossing-quad-none": lambda: ch_zero_crossing(None),
     "small_k_expansion-quad-none": lambda: small_k_expansion(quad=None),
     "table_for_mode-k-bool": lambda: table_for_mode(True),
-    "q_single-theta-bool": lambda: q_single(1.0, False),
+    "q_single-theta-bool": lambda: q_value(1.0, False),
     "ch_zero_crossing-bracket-int-beyond-float": lambda: ch_zero_crossing(bracket=(1e-3, 10**400)),
     # detector
     "DetectorParams-k-str": lambda: DetectorParams("1"),
@@ -287,18 +287,24 @@ def test_bool_is_not_real(value):
 
 BAD_ANGLES = {
     "str": "a", "none": None, "nan": math.nan, "inf": math.inf, "-inf": -math.inf,
-    "complex": np.complex128(0.5 + 1j),
+    "complex": np.complex128(0.5 + 1j), "bool": True, "numpy-bool": np.True_,
 }
+#: The Q closed forms take their angles from an ``AngleQuad``, which names
+#: each by its setting.
 ANGLE_CALLS = {
-    "q_single-theta": ("theta", lambda angle: q_single(1.0, angle)),
-    "q_joint-theta": ("theta", lambda angle: q_joint(1.0, angle, 0.1)),
-    "q_joint-phi": ("phi", lambda angle: q_joint(1.0, 0.1, angle)),
+    "q_single-theta": ("angle 'a'", lambda angle: q_value(1.0, angle)),
+    "q_joint-theta": ("angle 'a'", lambda angle: q_value(1.0, angle, 0.1)),
+    "q_joint-phi": ("angle 'b'", lambda angle: q_value(1.0, 0.1, angle)),
+    "intensities-theta": ("theta", lambda angle: intensities(sample(), angle, 0.1)),
+    "intensities-phi": ("phi", lambda angle: intensities(sample(), 0.1, angle)),
 }
 
 
 @pytest.mark.parametrize("bad", BAD_ANGLES.values(), ids=BAD_ANGLES.keys())
 @pytest.mark.parametrize("name, call", ANGLE_CALLS.values(), ids=ANGLE_CALLS.keys())
 def test_q_angle_must_be_real(name, call, bad):
+    """An angle of a Q closed form or a projection is a finite real number:
+    a bool or a numpy complex is no angle either."""
     with pytest.raises(InvalidInputError, match=f"^{name} must be a real number, got "):
         call(bad)
 

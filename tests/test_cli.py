@@ -160,6 +160,19 @@ class TestAnalytic:
         code, out, err = run(capsys, "analytic", "--spec", str(spec))
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("angle, message", [
+        (True, "cannot parse angle True (use radians, or a deg/rad suffix)"),
+        (int("1" + "0" * 400), "angle must be finite, got 1" + "0" * 400),
+    ], ids=["bool", "int-beyond-float"])
+    def test_spec_angle_must_be_a_finite_number(self, capsys, tmp_path, angle, message):
+        """A quad angle that is a bool or an integer beyond the float range
+        is one error line and exit 1, never a bool read as 1 rad or a
+        traceback."""
+        spec = tmp_path / "sweep.json"
+        spec.write_text(json.dumps({"quad": {"a": angle}, "modes": ["standard"]}))
+        code, out, err = run(capsys, "analytic", "--spec", str(spec))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_bad_grid_rejected(self, capsys):
         code, _, err = run(capsys, "analytic", "--start", "5", "--stop", "1",
                            "--points", "4")

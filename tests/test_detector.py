@@ -290,8 +290,8 @@ class TestKernelEquivalence:
         got = intensities(into, 0.4, 1.3, phase_mode, out=(i, into.x), work=work)
         assert got.i_a is i and got.i_b is x
         assert np.array_equal(got.i_a, want.i_a) and np.array_equal(got.i_b, want.i_b)
-        bob_only = intensities(plain, None, 1.3, phase_mode, out=(None, np.empty(n)))
-        assert np.array_equal(bob_only.i_b, want.i_b)
+        fresh = intensities(plain, 0.4, 1.3, phase_mode, out=(np.empty(n), np.empty(n)))
+        assert np.array_equal(fresh.i_a, want.i_a) and np.array_equal(fresh.i_b, want.i_b)
 
         params = DetectorParams(k=3.0)
         expected = detect_prob(params, want.i_a)
@@ -350,8 +350,8 @@ class TestCrossShotLaw:
         sampled = phase_mode == "sampled"
         rng, batch, fired = sfc64(2028), 1 << 20, 0
         for _ in range(4):
-            sample = sample_field(rng, batch, sampled, False)
-            pair = intensities(sample, angle, None, phase_mode)
+            sample = sample_field(rng, batch, sampled)
+            pair = intensities(sample, angle, angle, phase_mode)
             fired += np.count_nonzero(rng.random(batch) < detect_prob(DetectorParams(k), pair.i_a))
         n, p = 4 * batch, _shot_prob(k, angle, sampled)
         assert abs(fired / n - p) <= 5 * math.sqrt(p * (1 - p) / n)
@@ -414,21 +414,29 @@ class TestInputChecks:
     @pytest.mark.parametrize("with_out", [False, True])
     def test_intensities(self, text, expected, with_out):
         """A sample that skipped FieldSample's checks: only a negative
-        projection is caught here, NaN next to a negative included."""
-        x = np.array([1.0, float(text)])
-        sample = types.SimpleNamespace(x=x, y=np.array([2.0, 0.5]), chi=None, xi=None)
+        projection is caught here, NaN next to a negative included, on
+        either side."""
+        v = np.array([1.0, float(text)])
+        sample = types.SimpleNamespace(x=v, y=np.array([2.0, 0.5]), chi=None, xi=None)
         out = {"out": (np.empty(2), np.empty(2)), "work": np.empty(2)} if with_out else {}
-        assert _outcome(lambda: intensities(sample, 0.3, None, **out)) == expected
-        assert _outcome(lambda: intensities(sample, None, 0.3, **out)) == expected
+        assert _outcome(lambda: intensities(sample, 0.3, 0.3, **out)) == expected
+        # At theta = 0 Alice reads y only as y*0, never negative (NaN for an
+        # infinite y), so a negative here is Bob's.
+        swapped = types.SimpleNamespace(x=np.array([2.0, 0.5]), y=v, chi=None, xi=None)
+        with np.errstate(invalid="ignore"):
+            assert _outcome(lambda: intensities(swapped, 0.0, 1.27, **out)) == expected
         mixed = types.SimpleNamespace(x=np.array([math.nan, -1.0]), y=np.ones(2), chi=None, xi=None)
-        assert _outcome(lambda: intensities(mixed, 0.3, None, **out)) == _NEGATIVE_INTENSITY
+        assert _outcome(lambda: intensities(mixed, 0.3, 0.3, **out)) == _NEGATIVE_INTENSITY
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
     def test_angles(self, text):
         v = float(text)
         sample = sample_field(sfc64(0), 4)
         assert _outcome(lambda: intensities(sample, v, 0.1)) == (
-            InvalidInputError, f"analyzer angles must be finite, got theta={v!r}, phi=0.1"
+            InvalidInputError, f"theta must be a real number, got {v!r}"
+        )
+        assert _outcome(lambda: intensities(sample, 0.1, v)) == (
+            InvalidInputError, f"phi must be a real number, got {v!r}"
         )
 
 
@@ -448,7 +456,7 @@ class TestTrialCountArgument:
 
     @pytest.mark.parametrize("size", [True, 2.5, 0])
     def test_sample_field_rejects_non_integer_size(self, size):
-        with pytest.raises(InvalidInputError, match="size must be None or a positive integer"):
+        with pytest.raises(InvalidInputError, match="size must be an integer >= 1"):
             sample_field(sfc64(0), size)
 
 

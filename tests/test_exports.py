@@ -1,8 +1,10 @@
 """The export lists: every name in ``bellsim.__all__`` and in each
-submodule's ``__all__`` resolves, none is listed twice, ``from bellsim import
-*`` runs clean, and the CH curve wrappers that ``ch_curve_value`` replaced
-stay gone. ``bellsim`` resolves its names on first use, so the start-up of a
-command loads only the modules that command uses."""
+submodule's ``__all__`` resolves, each submodule's ``__all__`` is what
+``bellsim`` lists for it, none is listed twice, ``from bellsim import *``
+runs clean, and the CH curve wrappers that ``ch_curve_value`` replaced and
+the Q functions that ``qset`` replaced stay gone. ``bellsim`` resolves its
+names on first use, so the start-up of a command loads only the modules that
+command uses."""
 
 import ast
 import importlib
@@ -23,8 +25,10 @@ MODULES = ["bellsim"] + [
 ]
 
 #: Names deleted in favour of ``ch_curve_value(k, quad, mode)`` and
-#: ``ch_value(table_for_mode(k, quad, mode))``.
-DELETED = ("ch_standard", "ch_multiwindow", "ch_union", "ch_multiwindow_two_term")
+#: ``ch_value(table_for_mode(k, quad, mode))``, and the Q functions that
+#: ``qset`` replaced.
+DELETED = ("ch_standard", "ch_multiwindow", "ch_union", "ch_multiwindow_two_term",
+           "q_single", "q_joint")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -37,6 +41,13 @@ def test_every_exported_name_resolves(name):
 def test_no_name_is_exported_twice(name):
     exported = importlib.import_module(name).__all__
     assert len(set(exported)) == len(exported)
+
+
+@pytest.mark.parametrize("name", sorted(bellsim._EXPORTS))
+def test_package_lists_every_public_name(name):
+    """``bellsim.<name>`` works for each public name of each submodule."""
+    module = importlib.import_module(f"bellsim.{name}")
+    assert sorted(module.__all__) == sorted(bellsim._EXPORTS[name])
 
 
 def child(code: str) -> object:

@@ -47,17 +47,21 @@ class TestSampleField:
 
     def test_phases_drawn_only_on_request(self):
         """Undrawn phases are None and consume no random numbers: x and y
-        are the same, and a requested phase is the next draw."""
+        are the same, and the phases are the next draws."""
         full = sample_field(make_rng(5), 300)
-        bare = sample_field(make_rng(5), 300, chi=False, xi=False)
-        bob = sample_field(make_rng(5), 300, chi=False)
-        assert bare.chi is None and bare.xi is None and bob.chi is None
+        rng = make_rng(5)
+        bare = sample_field(rng, 300, phases=False)
+        assert bare.chi is None and bare.xi is None
         assert np.array_equal(bare.x, full.x) and np.array_equal(bare.y, full.y)
-        assert np.array_equal(bob.xi, full.chi)
+        assert np.array_equal(rng.uniform(0.0, 2 * math.pi, 300), full.chi)
+        assert np.array_equal(rng.uniform(0.0, 2 * math.pi, 300), full.xi)
 
     def test_scalar_sample(self):
-        s = sample_field(make_rng(1), xi=False)
-        assert isinstance(s.x, float) and isinstance(s.chi, float) and s.xi is None
+        """There is no scalar draw: the batch length is required."""
+        with pytest.raises(TypeError):
+            sample_field(make_rng(1))
+        with pytest.raises(InvalidInputError, match="size must be an integer >= 1, got None"):
+            sample_field(make_rng(1), None)
 
 
 class TestIntensities:
@@ -147,20 +151,23 @@ class TestIntensities:
 
     @pytest.mark.parametrize("mode", ["suppressed", "sampled"])
     def test_one_sided_projection(self, mode):
+        """Each side's intensity depends on its own angle only: moving the
+        other side's analyzer leaves it bit for bit the same."""
         s = sample_field(make_rng(6), 500)
         both = intensities(s, 0.4, 1.2, phase_mode=mode)
-        alice = intensities(s, 0.4, None, phase_mode=mode)
-        bob = intensities(s, None, 1.2, phase_mode=mode)
-        assert alice.i_b is None and bob.i_a is None
+        alice = intensities(s, 0.4, -2.0, phase_mode=mode)
+        bob = intensities(s, 0.9, 1.2, phase_mode=mode)
         assert np.array_equal(alice.i_a, both.i_a)
         assert np.array_equal(bob.i_b, both.i_b)
+        assert not np.array_equal(alice.i_b, both.i_b)
 
     def test_sampled_needs_the_side_phase(self):
-        s = sample_field(make_rng(0), 10, chi=True, xi=False)
-        intensities(s, 0.3, None, phase_mode="sampled")
-        intensities(s, 0.3, 0.5, phase_mode="suppressed")
-        with pytest.raises(InvalidInputError, match="xi"):
-            intensities(s, 0.3, 0.5, phase_mode="sampled")
+        full = sample_field(make_rng(0), 10)
+        for present, missing in (("chi", "xi"), ("xi", "chi")):
+            s = FieldSample(x=full.x, y=full.y, **{present: getattr(full, present)})
+            intensities(s, 0.3, 0.5, phase_mode="suppressed")
+            with pytest.raises(InvalidInputError, match=f"needs {missing},"):
+                intensities(s, 0.3, 0.5, phase_mode="sampled")
 
     def test_non_finite_angles_rejected(self):
         s = sample_field(make_rng(0), 10)
