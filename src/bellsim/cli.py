@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
-from .errors import BellsimError, _count, _positive
+from .errors import BellsimError, _count, _interval, _member, _positive, _real
 from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -77,27 +77,22 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_angle(text: str | float) -> float:
     """Parse an angle: bare numbers are radians, 'Xdeg'/'Xrad' are explicit.
-    A bool is no angle, though Python counts it as an int."""
+    Anything but a string must be a finite real number itself."""
+    if not isinstance(text, str):
+        return _real("angle", text)
+    s = text.strip().lower()
     try:
-        if isinstance(text, (int, float)) and not isinstance(text, bool):
-            value = float(text)
+        if s.endswith("deg"):
+            value = math.radians(float(s[: -len("deg")]))
+        elif s.endswith("rad"):
+            value = float(s[: -len("rad")])
         else:
-            s = str(text).strip().lower()
-            if s.endswith("deg"):
-                value = math.radians(float(s[: -len("deg")]))
-            elif s.endswith("rad"):
-                value = float(s[: -len("rad")])
-            else:
-                value = float(s)
+            value = float(s)
     except ValueError:
         raise _ConfigError(
             f"cannot parse angle {text!r} (use radians, or a deg/rad suffix)"
         ) from None
-    except OverflowError:  # an integer beyond the float range
-        value = math.inf
-    if not math.isfinite(value):
-        raise _ConfigError(f"angle must be finite, got {text!r}")
-    return value
+    return _real("angle", value)
 
 
 def _fmt(x: object) -> str:
@@ -150,21 +145,11 @@ class SweepSpec:
     modes: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.grid_kind not in ("log", "linear"):
-            raise _ConfigError(f"k_grid kind must be 'log' or 'linear', got {self.grid_kind!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise _ConfigError("k_grid start/stop must be finite")
-        if self.start <= 0:
-            raise _ConfigError(f"k values must be positive; start = {self.start!r}")
-        if not self.start < self.stop:
-            raise _ConfigError(f"k_grid needs start < stop, got {self.start!r} >= {self.stop!r}")
-        if self.points < 2:
-            raise _ConfigError(f"k_grid needs points >= 2, got {self.points}")
+        _member("k_grid kind", self.grid_kind, ("log", "linear"))
+        _interval("k_grid start/stop", (self.start, self.stop), positive=True)
+        _count("k_grid points", self.points, 2)
         for mode in self.modes:
-            if mode not in SWEEP_MODES:
-                raise _ConfigError(
-                    f"unknown mode {mode!r}; choose from {', '.join(SWEEP_MODES)}"
-                )
+            _member("mode", mode, SWEEP_MODES)
 
     def k_values(self) -> np.ndarray:
         if self.grid_kind == "log":
@@ -185,22 +170,6 @@ def _load_quad(args: argparse.Namespace, raw: dict) -> AngleQuad:
         if (text := getattr(args, f"angle_{name}")) is not None
     }
     return AngleQuad(**{**angles, **from_raw, **from_flags})
-
-
-def _grid_value(grid: dict, key: str, default: float | int) -> float | int:
-    """``grid[key]``: a JSON integer for ``points``, else a JSON number as a
-    float.  A bool is neither, though Python counts it as an int."""
-    value = grid.get(key, default)
-    if key == "points":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise _ConfigError(f"k_grid points must be an integer, got {value!r}")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise _ConfigError(f"k_grid {key} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:  # an integer beyond the float range
-        raise _ConfigError("k_grid start/stop must be finite") from None
 
 
 def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
@@ -226,9 +195,9 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     if not isinstance(grid, dict):
         raise _ConfigError("'k_grid' must be a JSON object")
     grid_kind = args.grid if args.grid is not None else grid.get("kind", "log")
-    start = args.start if args.start is not None else _grid_value(grid, "start", 0.01)
-    stop = args.stop if args.stop is not None else _grid_value(grid, "stop", 100.0)
-    points = args.points if args.points is not None else _grid_value(grid, "points", 121)
+    start = args.start if args.start is not None else grid.get("start", 0.01)
+    stop = args.stop if args.stop is not None else grid.get("stop", 100.0)
+    points = args.points if args.points is not None else grid.get("points", 121)
 
     quad_raw = raw.get("quad", {})
     if not isinstance(quad_raw, dict):

@@ -69,12 +69,7 @@ def _real(name: str, value: object) -> float:
             return float(value)
     except (TypeError, OverflowError):
         pass
-    raise _not_real(name, value)
-
-
-def _not_real(name: str, value: object) -> InvalidInputError:
-    """The error for ``value``, which is not a finite number."""
-    return InvalidInputError(f"{name} must be a real number, got {value!r}")
+    raise InvalidInputError(f"{name} must be a real number, got {value!r}")
 
 
 def _positive(name: str, value: object, zero: bool = False) -> float:

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _NOT_REAL, InvalidInputError, ModelInvalidError, _count, _not_real, _real
+from .errors import InvalidInputError, ModelInvalidError, _count, _real
 
 __all__ = [
     "DEFAULT_QUAD",
@@ -119,22 +119,12 @@ class ProbabilityTable:
         """Raise :class:`InvalidInputError` unless every entry lies in [0, 1]."""
         # vars() is the eight fields in field order, at a small fraction of
         # asdict()'s cost; every closed-form table passes through here.
-        try:
-            for name, value in vars(self).items():
-                # A plain float in range needs no more tests.
-                if type(value) is float and 0.0 <= value <= 1.0:
-                    continue
-                # A bool would pass as 0 or 1, and a numpy complex scalar with
-                # a ComplexWarning, its imaginary part dropped.
-                if isinstance(value, _NOT_REAL):
-                    raise _not_real(name, value)
-                if value is None or not math.isfinite(value):
-                    raise InvalidInputError(f"{name} must be finite, got {value!r}")
-                if not 0.0 <= value <= 1.0:
-                    raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
-        except TypeError:
-            # A string or other non-number; the try costs nothing otherwise.
-            raise _not_real(name, value) from None
+        for name, value in vars(self).items():
+            # A plain float in range needs no more tests.
+            if type(value) is float and 0.0 <= value <= 1.0:
+                continue
+            if not 0.0 <= _real(name, value) <= 1.0:
+                raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
 
     def monotonicity_violations(self) -> list[str]:
         """Names of joints exceeding one of their marginals.

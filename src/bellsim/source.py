@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import (
     InvalidInputError, NumericalInconsistencyError, _count, _member, _nonnegative_array, _real,
+    _real_array,
 )
 
 __all__ = [
@@ -46,7 +47,8 @@ class FieldSample:
 
     ``x``/``y`` are the squared mode amplitudes, exponential with unit mean;
     ``chi``/``xi`` are the relative phases seen by the two observers, or
-    None when they were not drawn.  Fields are scalars or equal-shape arrays.
+    None when they were not drawn.  Fields are scalars or equal-shape arrays:
+    ``x``/``y`` finite and >= 0, a phase real numbers.
     """
 
     x: float | np.ndarray
@@ -55,8 +57,14 @@ class FieldSample:
     xi: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        for name in ("x", "y"):
-            _nonnegative_array(name, getattr(self, name))
+        # Each check returns a float64 array as it is, so a kernel batch pays
+        # for no pass over its phases, only a shape compare per field.
+        shape = _nonnegative_array("x", self.x).shape
+        for name, check in (("y", _nonnegative_array), ("chi", _real_array), ("xi", _real_array)):
+            value = getattr(self, name)
+            if (name == "y" or value is not None) and check(name, value).shape != shape:
+                got = np.shape(value)
+                raise InvalidInputError(f"{name} must have the shape {shape} of x, got {got}")
 
 
 def sample_field(

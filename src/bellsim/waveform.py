@@ -790,6 +790,8 @@ def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
             np.negative(out, out=out)
             np.copyto(out, after, where=later)
     return delays
+
+
 def delay_statistics(
     stream_a: EventStream,
     stream_b: EventStream,

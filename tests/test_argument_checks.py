@@ -6,7 +6,7 @@ values of the wrong type (a string, None, a bool where a count, number or
 probability is due, a non-integral float, a complex number, a pair of the
 wrong length, a quad that is not an ``AngleQuad``, a non-finite angle), and
 checks that no other module writes out a copy of the shared checks'
-messages.
+messages, or tests for a bool or an int beyond the float range by hand.
 """
 
 import ast
@@ -352,3 +352,51 @@ def test_the_scan_sees_a_copy(tmp_path):
     copy = tmp_path / "copy.py"
     copy.write_text('def f(k):\n    raise InvalidInputError(f"k must be positive and finite, got {k!r}")\n')
     assert _copied_phrases(copy) == ["copy.py:2 must be positive and finite"]
+
+
+def _hand_checks(path: Path) -> list[str]:
+    """``file:line what`` for each ``except`` of ``OverflowError`` and each
+    ``isinstance`` test against ``bool`` or ``np.bool_``: the pieces of a
+    number or count check written by hand."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names = [n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)]
+            if "OverflowError" in names:
+                found.append(f"{path.name}:{node.lineno} except OverflowError")
+        elif (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+        ):
+            for n in ast.walk(node.args[1]):
+                if isinstance(n, ast.Name) and n.id == "bool" or (
+                    isinstance(n, ast.Attribute) and n.attr == "bool_"
+                ):
+                    found.append(f"{path.name}:{node.lineno} isinstance bool")
+    return found
+
+
+def test_no_module_checks_a_number_by_hand():
+    """Only errors.py turns away a bool or an int beyond the float range;
+    every other module calls its helpers for a number or a count."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    hits = [hit for path in modules if path.name != "errors.py" for hit in _hand_checks(path)]
+    assert hits == []
+
+
+def test_the_scan_sees_a_hand_check(tmp_path):
+    copy = tmp_path / "copy.py"
+    copy.write_text(
+        "def f(v):\n"
+        "    if isinstance(v, bool) or isinstance(v, (int, np.bool_)):\n"
+        "        return 0\n"
+        "    try:\n"
+        "        return float(v)\n"
+        "    except (ValueError, OverflowError):\n"
+        "        return 1\n"
+    )
+    assert sorted(_hand_checks(copy)) == [
+        "copy.py:2 isinstance bool", "copy.py:2 isinstance bool", "copy.py:6 except OverflowError",
+    ]
+    assert _hand_checks(SRC / "errors.py") != []

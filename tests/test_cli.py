@@ -42,11 +42,15 @@ class TestParseAngle:
 
     def test_rejections(self):
         from bellsim.cli import _ConfigError
+        from bellsim.errors import InvalidInputError
 
         with pytest.raises(_ConfigError):
             parse_angle("fast")
-        with pytest.raises(_ConfigError):
+        with pytest.raises(InvalidInputError, match="^angle must be a real number, got inf$"):
             parse_angle("inf")
+
+
+_INTERVAL = "k_grid start/stop must be finite with 0 < lo < hi and a finite width hi - lo, got "
 
 
 class TestAnalytic:
@@ -145,12 +149,12 @@ class TestAnalytic:
         assert "line 2" in err
 
     @pytest.mark.parametrize("grid, message", [
-        ({"start": "abc"}, "k_grid start must be a number, got 'abc'"),
-        ({"stop": False}, "k_grid stop must be a number, got False"),
-        ({"start": int("1" + "0" * 400)}, "k_grid start/stop must be finite"),
-        ({"points": None}, "k_grid points must be an integer, got None"),
-        ({"points": 2.7}, "k_grid points must be an integer, got 2.7"),
-        ({"points": True}, "k_grid points must be an integer, got True"),
+        ({"start": "abc"}, f"{_INTERVAL}('abc', 100.0)"),
+        ({"stop": False}, f"{_INTERVAL}(0.01, False)"),
+        ({"start": int("1" + "0" * 400)}, f"{_INTERVAL}(1{'0' * 400}, 100.0)"),
+        ({"points": None}, "k_grid points must be an integer >= 2, got None"),
+        ({"points": 2.7}, "k_grid points must be an integer >= 2, got 2.7"),
+        ({"points": True}, "k_grid points must be an integer >= 2, got True"),
     ])
     def test_spec_grid_values_must_be_json_numbers(self, capsys, tmp_path, grid, message):
         """A non-numeric k_grid value is one error line and exit 1, never a
@@ -161,8 +165,8 @@ class TestAnalytic:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("angle, message", [
-        (True, "cannot parse angle True (use radians, or a deg/rad suffix)"),
-        (int("1" + "0" * 400), "angle must be finite, got 1" + "0" * 400),
+        (True, "angle must be a real number, got True"),
+        (int("1" + "0" * 400), "angle must be a real number, got 1" + "0" * 400),
     ], ids=["bool", "int-beyond-float"])
     def test_spec_angle_must_be_a_finite_number(self, capsys, tmp_path, angle, message):
         """A quad angle that is a bool or an integer beyond the float range
@@ -178,6 +182,20 @@ class TestAnalytic:
                            "--points", "4")
         assert code == 1
         assert "error" in err.lower()
+
+    @pytest.mark.parametrize("argv", [
+        ["--start", "0"],
+        ["--start", "nan"],
+        ["--points", "1"],
+        ["--modes", "foo"],
+        ["--spec", "cubic.json"],
+    ], ids=["start-zero", "start-nan", "points-one", "unknown-mode", "spec-kind-cubic"])
+    def test_bad_sweep_spec_is_one_error_line(self, capsys, tmp_path, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        Path("cubic.json").write_text(json.dumps({"k_grid": {"kind": "cubic"}}))
+        code, out, err = run(capsys, "analytic", *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_custom_angles(self, capsys):
         code, out, _ = run(

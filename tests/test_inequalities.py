@@ -108,7 +108,7 @@ class TestChValue:
     @pytest.mark.parametrize("name", ["p_a_prime", "p_b_prime"])
     def test_missing_marginal_rejected(self, name):
         table = replace(table_from([0.5] * 8), **{name: None})
-        with pytest.raises(InvalidInputError, match=f"{name} must be finite, got None"):
+        with pytest.raises(InvalidInputError, match=f"{name} must be a real number, got None"):
             ch_value(table)
 
     @pytest.mark.parametrize("index", range(8))

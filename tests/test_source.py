@@ -63,6 +63,21 @@ class TestSampleField:
         with pytest.raises(InvalidInputError, match="size must be an integer >= 1, got None"):
             sample_field(make_rng(1), None)
 
+    def test_phase_must_be_real_numbers(self):
+        """A phase that is not numbers is refused with the sample, not by
+        numpy inside the projection."""
+        with pytest.raises(InvalidInputError, match="^chi must be real numbers$"):
+            intensities(
+                FieldSample(x=np.ones(3), y=np.ones(3), chi="a", xi=np.zeros(3)), 0.3, 0.4, "sampled"
+            )
+
+    @pytest.mark.parametrize("name", ["y", "chi", "xi"])
+    def test_fields_have_the_shape_of_x(self, name):
+        fields = {"x": np.ones(3), "y": np.ones(3), name: np.ones(2)}
+        message = rf"^{name} must have the shape \(3,\) of x, got \(2,\)$"
+        with pytest.raises(InvalidInputError, match=message):
+            FieldSample(**fields)
+
 
 class TestIntensities:
     def test_suppressed_closed_form(self):
