@@ -47,9 +47,7 @@ _EXPORTS = {
         "COUNT_KEYS", "DetectorParams", "HalfWindowParams", "WindowScheme", "detect_prob",
         "gain", "multi_coincidence_prob", "multi_single_prob", "run_trials",
     ),
-    "errors": (
-        "BellsimError", "InvalidInputError", "ModelInvalidError", "NumericalInconsistencyError",
-    ),
+    "errors": ("BellsimError", "InvalidInputError", "NumericalInconsistencyError"),
     "inequalities": (
         "DEFAULT_QUAD", "AngleQuad", "CHBreakdown", "CorrelatorSet", "DiscreteLHVModel",
         "PointwiseCase", "PointwiseReport", "ProbabilityTable", "batched_ch", "ch_to_chsh",

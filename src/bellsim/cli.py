@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
-from .errors import BellsimError, _count, _interval, _member, _positive, _real
+from .errors import BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real
 from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -66,13 +66,9 @@ _EXIT_CONFIG = 1
 _EXIT_COMPARISON = 2
 
 
-class _ConfigError(BellsimError):
-    """Raised for malformed flags or config files; maps to exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # noqa: D401 - argparse hook
-        raise _ConfigError(f"{self.prog}: {message}")
+        raise InvalidInputError(f"{self.prog}: {message}")
 
 
 def parse_angle(text: str | float) -> float:
@@ -89,7 +85,7 @@ def parse_angle(text: str | float) -> float:
         else:
             value = float(s)
     except ValueError:
-        raise _ConfigError(
+        raise InvalidInputError(
             f"cannot parse angle {text!r} (use radians, or a deg/rad suffix)"
         ) from None
     return _real("angle", value)
@@ -162,7 +158,7 @@ def _load_quad(args: argparse.Namespace, raw: dict) -> AngleQuad:
     angles = asdict(DEFAULT_QUAD)
     unknown = set(raw) - set(angles)
     if unknown:
-        raise _ConfigError(f"unknown quad keys: {sorted(unknown)}; expected {sorted(angles)}")
+        raise InvalidInputError(f"unknown quad keys: {sorted(unknown)}; expected {sorted(angles)}")
     from_raw = {name: parse_angle(raw[name]) for name in angles if name in raw}
     from_flags = {
         name: parse_angle(text)
@@ -180,20 +176,20 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
         try:
             raw = json.loads(Path(args.spec).read_text(encoding="utf-8"))
         except OSError as exc:
-            raise _ConfigError(f"cannot read spec file: {exc}") from None
+            raise InvalidInputError(f"cannot read spec file: {exc}") from None
         except json.JSONDecodeError as exc:
-            raise _ConfigError(
+            raise InvalidInputError(
                 f"config parse error in {args.spec} at line {exc.lineno} column {exc.colno}: {exc.msg}"
             ) from None
         if not isinstance(raw, dict):
-            raise _ConfigError("sweep config must be a JSON object")
+            raise InvalidInputError("sweep config must be a JSON object")
         unknown = set(raw) - {"k_grid", "quad", "modes"}
         if unknown:
-            raise _ConfigError(f"unknown sweep config keys: {sorted(unknown)}")
+            raise InvalidInputError(f"unknown sweep config keys: {sorted(unknown)}")
 
     grid = raw.get("k_grid", {})
     if not isinstance(grid, dict):
-        raise _ConfigError("'k_grid' must be a JSON object")
+        raise InvalidInputError("'k_grid' must be a JSON object")
     grid_kind = args.grid if args.grid is not None else grid.get("kind", "log")
     start = args.start if args.start is not None else grid.get("start", 0.01)
     stop = args.stop if args.stop is not None else grid.get("stop", 100.0)
@@ -201,7 +197,7 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
 
     quad_raw = raw.get("quad", {})
     if not isinstance(quad_raw, dict):
-        raise _ConfigError("'quad' must be a JSON object")
+        raise InvalidInputError("'quad' must be a JSON object")
     quad = _load_quad(args, quad_raw)
 
     if args.modes is not None:
@@ -209,7 +205,7 @@ def _load_sweep_spec(args: argparse.Namespace) -> SweepSpec:
     else:
         modes_raw = raw.get("modes", list(SWEEP_MODES))
         if not isinstance(modes_raw, list):
-            raise _ConfigError("'modes' must be a JSON array")
+            raise InvalidInputError("'modes' must be a JSON array")
         modes = tuple(str(m) for m in modes_raw)
     return SweepSpec(
         grid_kind=grid_kind, start=start, stop=stop, points=points, quad=quad, modes=modes
@@ -283,15 +279,20 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # waveform
 
+def _parse_floats(flag: str, text: object, what: str) -> list[float]:
+    """The comma-separated numbers of a flag's value."""
+    try:
+        return [float(part) for part in str(text).split(",")]
+    except ValueError:
+        raise InvalidInputError(
+            f"cannot parse {flag} {text!r}; expected comma-separated {what}"
+        ) from None
+
+
 def _parse_wave(args: argparse.Namespace) -> Waveform:
     from .waveform import Waveform
 
-    try:
-        coeffs = tuple(float(part) for part in str(args.wave).split(","))
-    except ValueError:
-        raise _ConfigError(
-            f"cannot parse --wave {args.wave!r}; expected comma-separated numbers"
-        ) from None
+    coeffs = _parse_floats("--wave", args.wave, "numbers")
     return Waveform.from_coefficients(coeffs, omega=args.omega, amplitude=args.amplitude)
 
 
@@ -313,7 +314,7 @@ def _paired_streams(w: Waveform, span: float, rate: float, seed: int):
 
     mean_intensity = harmonic_expansion(w).a0
     if mean_intensity <= 0:
-        raise _ConfigError("waveform has zero mean intensity; no events to sample")
+        raise InvalidInputError("waveform has zero mean intensity; no events to sample")
     rng_sa, rng_sb, rng_ia, rng_ib = _stream_rngs(seed)
     shared_a = sample_events(w, span, rate / mean_intensity, rng_sa)
     shared_b = sample_events(w, span, rate / mean_intensity, rng_sb)
@@ -383,12 +384,7 @@ def cmd_waveform(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     # windows
-    try:
-        windows = sorted(float(part) for part in str(args.windows).split(","))
-    except ValueError:
-        raise _ConfigError(
-            f"cannot parse --windows {args.windows!r}; expected comma-separated durations"
-        ) from None
+    windows = sorted(_parse_floats("--windows", args.windows, "durations"))
     rows = list(zip(
         windows,
         windowed_coincidence_counts(shared_a, shared_b, windows),
@@ -406,7 +402,7 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
     _count("--max-states", args.max_states)
     if args.adversarial:
         # Negative control: a response outside [0, 1] must be rejected at
-        # model construction, surfacing as a config error (exit 1).
+        # model construction, as any bad argument is (exit 1).
         DiscreteLHVModel(
             weights=(0.5, 0.5),
             response_a=((0.2, 1.3), (0.4, 0.1)),

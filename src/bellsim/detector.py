@@ -49,7 +49,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError, _count, _member, _nonnegative_array, _positive, _real
+from .errors import (
+    InvalidInputError, _count, _member, _nonnegative_array, _positive, _probability, _real,
+)
 from .source import PHASE_MODES, intensities, sample_field
 
 __all__ = [
@@ -267,9 +269,7 @@ class HalfWindowParams:
 
 def multi_single_prob(p: float) -> float:
     """Probability of at least one shot in two halves: 1 - (1-p)^2."""
-    if not 0.0 <= _real("p", p) <= 1.0:
-        raise InvalidInputError(f"p must lie in [0, 1], got {p!r}")
-    return 1.0 - (1.0 - p) ** 2
+    return 1.0 - (1.0 - _probability("p", p)) ** 2
 
 
 def multi_coincidence_prob(hw: HalfWindowParams) -> float:

@@ -6,9 +6,10 @@ subclasses also inherit from the closest builtin (ValueError, ArithmeticError)
 so existing generic handlers keep working.
 
 The private helpers below are the one place where arguments are checked:
-every module tests a number, count, choice or interval through them, so a
-bad argument of any type, a string or None included, raises
-:class:`InvalidInputError` with the same message wherever it is passed.
+every module tests a number, count, probability, choice, interval or array
+through them, so a bad argument of any type, a string or None included,
+raises :class:`InvalidInputError` with the same message wherever it is
+passed, a hidden-variable model or a command-line flag included.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 __all__ = [
     "BellsimError",
     "InvalidInputError",
-    "ModelInvalidError",
     "NumericalInconsistencyError",
 ]
 
@@ -32,14 +32,6 @@ class BellsimError(Exception):
 
 class InvalidInputError(BellsimError, ValueError):
     """An argument is outside the documented domain (range, shape, or type)."""
-
-
-class ModelInvalidError(BellsimError, ValueError):
-    """A hidden-variable model violates its structural constraints.
-
-    Raised when an entry is not a number, weights are negative or do not sum
-    to one within 1e-12, or a response probability lies outside [0, 1].
-    """
 
 
 class NumericalInconsistencyError(BellsimError, ArithmeticError):
@@ -70,6 +62,14 @@ def _real(name: str, value: object) -> float:
     except (TypeError, OverflowError):
         pass
     raise InvalidInputError(f"{name} must be a real number, got {value!r}")
+
+
+def _probability(name: str, value: object) -> float:
+    """``value`` as a float, for a real number in [0, 1]."""
+    p = _real(name, value)
+    if not 0.0 <= p <= 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
+    return p
 
 
 def _positive(name: str, value: object, zero: bool = False) -> float:
@@ -166,11 +166,14 @@ def _as_real_array(values: object) -> np.ndarray | None:
         return None
 
 
-def _real_array(name: str, values: object) -> np.ndarray:
-    """``values`` as an array of real numbers (see :func:`_as_real_array`)."""
+def _real_array(name: str, values: object, finite: bool = False) -> np.ndarray:
+    """``values`` as an array of real numbers (see :func:`_as_real_array`),
+    finite ones with ``finite``; a float array is checked without a copy or
+    a pass over its items in Python."""
     arr = _as_real_array(values)
-    if arr is None:
-        raise InvalidInputError(f"{name} must be real numbers")
+    # min/max propagate NaN and see +-inf, so one pair decides finiteness.
+    if arr is None or finite and arr.size and not -math.inf < arr.min() <= arr.max() < math.inf:
+        raise InvalidInputError(f"{name} must be {'finite ' if finite else ''}real numbers")
     return arr
 
 
@@ -188,3 +191,11 @@ def _nonnegative_array(name: str, values: object) -> np.ndarray:
     if arr is not None and (not arr.size or arr.min() >= 0.0 and arr.max() < math.inf):
         return arr
     raise InvalidInputError(f"{name} must be finite and >= 0")
+
+
+def _unit_array(name: str, values: object) -> np.ndarray:
+    """``values`` as a float64 array, for real numbers in [0, 1]."""
+    arr = _real_array(name, values).astype(float, copy=False)
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        raise InvalidInputError(f"{name} must lie in [0, 1]")
+    return arr

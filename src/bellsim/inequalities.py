@@ -27,7 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelInvalidError, _count, _real
+from .errors import (
+    InvalidInputError, _count, _nonnegative_array, _probability, _real, _real_array, _unit_array,
+)
 
 __all__ = [
     "DEFAULT_QUAD",
@@ -123,8 +125,7 @@ class ProbabilityTable:
             # A plain float in range needs no more tests.
             if type(value) is float and 0.0 <= value <= 1.0:
                 continue
-            if not 0.0 <= _real(name, value) <= 1.0:
-                raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
+            _probability(name, value)
 
     def monotonicity_violations(self) -> list[str]:
         """Names of joints exceeding one of their marginals.
@@ -248,7 +249,8 @@ class DiscreteLHVModel:
     holds Alice's detection probabilities in state i under settings A and
     A' (columns 0 and 1), and likewise ``response_b`` for Bob under B and
     B'.  Locality is structural: each side's responses never see the other
-    side's setting.
+    side's setting.  Entries must be real numbers, the weights >= 0 summing to
+    1 within 1e-12 and the responses in [0, 1], or InvalidInputError is raised.
     """
 
     weights: np.ndarray
@@ -256,41 +258,23 @@ class DiscreteLHVModel:
     response_b: np.ndarray
 
     def __post_init__(self) -> None:
-        name = "weights"
-        try:
-            w = np.asarray(self.weights, dtype=float)
-            name = "response_a"
-            ra = np.asarray(self.response_a, dtype=float)
-            name = "response_b"
-            rb = np.asarray(self.response_b, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ModelInvalidError(f"{name} must be numeric: {exc}") from None
+        w = _real_array("weights", self.weights)
+        ra = _real_array("response_a", self.response_a)
+        rb = _real_array("response_b", self.response_b)
         if w.ndim != 1 or w.size == 0:
-            raise ModelInvalidError("weights must be a non-empty 1-D array")
+            raise InvalidInputError("weights must be a non-empty 1-D array")
         if ra.shape != (w.size, 2) or rb.shape != (w.size, 2):
-            raise ModelInvalidError(
+            raise InvalidInputError(
                 f"responses must have shape (n_states, 2) = ({w.size}, 2), "
                 f"got {ra.shape} and {rb.shape}"
             )
-        # min/max propagate NaN and see +-inf, so the six extremes decide
-        # both finiteness and range.
-        w_lo, w_hi = float(w.min()), float(w.max())
-        ra_lo, ra_hi = float(ra.min()), float(ra.max())
-        rb_lo, rb_hi = float(rb.min()), float(rb.max())
-        if not all(map(math.isfinite, (w_lo, w_hi, ra_lo, ra_hi, rb_lo, rb_hi))):
-            raise ModelInvalidError("model arrays must be finite")
-        if w_lo < 0.0:
-            raise ModelInvalidError("weights must be non-negative")
+        w = _nonnegative_array("weights", w)
         total = float(w.sum())
         if abs(total - 1.0) > _WEIGHT_TOL:
-            raise ModelInvalidError(
-                f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}"
-            )
-        if ra_lo < 0.0 or ra_hi > 1.0 or rb_lo < 0.0 or rb_hi > 1.0:
-            raise ModelInvalidError("response probabilities must lie in [0, 1]")
+            raise InvalidInputError(f"weights must sum to 1 within {_WEIGHT_TOL}, got {total!r}")
         object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "response_a", ra)
-        object.__setattr__(self, "response_b", rb)
+        object.__setattr__(self, "response_a", _unit_array("response_a", ra))
+        object.__setattr__(self, "response_b", _unit_array("response_b", rb))
 
     @classmethod
     def _checked(
@@ -431,7 +415,7 @@ def random_discrete_model(
     accepted as is, since it passes every check of :class:`DiscreteLHVModel`.
     Anything else (NaN, an infinity, a value outside [0, 1], a sum off by
     more than the tolerance) falls through to the validating constructor,
-    which raises its own :class:`ModelInvalidError`.
+    which raises :class:`InvalidInputError` with its message.
 
     Raises
     ------

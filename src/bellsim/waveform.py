@@ -146,8 +146,8 @@ def _envelope(w: Waveform, t: np.ndarray | float) -> np.ndarray | float:
 
 
 def intensity_at(w: Waveform, t: np.ndarray | float):
-    """Instantaneous intensity |A|^2 * envelope(t)^2 (scalar or array)."""
-    env = _envelope(w, t)
+    """Instantaneous intensity |A|^2 * envelope(t)^2 at finite real t (scalar or array)."""
+    env = _envelope(w, _real_array("t", t, finite=True))
     out = (w.amplitude**2) * np.square(env)
     if np.ndim(out) == 0:
         return float(out)
@@ -197,7 +197,9 @@ class HarmonicExpansion:
         terms = []
         for m, a in self.terms:
             x = 0.5 * m * self.omega * detection_time
-            terms.append((m, a * math.sin(x) / x))
+            # sinc's limits where x underflows to 0 or overflows to inf.
+            sinc = 1.0 if x == 0.0 else 0.0 if x == math.inf else math.sin(x) / x
+            terms.append((m, a * sinc))
         return HarmonicExpansion(omega=self.omega, a0=self.a0, terms=tuple(terms))
 
 

@@ -6,7 +6,8 @@ values of the wrong type (a string, None, a bool where a count, number or
 probability is due, a non-integral float, a complex number, a pair of the
 wrong length, a quad that is not an ``AngleQuad``, a non-finite angle), and
 checks that no other module writes out a copy of the shared checks'
-messages, or tests for a bool or an int beyond the float range by hand.
+messages, tests for a bool or an int beyond the float range by hand, or
+defines an exception class of its own.
 """
 
 import ast
@@ -237,6 +238,8 @@ PHRASES = {
     "must be finite with": lambda: errors._interval("x", (1.0,)),
     "must be finite and >= 0": lambda: errors._nonnegative_array("x", [-1.0]),
     "must be real numbers": lambda: errors._real_array("x", ["1.5"]),
+    "must be finite real numbers": lambda: errors._real_array("x", [math.nan], finite=True),
+    "must lie in [0, 1]": lambda: errors._probability("x", 1.5),
     "must be a sequence": lambda: errors._sequence("x", 0.5),
 }
 
@@ -324,7 +327,7 @@ def test_complex_table_entry_is_not_real(value):
 
 @pytest.mark.parametrize("phrase", PHRASES)
 def test_shared_check_message(phrase):
-    with pytest.raises(InvalidInputError, match=f"^x {phrase}"):
+    with pytest.raises(InvalidInputError, match=f"^x {re.escape(phrase)}"):
         PHRASES[phrase]()
 
 
@@ -400,3 +403,48 @@ def test_the_scan_sees_a_hand_check(tmp_path):
         "copy.py:2 isinstance bool", "copy.py:2 isinstance bool", "copy.py:6 except OverflowError",
     ]
     assert _hand_checks(SRC / "errors.py") != []
+
+
+def _exception_classes(path: Path) -> list[str]:
+    """``file:line name`` for each class with a base named like an
+    exception: ``Exception`` or a name ending in ``Error``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ClassDef):
+            bases = [
+                n.id if isinstance(n, ast.Name) else n.attr
+                for base in node.bases for n in ast.walk(base)
+                if isinstance(n, (ast.Name, ast.Attribute))
+            ]
+            if any(b == "Exception" or b.endswith("Error") for b in bases):
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_no_module_defines_an_exception_class():
+    """errors.py holds every exception class, so a bad argument anywhere
+    raises InvalidInputError, not a module's private error."""
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 5
+    found = [hit for path in modules if path.name != "errors.py" for hit in _exception_classes(path)]
+    assert found == []
+
+
+def test_the_scan_sees_an_exception_class(tmp_path):
+    copy = tmp_path / "copy.py"
+    copy.write_text(
+        "class ConfigError(BellsimError):\n    pass\n"
+        "class Parser(argparse.ArgumentParser):\n    pass\n"
+        "class ModelError(errors.InvalidInputError, ValueError):\n    pass\n"
+    )
+    assert _exception_classes(copy) == ["copy.py:1 ConfigError", "copy.py:5 ModelError"]
+    assert [hit.split()[1] for hit in _exception_classes(SRC / "errors.py")] == [
+        "BellsimError", "InvalidInputError", "NumericalInconsistencyError",
+    ]
+
+
+def test_finite_float_array_is_checked_in_place():
+    """A float64 array passes the finite check as the same object, with
+    no copy."""
+    times = np.linspace(0.0, 1.0, 5)
+    assert errors._real_array("t", times, finite=True) is times

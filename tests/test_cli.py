@@ -41,10 +41,9 @@ class TestParseAngle:
         assert parse_angle("1.5rad") == 1.5
 
     def test_rejections(self):
-        from bellsim.cli import _ConfigError
         from bellsim.errors import InvalidInputError
 
-        with pytest.raises(_ConfigError):
+        with pytest.raises(InvalidInputError, match=r"^cannot parse angle 'fast' \(use radians"):
             parse_angle("fast")
         with pytest.raises(InvalidInputError, match="^angle must be a real number, got inf$"):
             parse_angle("inf")

@@ -25,10 +25,10 @@ MODULES = ["bellsim"] + [
 ]
 
 #: Names deleted in favour of ``ch_curve_value(k, quad, mode)`` and
-#: ``ch_value(table_for_mode(k, quad, mode))``, and the Q functions that
-#: ``qset`` replaced.
+#: ``ch_value(table_for_mode(k, quad, mode))``, the Q functions that
+#: ``qset`` replaced, and the model error that ``InvalidInputError`` replaced.
 DELETED = ("ch_standard", "ch_multiwindow", "ch_union", "ch_multiwindow_two_term",
-           "q_single", "q_joint")
+           "q_single", "q_joint", "ModelInvalidError")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -96,6 +96,8 @@ def test_lazy_name_is_the_submodule_object_and_is_cached():
     )
 
 
-@pytest.mark.parametrize("module", [bellsim, bellsim.analytic], ids=["bellsim", "analytic"])
+@pytest.mark.parametrize(
+    "module", [bellsim, bellsim.analytic, bellsim.errors], ids=["bellsim", "analytic", "errors"]
+)
 def test_deleted_ch_wrappers_are_gone(module):
     assert [n for n in DELETED if hasattr(module, n)] == []

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellsim import inequalities
-from bellsim.errors import InvalidInputError, ModelInvalidError
+from bellsim.errors import InvalidInputError
 from bellsim.inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -272,18 +272,18 @@ class TestDiscreteLHVModel:
         assert all(v == 0.5 for v in asdict(t).values())
 
     def test_weight_sum_enforced(self):
-        with pytest.raises(ModelInvalidError, match="sum to 1"):
+        with pytest.raises(InvalidInputError, match="sum to 1"):
             DiscreteLHVModel(weights=[0.6, 0.5], response_a=[[0.1, 0.1], [0.2, 0.2]],
                              response_b=[[0.3, 0.3], [0.4, 0.4]])
 
     def test_response_range_enforced(self):
-        with pytest.raises(ModelInvalidError, match=r"\[0, 1\]"):
+        with pytest.raises(InvalidInputError, match=r"\[0, 1\]"):
             DiscreteLHVModel(weights=[1.0], response_a=[[1.3, 1.3]], response_b=[[0.5, 0.5]])
-        with pytest.raises(ModelInvalidError):
+        with pytest.raises(InvalidInputError):
             DiscreteLHVModel(weights=[1.0], response_a=[[-0.1, -0.1]], response_b=[[0.5, 0.5]])
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ModelInvalidError, match="non-negative"):
+        with pytest.raises(InvalidInputError, match="^weights must be finite and >= 0$"):
             DiscreteLHVModel(weights=[1.5, -0.5], response_a=[[0.1, 0.1], [0.2, 0.2]],
                              response_b=[[0.3, 0.3], [0.4, 0.4]])
 
@@ -291,52 +291,56 @@ class TestDiscreteLHVModel:
         ([math.nan, 1.0], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
         ([math.inf, 0.0], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
         ([-math.inf, 1.0], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
-        ([0.5, 0.5], [[math.nan, math.nan], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
-        ([0.5, 0.5], [[0.1, 0.1], [math.inf, math.inf]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
-        ([0.5, 0.5], [[0.1, 0.1], [-math.inf, -math.inf]], [[0.3, 0.3], [0.4, 0.4]], "finite"),
-        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[math.nan, math.nan], [0.4, 0.4]], "finite"),
-        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [math.inf, math.inf]], "finite"),
-        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[-math.inf, -math.inf], [0.4, 0.4]], "finite"),
+        ([0.5, 0.5], [[math.nan, math.nan], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1, 0.1], [math.inf, math.inf]], [[0.3, 0.3], [0.4, 0.4]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1, 0.1], [-math.inf, -math.inf]], [[0.3, 0.3], [0.4, 0.4]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[math.nan, math.nan], [0.4, 0.4]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [math.inf, math.inf]], r"\[0, 1\]"),
+        ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[-math.inf, -math.inf], [0.4, 0.4]], r"\[0, 1\]"),
         ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [-0.1, -0.1]], r"\[0, 1\]"),
         ([0.5, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], r"\[0, 1\]"),
-        ([1.2, -0.2], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "non-negative"),
+        ([1.2, -0.2], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "finite and >= 0"),
         ([0.5, 0.5 + 1e-9], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [0.4, 0.4]], "sum to 1"),
         ([], [], [], "non-empty 1-D"),
-        # When several checks fail, the earlier one wins.
-        ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [math.nan, math.nan]], "finite"),
-        ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], "non-negative"),
+        # When several checks fail, the earlier one wins: the weights' range,
+        # then their sum, then the responses' range.
+        ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[0.3, 0.3], [math.nan, math.nan]], "^weights "),
+        ([-0.5, 1.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], "finite and >= 0"),
         ([0.6, 0.5], [[0.1, 0.1], [0.2, 0.2]], [[1.3, 1.3], [0.4, 0.4]], "sum to 1"),
     ])
     def test_every_rejection(self, weights, response_a, response_b, message):
-        with pytest.raises(ModelInvalidError, match=message):
+        with pytest.raises(InvalidInputError, match=message):
             DiscreteLHVModel(weights=weights, response_a=response_a, response_b=response_b)
 
     @pytest.mark.parametrize("side", ["response_a", "response_b"])
-    @pytest.mark.parametrize("bad, message", [
-        (math.nan, "model arrays must be finite"),
-        (math.inf, "model arrays must be finite"),
-        (1.5, "response probabilities must lie in [0, 1]"),
-        (-0.1, "response probabilities must lie in [0, 1]"),
-    ])
-    def test_bad_response_on_either_side(self, side, bad, message):
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1.5, -0.1])
+    def test_bad_response_on_either_side(self, side, bad):
         """A bad entry in either response array gets the same class and
-        message."""
+        message, naming that array."""
         responses = {"response_a": [[0.1, 0.2], [0.3, 0.4]], "response_b": [[0.5, 0.6], [0.7, 0.8]]}
         responses[side][1][0] = bad
-        with pytest.raises(ModelInvalidError, match=f"^{re.escape(message)}$") as caught:
+        message = f"{side} must lie in [0, 1]"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$") as caught:
             DiscreteLHVModel(weights=[0.5, 0.5], **responses)
-        assert type(caught.value) is ModelInvalidError
+        assert type(caught.value) is InvalidInputError
 
     @pytest.mark.parametrize("name", ["weights", "response_a", "response_b"])
-    @pytest.mark.parametrize("bad", ["a", {"a": 1}, 0.5j])
+    @pytest.mark.parametrize("bad", [
+        "a", {"a": 1}, 0.5j,
+        # numpy reads these as numbers (a ComplexWarning or an OverflowError
+        # on the way), but none is a real number.
+        pytest.param(True, id="bool"), pytest.param("1", id="numeric-str"),
+        pytest.param(np.complex128(1.0), id="numpy-complex"),
+        pytest.param(10**400, id="int-beyond-float"),
+    ])
     def test_non_numeric_entry_rejected(self, name, bad):
         arrays = {"weights": [1.0], "response_a": [[0.5, 0.5]], "response_b": [[0.5, 0.5]]}
         arrays[name] = [bad] if name == "weights" else [[bad, 0.5]]
-        with pytest.raises(ModelInvalidError, match=f"{name} must be numeric"):
+        with pytest.raises(InvalidInputError, match=f"^{name} must be real numbers$"):
             DiscreteLHVModel(**arrays)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ModelInvalidError):
+        with pytest.raises(InvalidInputError):
             DiscreteLHVModel(weights=[1.0], response_a=[[0.1], [0.2]], response_b=[[0.3]])
 
     @pytest.mark.parametrize("side", ["response_a", "response_b"])
@@ -346,7 +350,7 @@ class TestDiscreteLHVModel:
         # NaN in the misshapen side: the shape check comes first.
         responses[side] = [[math.nan] * columns] * 2
         shape = rf"\(n_states, 2\) = \(2, 2\), got .*\(2, {columns}\)"
-        with pytest.raises(ModelInvalidError, match=shape):
+        with pytest.raises(InvalidInputError, match=shape):
             DiscreteLHVModel(weights=[0.5, 0.5], **responses)
 
     def test_matches_bruteforce_enumeration(self):
@@ -436,7 +440,7 @@ def _outcome(build):
     try:
         with np.errstate(invalid="ignore", over="ignore"):
             model = build()
-    except ModelInvalidError as exc:
+    except InvalidInputError as exc:
         return type(exc), str(exc)
     return tuple(
         (a.dtype, a.shape, a.tobytes())
@@ -482,9 +486,9 @@ class TestRandomModelCheck:
         assert got == want
         if position == 0 and bad == 1.5:
             # Normalization maps the weights [1.5, 0.25] into range.
-            assert want[0] is not ModelInvalidError
+            assert want[0] is not InvalidInputError
         else:
-            assert want[0] is ModelInvalidError
+            assert want[0] is InvalidInputError
 
     def test_weight_sum_overflow(self):
         """The weights' sum overflows to inf, so normalizing gives [1, 0]:
@@ -501,7 +505,7 @@ class TestRandomModelCheck:
     ])
     def test_edges_of_the_range_take_the_fast_path(self, monkeypatch, draw, negative_zero):
         got, want = _draw_and_reference(draw)
-        assert got == want and want[0] is not ModelInvalidError
+        assert got == want and want[0] is not InvalidInputError
         monkeypatch.setattr(DiscreteLHVModel, "__post_init__", _constructor_ran)
         with np.errstate(over="ignore"):
             model = random_discrete_model(_StubRng(draw), max_states=len(draw) // 5)
@@ -513,7 +517,7 @@ class TestRandomModelCheck:
         monkeypatch.setattr(inequalities, "_WEIGHT_TOL", 0.0)
         got, want = _draw_and_reference([0.96, 0.16] + _VALID_DRAW[2:])
         assert got == want == (
-            ModelInvalidError, "weights must sum to 1 within 0.0, got 0.9999999999999999"
+            InvalidInputError, "weights must sum to 1 within 0.0, got 0.9999999999999999"
         )
         monkeypatch.setattr(DiscreteLHVModel, "__post_init__", _constructor_ran)
         model = random_discrete_model(_StubRng(_VALID_DRAW), max_states=2)

@@ -161,6 +161,17 @@ class TestIntensityAt:
         t = np.linspace(0.0, w.period, 33)
         assert np.allclose(intensity_at(w, t + w.period), intensity_at(w, t), atol=1e-12)
 
+    @pytest.mark.parametrize("t", [
+        None, "1", True, math.inf, -math.inf, math.nan, np.array([1.0, math.nan]),
+        np.array([0.0, math.inf]), [1.0, "2"], np.complex128(1.0),
+    ], ids=["none", "str", "bool", "inf", "-inf", "nan", "nan-in-array", "inf-in-array",
+            "str-in-list", "numpy-complex"])
+    def test_time_must_be_finite_and_real(self, t):
+        """A time that is no finite real number is turned away, not read as
+        a number (a bool as 1) or evaluated to NaN."""
+        with pytest.raises(InvalidInputError, match="^t must be finite real numbers$"):
+            intensity_at(three_wave(), t)
+
 
 class TestIntensityStats:
     def test_three_wave_landmarks(self):
@@ -211,6 +222,27 @@ class TestIntensityStats:
         assert blurred.maximum < sharp.maximum
         # The period average is immune to a time-average filter.
         assert blurred.mean == pytest.approx(sharp.mean, rel=1e-9)
+
+    def test_underflowing_detection_time_leaves_the_series(self):
+        """At the smallest width the sinc argument underflows to 0, where
+        the factor is sinc's limit 1: the filter changes nothing."""
+        w = three_wave()
+        assert harmonic_expansion(w).box_filtered(5e-324).terms == harmonic_expansion(w).terms
+        plain, filtered = intensity_stats(w), intensity_stats(w, detection_time=5e-324)
+        assert (filtered.mean, filtered.maximum, filtered.argmax_times) == (
+            plain.mean, plain.maximum, plain.argmax_times)
+
+    def test_overflowing_detection_time_leaves_the_mean(self):
+        """At 1e308 the sinc argument m/2 * 1e308 overflows to inf from
+        harmonic m = 4 on, where the factor is sinc's limit 0: only the
+        mean is left, as at a width of 1e300."""
+        w = three_wave()
+        terms = dict(harmonic_expansion(w).box_filtered(1e308).terms)
+        assert [m for m, a in terms.items() if a == 0.0] == [4, 5, 6]
+        assert max(map(abs, terms.values())) < 1e-300
+        for width in (1e300, 1e308):
+            stats = intensity_stats(w, detection_time=width)
+            assert (stats.mean, stats.maximum) == (3.0, 3.0)
 
     def test_rejects_coarse_sampling(self):
         with pytest.raises(InvalidInputError):
@@ -465,6 +497,14 @@ class TestSampleEvents:
         a = sample_events(w, span=50.0, rate_scale=1.0, rng=make_rng(4))
         b = sample_events(w, span=50.0, rate_scale=1.0, rng=make_rng(4))
         assert np.array_equal(a.times, b.times)
+
+    def test_underflowing_detection_time_samples_as_a_tiny_one(self):
+        """At 5e-324 the filter's sinc factors are their limit 1, as they
+        round to at 1e-300, so both widths draw the same stream."""
+        w = three_wave()
+        a = sample_events(w, 50.0, 1.0, make_rng(4), detection_time=5e-324)
+        b = sample_events(w, 50.0, 1.0, make_rng(4), detection_time=1e-300)
+        assert a.n > 0 and np.array_equal(a.times, b.times)
 
     def test_times_inside_span_and_sorted(self):
         s = sample_events(three_wave(), span=100.0, rate_scale=0.5, rng=make_rng(1))
