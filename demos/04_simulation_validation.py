@@ -36,7 +36,7 @@ for workers in (1, 2, 8):
     table = estimate_table(
         RunConfig(k=K, scheme="halves", n_trials=N, seed=SEED, workers=workers)
     )
-    counts[workers] = {name: e.count for name, e in table.entry_estimates().items()}
+    counts[workers] = {name: e.count for name, e in table.entries.items()}
     print(f"workers={workers}: P_AB count = {counts[workers]['p_ab']}")
 identical = counts[1] == counts[2] == counts[8]
 print(f"all counts bit-identical: {identical}")

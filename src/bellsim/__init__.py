@@ -29,14 +29,16 @@ coincidences are counted, not by any nonlocality in the model.
 ``import bellsim`` loads no submodule. ``bellsim.<name>``, a public name or
 a submodule, imports its module on first use (PEP 562) and is then an
 ordinary attribute, so a command pays only for the modules it uses.
+``_EXPORTS`` below is the one list of public names: each submodule but
+``cli`` takes its ``__all__`` from it.
 """
 
 from importlib import import_module
 
 __version__ = "0.1.0"
 
-#: Each submodule and the public names it defines; ``bellsim.<name>`` is
-#: ``bellsim.<submodule>.<name>``.
+#: Each submodule and the public names it defines, its ``__all__``;
+#: ``bellsim.<name>`` is ``bellsim.<submodule>.<name>``.
 _EXPORTS = {
     "analytic": (
         "CH_CURVE_MODES", "SWEEP_MODES", "QSet", "SmallKReport", "ch_curve_value",
@@ -62,9 +64,9 @@ _EXPORTS = {
     "waveform": (
         "QUOTED_MEAN_NOTE", "THREE_WAVE_COEFFS", "WAVEFORM_STREAM", "DelayStatistics",
         "EventStream", "HarmonicExpansion", "IntensityStats", "Waveform", "delay_statistics",
-        "harmonic_expansion", "intensity_at", "intensity_stats", "sample_events",
-        "sample_homogeneous_events", "three_wave", "windowed_coincidence_counts",
-        "windowed_coincidences",
+        "harmonic_expansion", "intensity_at", "intensity_stats", "nearest_delays",
+        "sample_events", "sample_homogeneous_events", "three_wave",
+        "windowed_coincidence_counts", "windowed_coincidences",
     ),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

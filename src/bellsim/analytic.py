@@ -43,23 +43,11 @@ from typing import Callable
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import NumericalInconsistencyError, _instance, _interval, _member, _positive
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 
-__all__ = [
-    "CH_CURVE_MODES",
-    "SWEEP_MODES",
-    "QSet",
-    "SmallKReport",
-    "ch_curve_value",
-    "ch_zero_crossing",
-    "multiwindow_table",
-    "qset",
-    "small_k_expansion",
-    "standard_table",
-    "table_for_mode",
-    "union_coincidence_table",
-]
+__all__ = list(_EXPORTS["analytic"])
 
 #: Modes the sweep table/CSV knows how to tabulate (Ps, Pc, CH columns).
 SWEEP_MODES = ("standard", "multiwindow-exact", "multiwindow-paper")

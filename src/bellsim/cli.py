@@ -32,7 +32,9 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
-from .errors import BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real
+from .errors import (
+    BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real, _seed,
+)
 from .inequalities import (
     DEFAULT_QUAD,
     AngleQuad,
@@ -352,6 +354,7 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 
     _positive("--span", args.span)
     _positive("--rate", args.rate)
+    _seed("--seed", args.seed)
     shared_a, shared_b, indep_a, indep_b = _paired_streams(w, args.span, args.rate, args.seed)
 
     if args.waveform_command == "delays":
@@ -400,6 +403,7 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 def cmd_lhv_check(args: argparse.Namespace) -> int:
     _count("--models", args.models)
     _count("--max-states", args.max_states)
+    _seed("--seed", args.seed)
     if args.adversarial:
         # Negative control: a response outside [0, 1] must be rejected at
         # model construction, as any bad argument is (exit 1).

@@ -49,22 +49,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     InvalidInputError, _count, _member, _nonnegative_array, _positive, _probability, _real,
 )
 from .source import PHASE_MODES, intensities, sample_field
 
-__all__ = [
-    "COUNT_KEYS",
-    "DetectorParams",
-    "HalfWindowParams",
-    "WindowScheme",
-    "detect_prob",
-    "gain",
-    "multi_coincidence_prob",
-    "multi_single_prob",
-    "run_trials",
-]
+__all__ = list(_EXPORTS["detector"])
 
 
 @dataclass(frozen=True)

@@ -19,11 +19,9 @@ import operator
 
 import numpy as np
 
-__all__ = [
-    "BellsimError",
-    "InvalidInputError",
-    "NumericalInconsistencyError",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["errors"])
 
 
 class BellsimError(Exception):
@@ -94,15 +92,31 @@ def _instance(name: str, value: object, cls: type) -> object:
     return value
 
 
-def _count(name: str, value: object, minimum: int = 1) -> int:
-    """``value`` as an int, for an integer (numpy's included) >= ``minimum``.
-    A bool is not a count, although Python counts it as an int."""
+#: The largest count: a count sizes an array or a draw, and numpy sizes
+#: both with int64.
+_MAX_COUNT = 2**63 - 1
+
+
+def _count(name: str, value: object, minimum: int = 1, maximum: float = _MAX_COUNT) -> int:
+    """``value`` as an int, for an integer (numpy's included) from
+    ``minimum`` to ``maximum``.  A bool is not a count, although Python
+    counts it as an int."""
     try:
-        if not isinstance(value, bool) and operator.index(value) >= minimum:
-            return operator.index(value)
+        if not isinstance(value, bool):
+            index = operator.index(value)
+            if minimum <= index <= maximum:
+                return index
+            if index > maximum:
+                raise InvalidInputError(f"{name} must be an integer <= {maximum}, got {value!r}")
     except TypeError:
         pass
     raise InvalidInputError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def _seed(name: str, value: object) -> int:
+    """``value`` as an int, for a seed: an integer >= 0 of any size, as
+    ``np.random.SeedSequence`` takes."""
+    return _count(name, value, 0, math.inf)
 
 
 def _sequence(name: str, value: object) -> list:

@@ -27,27 +27,12 @@ from typing import Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     InvalidInputError, _count, _nonnegative_array, _probability, _real, _real_array, _unit_array,
 )
 
-__all__ = [
-    "DEFAULT_QUAD",
-    "AngleQuad",
-    "CHBreakdown",
-    "CorrelatorSet",
-    "DiscreteLHVModel",
-    "PointwiseCase",
-    "PointwiseReport",
-    "ProbabilityTable",
-    "batched_ch",
-    "ch_to_chsh",
-    "ch_value",
-    "chsh_value",
-    "eval_discrete_lhv",
-    "pointwise_ch_inequality_check",
-    "random_discrete_model",
-]
+__all__ = list(_EXPORTS["inequalities"])
 
 # Joint entries may exceed 1 - 1e-12 etc. only through float noise; keep the
 # domain checks exact and reserve tolerances for derived identities.

@@ -31,27 +31,18 @@ observed counts.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _EXPORTS
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
 from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
-from .errors import _count, _instance, _member, _positive
+from .errors import _count, _instance, _member, _positive, _seed
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
 
-__all__ = [
-    "CHUNK_TRIALS",
-    "RNG_CONTRACT",
-    "ComparisonReport",
-    "ComparisonRow",
-    "EstimateWithCI",
-    "EstimatedTable",
-    "RunConfig",
-    "compare_to_analytic",
-    "estimate_table",
-]
+__all__ = list(_EXPORTS["montecarlo"])
 
 #: Trials per RNG chunk; fixed so the chunk grid (hence every random number)
 #: does not depend on the worker count.
@@ -86,8 +77,9 @@ class RunConfig:
         _positive("k", self.k)
         _instance("quad", self.quad, AngleQuad)
         object.__setattr__(self, "scheme", WindowScheme(self.scheme))
-        for name, minimum in (("n_trials", 1), ("workers", 1), ("seed", 0)):
-            _count(name, getattr(self, name), minimum)
+        _count("n_trials", self.n_trials)
+        _count("workers", self.workers)
+        _seed("seed", self.seed)
         _member("phase_mode", self.phase_mode, PHASE_MODES)
 
 
@@ -128,35 +120,25 @@ def _pair_angles(quad: AngleQuad) -> tuple[tuple[float, float], ...]:
 class EstimatedTable:
     """Estimated CH table with error bars and the run's raw counts.
 
-    ``p_ab`` etc. are the pairing-channel coincidences (identical to the
-    Boolean flag in the single-window scheme); for the split-window scheme
-    ``union_joints`` additionally holds the Boolean-union coincidence
-    estimates, which obey joint <= marginal and have their own closed form.
+    ``entries`` holds one estimate per :class:`ProbabilityTable` field, keyed
+    by the field's name and in its order.  Its joints ``p_ab`` etc. are the
+    pairing-channel coincidences (identical to the Boolean flag in the
+    single-window scheme); for the split-window scheme ``union_joints``
+    additionally holds the Boolean-union coincidence estimates, which obey
+    joint <= marginal and have their own closed form.
     ``conditional_b_given_a`` is the measured P(Bob | Alice) at the (A, B)
     pair, reported for inspection of the half-window algebra's q.
     """
 
     config: RunConfig
-    p_a: EstimateWithCI
-    p_b: EstimateWithCI
-    p_ab: EstimateWithCI
-    p_ab_prime: EstimateWithCI
-    p_a_prime_b: EstimateWithCI
-    p_a_prime_b_prime: EstimateWithCI
-    p_a_prime: EstimateWithCI
-    p_b_prime: EstimateWithCI
+    entries: dict[str, EstimateWithCI]
     ch: CHBreakdown
     ch_std_error: float
     union_joints: dict[str, EstimateWithCI] = field(default_factory=dict)
     conditional_b_given_a: float | None = None
 
-    def entry_estimates(self) -> dict[str, EstimateWithCI]:
-        return {f.name: getattr(self, f.name) for f in fields(ProbabilityTable)}
-
     def to_probability_table(self) -> ProbabilityTable:
-        return ProbabilityTable(
-            **{name: est.value for name, est in self.entry_estimates().items()}
-        )
+        return ProbabilityTable(**{name: est.value for name, est in self.entries.items()})
 
 
 def _chunk_sizes(n: int) -> list[int]:
@@ -221,7 +203,7 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
     }
     return EstimatedTable(
         config=cfg,
-        **entries,
+        entries=entries,
         ch=ch_value(ProbabilityTable(**{name: e.value for name, e in entries.items()})),
         ch_std_error=_ch_std_error(totals, n),
         union_joints={
@@ -332,7 +314,7 @@ def compare_to_analytic(cfg: RunConfig, analytic_k: float | None = None) -> Comp
         reference = standard_table(k_ref, cfg.quad)
     else:
         reference = multiwindow_table(k_ref, cfg.quad)
-    groups = [("", estimated.entry_estimates(), asdict(reference))]
+    groups = [("", estimated.entries, asdict(reference))]
     if cfg.scheme is WindowScheme.HALVES:
         union_ref = union_coincidence_table(k_ref, cfg.quad)
         groups.append((

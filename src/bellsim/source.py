@@ -25,18 +25,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import (
     InvalidInputError, NumericalInconsistencyError, _count, _member, _nonnegative_array, _real,
     _real_array,
 )
 
-__all__ = [
-    "FieldSample",
-    "IntensityPair",
-    "PHASE_MODES",
-    "intensities",
-    "sample_field",
-]
+__all__ = list(_EXPORTS["source"])
 
 PHASE_MODES = ("suppressed", "sampled")
 

@@ -32,30 +32,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _EXPORTS
 from .analytic import _bisect
 from .errors import (
     InvalidInputError, _count, _interval, _positive, _real, _real_array, _sequence,
 )
 
-__all__ = [
-    "DelayStatistics",
-    "EventStream",
-    "HarmonicExpansion",
-    "IntensityStats",
-    "QUOTED_MEAN_NOTE",
-    "THREE_WAVE_COEFFS",
-    "WAVEFORM_STREAM",
-    "Waveform",
-    "delay_statistics",
-    "harmonic_expansion",
-    "intensity_at",
-    "intensity_stats",
-    "sample_events",
-    "sample_homogeneous_events",
-    "three_wave",
-    "windowed_coincidence_counts",
-    "windowed_coincidences",
-]
+__all__ = list(_EXPORTS["waveform"])
 
 #: Coefficients of the three-component demonstration waveform.
 THREE_WAVE_COEFFS = (1.0, -2.0, 1.0)
@@ -107,6 +90,8 @@ class Waveform:
         comps = tuple((float(c), int(h)) for c, h in self.components)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "omega", _positive("omega", self.omega))
+        # A subnormal omega is positive, yet its period overflows to inf.
+        _positive("omega's period 2*pi/omega", self.period)
         object.__setattr__(self, "amplitude", _positive("amplitude", self.amplitude, zero=True))
         # |A|^2 (sum_j |c_j|)^2 bounds every intensity value and series
         # coefficient; float products give inf (or nan for 0 * inf) where a

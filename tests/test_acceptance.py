@@ -197,7 +197,7 @@ def test_a7_simulation_matches_closed_forms_and_parallelism_is_exact():
                       workers=workers)
         )
         return (
-            {name: e.count for name, e in table.entry_estimates().items()},
+            {name: e.count for name, e in table.entries.items()},
             {name: e.count for name, e in table.union_joints.items()},
         )
 

@@ -4,10 +4,10 @@ The checks live in ``bellsim/errors.py``; this file tries each public entry
 point that takes a number, count, angle, mode, interval or bracket with
 values of the wrong type (a string, None, a bool where a count, number or
 probability is due, a non-integral float, a complex number, a pair of the
-wrong length, a quad that is not an ``AngleQuad``, a non-finite angle), and
-checks that no other module writes out a copy of the shared checks'
-messages, tests for a bool or an int beyond the float range by hand, or
-defines an exception class of its own.
+wrong length, a quad that is not an ``AngleQuad``, a non-finite angle, a
+count beyond int64), and checks that no other module writes out a copy of
+the shared checks' messages, tests for a bool or an int beyond the float
+range by hand, or defines an exception class of its own.
 """
 
 import ast
@@ -124,6 +124,7 @@ CALLS = {
     "run_trials-n-bool": lambda: trials(n=True),
     "run_trials-n-str": lambda: trials(n="4"),
     "run_trials-n-none": lambda: trials(n=None),
+    "run_trials-n-beyond-int64": lambda: trials(n=10**400),
     "run_trials-phase_mode-none": lambda: trials(phase_mode=None),
     "detect_prob-intensity-str": lambda: detect_prob(DetectorParams(1.0), "a"),
     "detect_prob-intensity-none": lambda: detect_prob(DetectorParams(1.0), None),
@@ -145,6 +146,7 @@ CALLS = {
     "sample_field-size-bool": lambda: sample_field(rng(), True),
     "sample_field-size-str": lambda: sample_field(rng(), "4"),
     "sample_field-size-float": lambda: sample_field(rng(), 2.5),
+    "sample_field-size-beyond-int64": lambda: sample_field(rng(), size=10**400),
     "intensities-theta-str": lambda: intensities(sample(), "a", 0.1),
     "intensities-phase_mode-none": lambda: intensities(sample(), 0.1, 0.2, phase_mode=None),
     # inequalities
@@ -160,6 +162,7 @@ CALLS = {
     "random_discrete_model-float": lambda: random_discrete_model(rng(), 2.5),
     "random_discrete_model-bool": lambda: random_discrete_model(rng(), True),
     "random_discrete_model-none": lambda: random_discrete_model(rng(), None),
+    "random_discrete_model-beyond-int64": lambda: random_discrete_model(rng(), max_states=10**400),
     # montecarlo
     "RunConfig-k-none": lambda: RunConfig(k=None),
     "RunConfig-k-str": lambda: RunConfig(k="1"),
@@ -167,6 +170,7 @@ CALLS = {
     "RunConfig-n_trials-bool": lambda: RunConfig(k=1.0, n_trials=True),
     "RunConfig-workers-str": lambda: RunConfig(k=1.0, workers="2"),
     "RunConfig-seed-float": lambda: RunConfig(k=1.0, seed=2.5),
+    "RunConfig-n_trials-beyond-int64": lambda: RunConfig(k=1.0, n_trials=2**63),
     "RunConfig-phase_mode-none": lambda: RunConfig(k=1.0, phase_mode=None),
     "RunConfig-quad-none": lambda: RunConfig(k=1.0, quad=None),
     "RunConfig-k-complex": lambda: RunConfig(k=np.complex128(1 + 1j)),
@@ -182,6 +186,7 @@ CALLS = {
     "from_coefficients-str": lambda: Waveform.from_coefficients(["x"]),
     "intensity_stats-samples-bool": lambda: intensity_stats(three_wave(), True),
     "intensity_stats-samples-str": lambda: intensity_stats(three_wave(), "4096"),
+    "intensity_stats-samples-beyond-int64": lambda: intensity_stats(three_wave(), 2**63),
     "intensity_stats-detection_time-str":
         lambda: intensity_stats(three_wave(), detection_time="0.3"),
     "box_filtered-none": lambda: harmonic_expansion(three_wave()).box_filtered(None),
@@ -233,6 +238,7 @@ PHRASES = {
     "must be nonnegative and finite": lambda: errors._positive("x", -1.0, zero=True),
     "must be a real number": lambda: errors._real("x", None),
     "must be an integer >=": lambda: errors._count("x", True),
+    "must be an integer <=": lambda: errors._count("x", 2**63),
     "must be one of": lambda: errors._member("x", None, ("a",)),
     "must be an instance of": lambda: errors._instance("x", None, AngleQuad),
     "must be finite with": lambda: errors._interval("x", (1.0,)),
@@ -272,6 +278,22 @@ def test_int_beyond_float_range(value):
     for pair in ((0, value), (value, 0)):
         with pytest.raises(InvalidInputError, match="^x must be finite with lo < hi"):
             errors._interval("x", pair)
+
+
+def test_count_is_at_most_the_largest_int64():
+    """A count sizes an array or a draw, which numpy sizes with int64; a
+    value below the minimum keeps its message, and a seed has no ceiling."""
+    assert errors._count("x", 2**63 - 1) == 2**63 - 1
+    assert errors._count("x", np.uint64(2**63 - 1)) == 2**63 - 1
+    for value in (2**63, np.uint64(2**63), 10**400):
+        with pytest.raises(InvalidInputError, match=f"^x must be an integer <= {2**63 - 1}, got "):
+            errors._count("x", value)
+    with pytest.raises(InvalidInputError, match="^x must be an integer >= 1, got -(10{400})$"):
+        errors._count("x", -(10**400))
+    assert errors._seed("seed", 10**30) == 10**30
+    assert RunConfig(k=1.0, seed=10**30).seed == 10**30
+    with pytest.raises(InvalidInputError, match="^seed must be an integer >= 0, got -1$"):
+        RunConfig(k=1.0, seed=-1)
 
 
 @pytest.mark.parametrize("value", [True, False, np.True_], ids=["true", "false", "numpy"])

@@ -557,6 +557,29 @@ class TestTopLevel:
                 ("waveform", "windows", "--windows", "0,1", "--span", "100"),
                 "error: window must be positive and finite, got 0.0",
             ),
+            (
+                ("waveform", "stats", "--omega", "1e-320"),
+                "error: omega's period 2*pi/omega must be positive and finite, got inf",
+            ),
+            (("lhv-check", "--seed=-1"), "error: --seed must be an integer >= 0, got -1"),
+            (("waveform", "delays", "--seed=-1"), "error: --seed must be an integer >= 0, got -1"),
+            (("waveform", "windows", "--seed=-1"), "error: --seed must be an integer >= 0, got -1"),
+            (
+                ("waveform", "stats", "--samples", str(10**20)),
+                f"error: samples_per_period must be an integer <= {2**63 - 1}, got {10**20}",
+            ),
+            (
+                ("analytic", "--points", str(10**20)),
+                f"error: k_grid points must be an integer <= {2**63 - 1}, got {10**20}",
+            ),
+            (
+                ("lhv-check", "--max-states", str(10**20)),
+                f"error: --max-states must be an integer <= {2**63 - 1}, got {10**20}",
+            ),
+            (
+                ("simulate", "--k", "1", "--trials", str(10**20)),
+                f"error: n_trials must be an integer <= {2**63 - 1}, got {10**20}",
+            ),
         ],
     )
     def test_library_errors_exit_1_with_one_line(self, capsys, argv, line):

@@ -4,7 +4,9 @@ submodule's ``__all__`` resolves, each submodule's ``__all__`` is what
 runs clean, and the CH curve wrappers that ``ch_curve_value`` replaced and
 the Q functions that ``qset`` replaced stay gone. ``bellsim`` resolves its
 names on first use, so the start-up of a command loads only the modules that
-command uses."""
+command uses. Each list is written once: only ``bellsim`` and ``bellsim.cli``
+spell out an ``__all__``, and ``EstimatedTable`` keeps its estimates in one
+dict keyed by the ``ProbabilityTable`` fields."""
 
 import ast
 import importlib
@@ -12,6 +14,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -101,3 +104,55 @@ def test_lazy_name_is_the_submodule_object_and_is_cached():
 )
 def test_deleted_ch_wrappers_are_gone(module):
     assert [n for n in DELETED if hasattr(module, n)] == []
+
+
+def test_nearest_delays_is_exported():
+    assert bellsim.nearest_delays is bellsim.waveform.nearest_delays
+    assert "nearest_delays" in bellsim.waveform.__all__
+
+
+def _spelled_exports(path: Path) -> list[str]:
+    """``file:line`` for each assignment of a list, tuple or set display to
+    ``__all__``: a list of public names written out by hand."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if (
+                any(isinstance(x, ast.Name) and x.id == "__all__" for x in targets)
+                and isinstance(node.value, (ast.List, ast.Tuple, ast.Set))
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_the_package_and_cli_spell_out_their_exports():
+    """Every other submodule takes its ``__all__`` from ``bellsim._EXPORTS``,
+    so a public name is written once and the two lists cannot drift."""
+    modules = sorted((SRC / "bellsim").glob("*.py"))
+    assert len(modules) > 5
+    spelled = [
+        hit for path in modules if path.name not in ("__init__.py", "cli.py")
+        for hit in _spelled_exports(path)
+    ]
+    assert spelled == []
+
+
+def test_the_scan_sees_a_spelled_out_export(tmp_path):
+    copy = tmp_path / "copy.py"
+    copy.write_text(
+        '__all__ = ["a", "b"]\n'
+        '__all__ = list(_EXPORTS["copy"])\n'
+        '__all__ += ("c",)\n'
+        '__all__: list[str] = []\n'
+    )
+    assert _spelled_exports(copy) == ["copy.py:1", "copy.py:3", "copy.py:4"]
+    assert _spelled_exports(SRC / "bellsim" / "cli.py") != []
+
+
+def test_estimated_table_lists_no_table_entry_as_a_field():
+    """The estimates live in ``EstimatedTable.entries``, keyed by the
+    ``ProbabilityTable`` fields, not in a second copy of those fields."""
+    entries = {f.name for f in fields(bellsim.ProbabilityTable)}
+    assert [f.name for f in fields(bellsim.EstimatedTable) if f.name in entries] == []
+    assert not hasattr(bellsim.EstimatedTable, "entry_estimates")

@@ -3,13 +3,14 @@ with the closed forms."""
 
 import math
 import statistics
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from bellsim.detector import DetectorParams, WindowScheme, run_trials
 from bellsim.errors import InvalidInputError
-from bellsim.inequalities import ch_value
+from bellsim.inequalities import ProbabilityTable, ch_value
 from bellsim.montecarlo import (
     CHUNK_TRIALS,
     RNG_CONTRACT,
@@ -107,8 +108,12 @@ class TestEstimateTable:
         cfg = RunConfig(k=2.0, seed=123, n_trials=30_000)
         a = estimate_table(cfg)
         b = estimate_table(cfg)
-        assert a.entry_estimates() == b.entry_estimates()
+        assert a.entries == b.entries
         assert a.ch == b.ch
+
+    def test_entries_follow_the_table_fields(self):
+        table = estimate_table(RunConfig(k=1.0, seed=4, n_trials=100))
+        assert list(table.entries) == [f.name for f in fields(ProbabilityTable)]
 
     def test_worker_count_does_not_change_results(self):
         """Chunked counting with per-chunk seeding: the counts are exact
@@ -122,7 +127,7 @@ class TestEstimateTable:
                             workers=workers)
             table = estimate_table(cfg)
             snapshot = (
-                {k: (v.count, v.n) for k, v in table.entry_estimates().items()},
+                {k: (v.count, v.n) for k, v in table.entries.items()},
                 {k: (v.count, v.n) for k, v in table.union_joints.items()},
                 table.ch,
                 table.ch_std_error,
@@ -135,7 +140,7 @@ class TestEstimateTable:
     @pytest.mark.parametrize("n", [1, 7, CHUNK_TRIALS - 1, CHUNK_TRIALS, CHUNK_TRIALS + 1])
     def test_chunk_boundary_sizes(self, n):
         table = estimate_table(RunConfig(k=1.0, seed=5, n_trials=n))
-        for est in table.entry_estimates().values():
+        for est in table.entries.values():
             assert est.n == n
             assert 0 <= est.count <= n
 
@@ -177,9 +182,10 @@ class TestEstimateTable:
         and the other three joints add their binomial variances."""
         n = 5000
         t = estimate_table(RunConfig(k=2.0, seed=8, n_trials=n))
-        either = (t.p_a.count + t.p_b.count - t.p_ab.count) / n
+        e = t.entries
+        either = (e["p_a"].count + e["p_b"].count - e["p_ab"].count) / n
         var = either * (1 - either) / n + sum(
-            e.std_error**2 for e in (t.p_ab_prime, t.p_a_prime_b, t.p_a_prime_b_prime)
+            e[name].std_error**2 for name in ("p_ab_prime", "p_a_prime_b", "p_a_prime_b_prime")
         )
         assert t.ch_std_error == pytest.approx(math.sqrt(var), rel=1e-12)
 
@@ -225,8 +231,8 @@ class TestEstimateTable:
     def test_to_probability_table_round_trip(self):
         table = estimate_table(RunConfig(k=1.0, seed=3, n_trials=5000))
         pt = table.to_probability_table()
-        assert pt.p_ab == table.p_ab.value
-        assert pt.p_b_prime == table.p_b_prime.value
+        assert pt.p_ab == table.entries["p_ab"].value
+        assert pt.p_b_prime == table.entries["p_b_prime"].value
 
 
 class TestCompareToAnalytic:

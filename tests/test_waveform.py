@@ -5,6 +5,7 @@ import copy
 import gc
 import math
 import pickle
+import re
 import sys
 import threading
 import tracemalloc
@@ -50,6 +51,7 @@ class TestWaveformConstruction:
     def test_period(self):
         assert three_wave().period == pytest.approx(2 * math.pi, abs=1e-15)
         assert three_wave(omega=2 * math.pi).period == pytest.approx(1.0, abs=1e-15)
+        assert three_wave(omega=1e-307).period == pytest.approx(2 * math.pi * 1e307)
 
     @pytest.mark.parametrize(
         "components, name",
@@ -79,6 +81,14 @@ class TestWaveformConstruction:
     def test_overflowing_intensity_scale(self, components, amplitude):
         with pytest.raises(InvalidInputError, match=r"\|A\|\^2 \(sum_j \|c_j\|\)\^2 must be finite"):
             Waveform(components, amplitude=amplitude)
+
+    @pytest.mark.parametrize("omega", [1e-320, 5e-324])
+    def test_omega_whose_period_overflows(self, omega):
+        """A subnormal omega is positive, yet its period 2*pi/omega is inf:
+        it is turned away by name, not later by the times it would give."""
+        message = "omega's period 2*pi/omega must be positive and finite, got inf"
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            Waveform(((1.0, 1),), omega=omega)
 
     def test_large_finite_intensity_scale(self):
         assert intensity_stats(three_wave(amplitude=1e150)).maximum == pytest.approx(16e300)
