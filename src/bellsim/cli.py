@@ -33,7 +33,8 @@ import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
 from .errors import (
-    BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real, _seed,
+    _MAX_GRID, BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real,
+    _seed,
 )
 from .inequalities import (
     DEFAULT_QUAD,
@@ -45,7 +46,7 @@ from .inequalities import (
     pointwise_ch_inequality_check,
     random_discrete_model,
 )
-from .montecarlo import RNG_CONTRACT, RunConfig, compare_to_analytic
+from .montecarlo import RNG_CONTRACT, RunConfig, _generator, compare_to_analytic
 
 # waveform, json and csv are imported by the functions that use them, so a
 # command that needs none of them starts without compiling or loading them.
@@ -145,7 +146,7 @@ class SweepSpec:
     def __post_init__(self) -> None:
         _member("k_grid kind", self.grid_kind, ("log", "linear"))
         _interval("k_grid start/stop", (self.start, self.stop), positive=True)
-        _count("k_grid points", self.points, 2)
+        _count("k_grid points", self.points, 2, _MAX_GRID)
         for mode in self.modes:
             _member("mode", mode, SWEEP_MODES)
 
@@ -298,13 +299,6 @@ def _parse_wave(args: argparse.Namespace) -> Waveform:
     return Waveform.from_coefficients(coeffs, omega=args.omega, amplitude=args.amplitude)
 
 
-def _stream_rngs(seed: int) -> list[np.random.Generator]:
-    return [
-        np.random.Generator(np.random.Philox(child))
-        for child in np.random.SeedSequence(seed).spawn(4)
-    ]
-
-
 def _paired_streams(w: Waveform, span: float, rate: float, seed: int):
     """Two shared-intensity streams and two constant-rate baselines.
 
@@ -317,7 +311,7 @@ def _paired_streams(w: Waveform, span: float, rate: float, seed: int):
     mean_intensity = harmonic_expansion(w).a0
     if mean_intensity <= 0:
         raise InvalidInputError("waveform has zero mean intensity; no events to sample")
-    rng_sa, rng_sb, rng_ia, rng_ib = _stream_rngs(seed)
+    rng_sa, rng_sb, rng_ia, rng_ib = (_generator("events", seed, i) for i in range(4))
     shared_a = sample_events(w, span, rate / mean_intensity, rng_sa)
     shared_b = sample_events(w, span, rate / mean_intensity, rng_sb)
     indep_a = sample_homogeneous_events(rate, span, rng_ia)
@@ -402,7 +396,7 @@ def cmd_waveform(args: argparse.Namespace) -> int:
 
 def cmd_lhv_check(args: argparse.Namespace) -> int:
     _count("--models", args.models)
-    _count("--max-states", args.max_states)
+    _count("--max-states", args.max_states, maximum=_MAX_GRID)
     _seed("--seed", args.seed)
     if args.adversarial:
         # Negative control: a response outside [0, 1] must be rejected at
@@ -413,7 +407,7 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
             response_b=((0.3, 0.6), (0.9, 0.0)),
         )
         raise AssertionError("unreachable: invalid model must not validate")
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(args.seed)))
+    rng = _generator("lhv", args.seed)
     min_ch = math.inf
     min_info = ""
     for start in range(0, args.models, _LHV_BLOCK):

@@ -51,7 +51,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import (
-    InvalidInputError, _count, _member, _nonnegative_array, _positive, _probability, _real,
+    InvalidInputError, _count, _instance, _member, _nonnegative_array, _positive, _probability,
+    _real,
 )
 from .source import PHASE_MODES, intensities, sample_field
 
@@ -76,7 +77,13 @@ class WindowScheme(str, enum.Enum):
 
     @classmethod
     def _missing_(cls, value: object) -> None:
-        _member("scheme", value, tuple(scheme.value for scheme in cls))
+        _member("scheme", value, _SCHEMES)
+
+
+#: The scheme names.  ``WindowScheme(value)`` compares an unhashable value,
+#: an array say, with each name before ``_missing_`` sees it, so a scheme
+#: passes ``_member`` first.
+_SCHEMES = tuple(scheme.value for scheme in WindowScheme)
 
 
 def detect_prob(
@@ -86,17 +93,20 @@ def detect_prob(
 ) -> float | np.ndarray:
     """Detection probability 1 - exp(-k*I) for intensity I >= 0.
 
-    Monotone in both k and I; 0 at I = 0; approaches 1 as k*I grows.  For an
-    array ``intensity``, ``out`` is an optional float64 array of its shape
-    (it may be ``intensity`` itself) that receives the probabilities, with
-    the same values as without it.
+    Monotone in both k and I; 0 at I = 0; approaches 1 as k*I grows, and is
+    exactly 1 where k*I overflows.  For an array ``intensity``, ``out`` is an
+    optional float64 array of its shape (it may be ``intensity`` itself)
+    that receives the probabilities, with the same values as without it.
     """
+    _instance("params", params, DetectorParams)
     arr = _nonnegative_array("intensity", intensity)
-    if arr.ndim == 0:
-        return float(-np.expm1(-params.k * arr))
-    p = np.multiply(arr, -params.k, out=out)
-    np.expm1(p, out=p)
-    return np.negative(p, out=p)
+    # An overflowing k*I is -inf, and expm1(-inf) = -1 is the law's saturation.
+    with np.errstate(over="ignore"):
+        if arr.ndim == 0:
+            return float(-np.expm1(-params.k * arr))
+        p = np.multiply(arr, -params.k, out=out)
+        np.expm1(p, out=p)
+        return np.negative(p, out=p)
 
 
 def _shot_prob(k: float, angle: float, sampled: bool) -> float:
@@ -193,9 +203,10 @@ def run_trials(
     in suppressed mode (sampled phases are still allocated by
     :func:`bellsim.source.sample_field`).
     """
+    _instance("params", params, DetectorParams)
     n = _count("n", n)
     _member("phase_mode", phase_mode, PHASE_MODES)
-    scheme = WindowScheme(scheme)
+    scheme = WindowScheme(_member("scheme", scheme, _SCHEMES))
     theta, phi = _real("theta", theta), _real("phi", phi)
     sampled = phase_mode == "sampled"
     x, y, i, u = np.empty((4, n))
@@ -270,6 +281,7 @@ def multi_coincidence_prob(hw: HalfWindowParams) -> float:
     ones with p*p; treating the four channels as independent gives
     ``1 - (1 - p^2)^2 (1 - p*q)^2``.
     """
+    _instance("hw", hw, HalfWindowParams)
     return 1.0 - (1.0 - hw.p * hw.p) ** 2 * (1.0 - hw.p * hw.q) ** 2
 
 
@@ -281,6 +293,6 @@ def gain(hw: HalfWindowParams) -> float:
     probability over the true per-half value q.  Non-negative on the whole
     domain, and zero only at p = q = 1.
     """
-    if hw.p == 0.0:
+    if _instance("hw", hw, HalfWindowParams).p == 0.0:
         raise InvalidInputError("gain is undefined at p = 0 (no singles)")
     return multi_coincidence_prob(hw) / multi_single_prob(hw.p) - hw.q

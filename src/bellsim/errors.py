@@ -96,6 +96,11 @@ def _instance(name: str, value: object, cls: type) -> object:
 #: both with int64.
 _MAX_COUNT = 2**63 - 1
 
+#: The largest count of a grid that a run holds whole (the sweep's k values,
+#: the samples of a period, a model's hidden states), so that no count asks
+#: for an array that no address space can hold.
+_MAX_GRID = 2**32
+
 
 def _count(name: str, value: object, minimum: int = 1, maximum: float = _MAX_COUNT) -> int:
     """``value`` as an int, for an integer (numpy's included) from
@@ -127,9 +132,11 @@ def _sequence(name: str, value: object) -> list:
         raise InvalidInputError(f"{name} must be a sequence, got {value!r}") from None
 
 
-def _member(name: str, value: object, choices: tuple) -> object:
-    """``value``, for an argument that must be one of ``choices``."""
-    if value not in choices:
+def _member(name: str, value: object, choices: tuple[str, ...]) -> str:
+    """``value``, for an argument that must be one of the strings ``choices``.
+    Anything but a string is turned away before it is compared, so an array
+    is not taken for a choice that equals its items."""
+    if not isinstance(value, str) or value not in choices:
         raise InvalidInputError(f"{name} must be one of {choices}, got {value!r}")
     return value
 

@@ -29,7 +29,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import (
-    InvalidInputError, _count, _nonnegative_array, _probability, _real, _real_array, _unit_array,
+    _MAX_GRID, InvalidInputError, _count, _nonnegative_array, _probability, _real, _real_array,
+    _unit_array,
 )
 
 __all__ = list(_EXPORTS["inequalities"])
@@ -405,9 +406,9 @@ def random_discrete_model(
     Raises
     ------
     InvalidInputError
-        If ``max_states`` is not an integer >= 1.
+        If ``max_states`` is not an integer from 1 to 2^32.
     """
-    n = int(rng.integers(1, _count("max_states", max_states) + 1))
+    n = int(rng.integers(1, _count("max_states", max_states, maximum=_MAX_GRID) + 1))
     draw = rng.random(5 * n)
     weights = draw[:n]  # normalized in place, in the draw buffer
     weights += 1e-12  # keep the sum strictly positive

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import _EXPORTS
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
-from .detector import COUNT_KEYS, DetectorParams, WindowScheme, run_trials
+from .detector import _SCHEMES, COUNT_KEYS, DetectorParams, WindowScheme, run_trials
 from .errors import _count, _instance, _member, _positive, _seed
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
@@ -48,6 +48,10 @@ __all__ = list(_EXPORTS["montecarlo"])
 #: does not depend on the worker count.
 CHUNK_TRIALS = 1 << 16
 
+#: The most trials per setting pair: 2^24 chunks, so the grid's task list
+#: stays one that memory can hold.
+_MAX_TRIALS = CHUNK_TRIALS << 24
+
 #: Version of the documented draw order (the chunk seeding above plus the
 #: order in :func:`bellsim.detector.run_trials`).  Seeded results change
 #: between versions only when this number changes.  History:
@@ -57,6 +61,21 @@ CHUNK_TRIALS = 1 << 16
 #: 4, contract 3 with each cross-half channel one Bernoulli(P_X*P_Y) uniform
 #: batch in place of two fresh-field shots.
 RNG_CONTRACT = 4
+
+#: The bit generator of each seeded stream family, keyed by
+#: ``SeedSequence(seed, spawn_key=key)``: "trials" by (pair, chunk), versioned
+#: by RNG_CONTRACT; "events" by (i,) for the shared A, shared B, independent
+#: A and independent B streams, versioned by bellsim.waveform.WAVEFORM_STREAM;
+#: "lhv" by (), with no version, pinned by the lhv-check golden lines.  Names,
+#: not classes, so that start-up does not load numpy.random.
+_BIT_GENERATORS = {"trials": "SFC64", "events": "Philox", "lhv": "Philox"}
+
+
+def _generator(family: str, seed: int, *key: int) -> np.random.Generator:
+    """The generator of stream ``family`` at ``key`` (see :data:`_BIT_GENERATORS`)."""
+    bit_generator = getattr(np.random, _BIT_GENERATORS[family])
+    return np.random.Generator(bit_generator(np.random.SeedSequence(seed, spawn_key=key)))
+
 
 _Z_LIMIT = 5.0
 
@@ -76,8 +95,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         _positive("k", self.k)
         _instance("quad", self.quad, AngleQuad)
-        object.__setattr__(self, "scheme", WindowScheme(self.scheme))
-        _count("n_trials", self.n_trials)
+        object.__setattr__(self, "scheme", WindowScheme(_member("scheme", self.scheme, _SCHEMES)))
+        _count("n_trials", self.n_trials, maximum=_MAX_TRIALS)
         _count("workers", self.workers)
         _seed("seed", self.seed)
         _member("phase_mode", self.phase_mode, PHASE_MODES)
@@ -149,12 +168,10 @@ def _chunk_sizes(n: int) -> list[int]:
 
 
 def _run_chunk(cfg: RunConfig, pair_idx: int, chunk_idx: int, size: int) -> dict[str, int]:
-    ss = np.random.SeedSequence(cfg.seed, spawn_key=(pair_idx, chunk_idx))
-    rng = np.random.Generator(np.random.SFC64(ss))
     theta, phi = _pair_angles(cfg.quad)[pair_idx]
+    rng = _generator("trials", cfg.seed, pair_idx, chunk_idx)
     return run_trials(
-        DetectorParams(cfg.k), cfg.scheme, theta, phi, rng, size,
-        phase_mode=cfg.phase_mode,
+        DetectorParams(cfg.k), cfg.scheme, theta, phi, rng, size, phase_mode=cfg.phase_mode
     )
 
 

@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import (
-    InvalidInputError, NumericalInconsistencyError, _count, _member, _nonnegative_array, _real,
-    _real_array,
+    InvalidInputError, NumericalInconsistencyError, _count, _instance, _member, _nonnegative_array,
+    _real, _real_array,
 )
 
 __all__ = list(_EXPORTS["source"])
@@ -190,6 +190,7 @@ def intensities(
         squared modulus, so this is impossible for correct inputs and
         indicates an implementation bug; it is never silently clipped.
     """
+    _instance("sample", sample, FieldSample)
     _member("phase_mode", phase_mode, PHASE_MODES)
     angles = _real("theta", theta), _real("phi", phi)
     result = []

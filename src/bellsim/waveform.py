@@ -35,7 +35,8 @@ import numpy as np
 from . import _EXPORTS
 from .analytic import _bisect
 from .errors import (
-    InvalidInputError, _count, _interval, _positive, _real, _real_array, _sequence,
+    _MAX_GRID, InvalidInputError, _count, _instance, _interval, _positive, _real, _real_array,
+    _sequence,
 )
 
 __all__ = list(_EXPORTS["waveform"])
@@ -132,7 +133,7 @@ def _envelope(w: Waveform, t: np.ndarray | float) -> np.ndarray | float:
 
 def intensity_at(w: Waveform, t: np.ndarray | float):
     """Instantaneous intensity |A|^2 * envelope(t)^2 at finite real t (scalar or array)."""
-    env = _envelope(w, _real_array("t", t, finite=True))
+    env = _envelope(_instance("w", w, Waveform), _real_array("t", t, finite=True))
     out = (w.amplitude**2) * np.square(env)
     if np.ndim(out) == 0:
         return float(out)
@@ -189,8 +190,9 @@ class HarmonicExpansion:
 
 
 def harmonic_expansion(w: Waveform) -> HarmonicExpansion:
-    """Expand the squared envelope into its exact cosine series."""
-    amp2 = w.amplitude**2
+    """Expand the squared envelope into its exact cosine series.  It checks
+    ``w`` for :func:`intensity_stats` and :func:`sample_events` too."""
+    amp2 = _instance("w", w, Waveform).amplitude**2
     coeffs: dict[int, float] = {}
     a0 = 0.0
     comps = w.components
@@ -293,10 +295,10 @@ def intensity_stats(
     precision for a finite cosine series once the grid is finer than the
     highest harmonic); the maximum and its times come from the grid and the
     slope roots of :func:`_profile_max`.  ``detection_time`` applies the
-    moving-average pre-filter first.  At least 1000 samples per period are
-    required.
+    moving-average pre-filter first.  From 1000 to 2^32 samples per period
+    are taken.
     """
-    samples_per_period = _count("samples_per_period", samples_per_period, 1000)
+    samples_per_period = _count("samples_per_period", samples_per_period, 1000, _MAX_GRID)
     series, profile = _exact_profile(w, detection_time)
     maximum, argmax_times, grid = _profile_max(series, profile, w.period, samples_per_period)
     mean = float(np.mean(grid))
@@ -750,7 +752,8 @@ def nearest_delays(stream_a: EventStream, stream_b: EventStream) -> np.ndarray:
     starts.  The delays are bit for bit those of the neighbours that one
     ``np.searchsorted`` of all of A in B picks.
     """
-    a, b = stream_a.times, stream_b.times
+    a = _instance("stream_a", stream_a, EventStream).times
+    b = _instance("stream_b", stream_b, EventStream).times
     if a.size == 0 or b.size == 0:
         return np.empty(0)
     # a[:head] has no earlier B-event, and a[tail:] no later one.
@@ -819,6 +822,8 @@ def windowed_coincidence_counts(
     of a call take one ``np.searchsorted`` per end.  A missing neighbour
     never coincides.
     """
+    _instance("stream_a", stream_a, EventStream)
+    _instance("stream_b", stream_b, EventStream)
     halves = np.array(
         [0.5 * _positive("window", window) for window in _sequence("windows", windows)]
     )

@@ -4,10 +4,11 @@ The checks live in ``bellsim/errors.py``; this file tries each public entry
 point that takes a number, count, angle, mode, interval or bracket with
 values of the wrong type (a string, None, a bool where a count, number or
 probability is due, a non-integral float, a complex number, a pair of the
-wrong length, a quad that is not an ``AngleQuad``, a non-finite angle, a
-count beyond int64), and checks that no other module writes out a copy of
-the shared checks' messages, tests for a bool or an int beyond the float
-range by hand, or defines an exception class of its own.
+wrong length, a quad or other bellsim object of the wrong class, a mode or
+scheme given as an array, a non-finite angle, a count beyond int64 or
+beyond the grid a run can hold), and checks that no other module writes out
+a copy of the shared checks' messages, tests for a bool or an int beyond
+the float range by hand, or defines an exception class of its own.
 """
 
 import ast
@@ -26,16 +27,20 @@ from bellsim.analytic import (
     small_k_expansion,
     table_for_mode,
 )
+from bellsim.cli import SweepSpec
 from bellsim.detector import (
     DetectorParams,
     HalfWindowParams,
     WindowScheme,
     detect_prob,
+    gain,
+    multi_coincidence_prob,
     multi_single_prob,
     run_trials,
 )
 from bellsim.errors import InvalidInputError
 from bellsim.inequalities import (
+    DEFAULT_QUAD,
     AngleQuad,
     CorrelatorSet,
     ProbabilityTable,
@@ -50,7 +55,9 @@ from bellsim.waveform import (
     Waveform,
     delay_statistics,
     harmonic_expansion,
+    intensity_at,
     intensity_stats,
+    nearest_delays,
     sample_events,
     sample_homogeneous_events,
     three_wave,
@@ -230,6 +237,102 @@ CALLS = {
 def test_wrong_type_raises_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+#: A bellsim object of the wrong class, with the parameter and class it is
+#: checked against.
+INSTANCE_CALLS = {
+    "detect_prob-params": ("params", "DetectorParams", lambda: detect_prob(1.0, 0.5)),
+    "run_trials-params": ("params", "DetectorParams", lambda: trials(params="x")),
+    "multi_coincidence_prob-hw":
+        ("hw", "HalfWindowParams", lambda: multi_coincidence_prob((0.1, 0.2))),
+    "gain-hw": ("hw", "HalfWindowParams", lambda: gain(0.5)),
+    "intensities-sample": ("sample", "FieldSample", lambda: intensities(object(), 0.0, 0.0)),
+    "nearest_delays-stream_a": ("stream_a", "EventStream", lambda: nearest_delays(1, 2)),
+    "nearest_delays-stream_b": ("stream_b", "EventStream", lambda: nearest_delays(stream(), None)),
+    "delay_statistics-stream_a":
+        ("stream_a", "EventStream", lambda: delay_statistics(np.array([1.0]), stream())),
+    "delay_statistics-stream_b": ("stream_b", "EventStream", lambda: delay_statistics(stream(), 2)),
+    "windowed_coincidences-stream_a":
+        ("stream_a", "EventStream", lambda: windowed_coincidences(1, stream(), 0.5)),
+    "windowed_coincidences-stream_b":
+        ("stream_b", "EventStream", lambda: windowed_coincidences(stream(), [1.0], 0.5)),
+    "windowed_coincidence_counts-stream_a":
+        ("stream_a", "EventStream", lambda: windowed_coincidence_counts("a", stream(), [0.5])),
+    "windowed_coincidence_counts-stream_b":
+        ("stream_b", "EventStream", lambda: windowed_coincidence_counts(stream(), "b", [0.5])),
+    "intensity_at-w": ("w", "Waveform", lambda: intensity_at(None, 0.0)),
+    "harmonic_expansion-w": ("w", "Waveform", lambda: harmonic_expansion("w")),
+    "intensity_stats-w": ("w", "Waveform", lambda: intensity_stats((1.0, 1))),
+    "sample_events-w": ("w", "Waveform", lambda: sample_events("w", 5.0, 1.0, rng())),
+}
+
+
+@pytest.mark.parametrize("name, cls, call", INSTANCE_CALLS.values(), ids=INSTANCE_CALLS.keys())
+def test_object_of_the_wrong_class(name, cls, call):
+    """A bellsim object is checked by its class, so a stand-in raises
+    InvalidInputError by name, not an AttributeError."""
+    with pytest.raises(InvalidInputError, match=f"^{name} must be an instance of {cls}, got "):
+        call()
+
+
+#: A mode or scheme given as an array: an empty one cannot be compared, and
+#: one whose item is a choice compares equal to it.
+MEMBER_CALLS = {
+    "table_for_mode-mode-empty": ("mode", lambda: table_for_mode(1.0, mode=np.array([]))),
+    "table_for_mode-mode-one": ("mode", lambda: table_for_mode(1.0, mode=np.array(["standard"]))),
+    "ch_curve_value-mode-empty": ("mode", lambda: ch_curve_value(1.0, mode=np.array([]))),
+    "run_trials-scheme-empty": ("scheme", lambda: trials(scheme=np.array([]))),
+    "run_trials-scheme-one": ("scheme", lambda: trials(scheme=np.array(["single"]))),
+    "RunConfig-scheme-one": ("scheme", lambda: RunConfig(k=1.0, scheme=np.array(["halves"]))),
+    "run_trials-phase_mode-one": ("phase_mode", lambda: trials(phase_mode=np.array(["sampled"]))),
+}
+
+
+@pytest.mark.parametrize("name, call", MEMBER_CALLS.values(), ids=MEMBER_CALLS.keys())
+def test_choice_given_as_an_array(name, call):
+    with pytest.raises(InvalidInputError, match=f"^{name} must be one of "):
+        call()
+
+
+def test_a_choice_may_be_a_str_subclass():
+    """A scheme member and a numpy string are strings, and pass."""
+    member = WindowScheme.HALVES
+    assert errors._member("scheme", member, ("single", "halves")) is member
+    assert RunConfig(k=1.0, scheme=np.str_("halves")).scheme is WindowScheme.HALVES
+    assert trials(scheme=WindowScheme.HALVES)["any_alice"] >= 0
+
+
+#: Counts below 2**63 that would size a grid no memory holds; each is turned
+#: away by its cap before any allocation.
+GRID_CALLS = {
+    "RunConfig-n_trials": (
+        "n_trials", 2**40, lambda: RunConfig(k=1.0, n_trials=2**62),
+    ),
+    "SweepSpec-points": (
+        "k_grid points", 2**32,
+        lambda: SweepSpec("log", 0.01, 100.0, 2**62, DEFAULT_QUAD, ("standard",)),
+    ),
+    "intensity_stats-samples_per_period": (
+        "samples_per_period", 2**32, lambda: intensity_stats(three_wave(), 2**62),
+    ),
+    "random_discrete_model-max_states": (
+        "max_states", 2**32, lambda: random_discrete_model(rng(), 2**62),
+    ),
+}
+
+
+@pytest.mark.parametrize("name, cap, call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_grid_count_is_capped(name, cap, call):
+    message = f"^{name} must be an integer <= {cap}, got {2**62}$"
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
+def test_grid_caps_admit_their_own_value():
+    """Each cap is itself a valid count, checked without building the grid."""
+    assert RunConfig(k=1.0, n_trials=2**40).n_trials == 2**40
+    assert SweepSpec("log", 0.01, 100.0, 2**32, DEFAULT_QUAD, ("standard",)).points == 2**32
 
 
 #: The message phrases of the shared checks, each with a call that raises it.

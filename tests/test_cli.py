@@ -350,6 +350,16 @@ class TestSimulate:
         assert payload["max_abs_z"] <= 5.0
         assert "ch" in payload and "std_error" in payload["ch"]
 
+    @pytest.mark.parametrize("scheme", ["single", "halves"])
+    def test_huge_k_saturates_without_a_warning(self, capsys, scheme):
+        """At k = 1e308, k*I overflows: every shot with I > 0 fires, and
+        nothing reaches stderr (a warning would be an error here)."""
+        code, out, err = run(capsys, "simulate", "--k", "1e308", "--trials", "1000",
+                             "--scheme", scheme)
+        assert code == 0
+        assert err == ""
+        assert json.loads(out)["config"]["k"] == 1e308
+
     def test_config_mirrors_run_config(self, capsys):
         code, out, _ = run(capsys, "simulate", "--k", "1.0", "--trials", "2000")
         assert code == 0
@@ -566,19 +576,37 @@ class TestTopLevel:
             (("waveform", "windows", "--seed=-1"), "error: --seed must be an integer >= 0, got -1"),
             (
                 ("waveform", "stats", "--samples", str(10**20)),
-                f"error: samples_per_period must be an integer <= {2**63 - 1}, got {10**20}",
+                f"error: samples_per_period must be an integer <= {2**32}, got {10**20}",
             ),
             (
                 ("analytic", "--points", str(10**20)),
-                f"error: k_grid points must be an integer <= {2**63 - 1}, got {10**20}",
+                f"error: k_grid points must be an integer <= {2**32}, got {10**20}",
             ),
             (
                 ("lhv-check", "--max-states", str(10**20)),
-                f"error: --max-states must be an integer <= {2**63 - 1}, got {10**20}",
+                f"error: --max-states must be an integer <= {2**32}, got {10**20}",
             ),
             (
                 ("simulate", "--k", "1", "--trials", str(10**20)),
-                f"error: n_trials must be an integer <= {2**63 - 1}, got {10**20}",
+                f"error: n_trials must be an integer <= {2**40}, got {10**20}",
+            ),
+            # Counts below 2**63 whose grid no memory holds are turned away
+            # before any allocation.
+            (
+                ("analytic", "--points", str(2**62)),
+                f"error: k_grid points must be an integer <= {2**32}, got {2**62}",
+            ),
+            (
+                ("waveform", "stats", "--samples", str(2**62)),
+                f"error: samples_per_period must be an integer <= {2**32}, got {2**62}",
+            ),
+            (
+                ("lhv-check", "--models", "1", "--max-states", str(2**62)),
+                f"error: --max-states must be an integer <= {2**32}, got {2**62}",
+            ),
+            (
+                ("simulate", "--k", "1", "--trials", str(2**62)),
+                f"error: n_trials must be an integer <= {2**40}, got {2**62}",
             ),
         ],
     )

@@ -4,7 +4,6 @@ half-window gain algebra."""
 import math
 import re
 import tracemalloc
-import types
 from fractions import Fraction
 
 import numpy as np
@@ -58,6 +57,14 @@ class TestDetectProb:
 
     def test_saturates_toward_one(self):
         assert detect_prob(DetectorParams(k=1.0), 1e3) == pytest.approx(1.0, abs=1e-12)
+
+    def test_overflowing_product_is_saturation(self):
+        """k*I beyond the float range is the law's limit, exactly 1, with no
+        overflow warning (warnings are errors here)."""
+        params = DetectorParams(1e308)
+        assert detect_prob(params, 10.0) == 1.0
+        p = detect_prob(params, np.array([10.0, 0.0, 1e300]))
+        assert p.tolist() == [1.0, 0.0, 1.0]
 
     def test_rejects_negative_intensity(self):
         with pytest.raises(InvalidInputError):
@@ -365,6 +372,14 @@ _NEGATIVE_INTENSITY = (
 )
 
 
+def _unchecked_sample(x, y):
+    """A FieldSample that skipped its checks, with no phases."""
+    sample = object.__new__(FieldSample)
+    for name, value in (("x", x), ("y", y), ("chi", None), ("xi", None)):
+        object.__setattr__(sample, name, value)
+    return sample
+
+
 def _outcome(call):
     try:
         call()
@@ -417,15 +432,15 @@ class TestInputChecks:
         projection is caught here, NaN next to a negative included, on
         either side."""
         v = np.array([1.0, float(text)])
-        sample = types.SimpleNamespace(x=v, y=np.array([2.0, 0.5]), chi=None, xi=None)
+        sample = _unchecked_sample(v, np.array([2.0, 0.5]))
         out = {"out": (np.empty(2), np.empty(2)), "work": np.empty(2)} if with_out else {}
         assert _outcome(lambda: intensities(sample, 0.3, 0.3, **out)) == expected
         # At theta = 0 Alice reads y only as y*0, never negative (NaN for an
         # infinite y), so a negative here is Bob's.
-        swapped = types.SimpleNamespace(x=np.array([2.0, 0.5]), y=v, chi=None, xi=None)
+        swapped = _unchecked_sample(np.array([2.0, 0.5]), v)
         with np.errstate(invalid="ignore"):
             assert _outcome(lambda: intensities(swapped, 0.0, 1.27, **out)) == expected
-        mixed = types.SimpleNamespace(x=np.array([math.nan, -1.0]), y=np.ones(2), chi=None, xi=None)
+        mixed = _unchecked_sample(np.array([math.nan, -1.0]), np.ones(2))
         assert _outcome(lambda: intensities(mixed, 0.3, 0.3, **out)) == _NEGATIVE_INTENSITY
 
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])

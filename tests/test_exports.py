@@ -79,8 +79,9 @@ def test_bare_import_resolves_every_name_on_first_use():
     ) == ([], [], True)
 
 
-#: Modules that only ``bellsim waveform``, ``simulate`` or a sweep spec file use.
-NOT_AT_START = ["bellsim.waveform", "concurrent.futures", "json", "csv"]
+#: Modules that only ``bellsim waveform``, ``simulate``, a seeded command or a
+#: sweep spec file use.
+NOT_AT_START = ["bellsim.waveform", "concurrent.futures", "json", "csv", "numpy.random"]
 
 
 def test_cli_start_up_leaves_unused_modules_unloaded():

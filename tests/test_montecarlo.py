@@ -1,9 +1,11 @@
 """Monte Carlo estimation engine: determinism, error bars, and agreement
 with the closed forms."""
 
+import ast
 import math
 import statistics
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +20,13 @@ from bellsim.montecarlo import (
     EstimateWithCI,
     RunConfig,
     _ch_std_error,
+    _generator,
     _run_chunk,
     _z_score,
     compare_to_analytic,
     estimate_table,
 )
+from bellsim import montecarlo
 from bellsim.analytic import multiwindow_table, union_coincidence_table
 
 
@@ -349,3 +353,97 @@ class TestRngContract:
                 DetectorParams(k), scheme, *angles[p], rng, 500, phase_mode=phase_mode
             )
             assert _run_chunk(cfg, p, c, 500) == expected
+
+
+class TestStreamFamilies:
+    """Every seeded generator comes from ``montecarlo._generator``, one
+    family table of bit generators keyed by ``SeedSequence(seed,
+    spawn_key=key)``."""
+
+    #: The first four ``random()`` draws of each family at seed 2024, per key.
+    PINNED = {
+        ("trials", 0, 0): [
+            0.45267139823314373, 0.1425590594494771, 0.0871804688455059, 0.6424892505414377,
+        ],
+        ("events", 0): [
+            0.9320739976883254, 0.8259604770248575, 0.5284153524469336, 0.8746493974955493,
+        ],
+        ("events", 1): [
+            0.7432794962736174, 0.9828456054953207, 0.702947716631641, 0.1532160257005506,
+        ],
+        ("events", 2): [
+            0.9393024302886631, 0.6955520691431684, 0.4173843847854213, 0.8062306811804781,
+        ],
+        ("events", 3): [
+            0.1595435961678593, 0.746204842414372, 0.6718103878394694, 0.6673109576951411,
+        ],
+        ("lhv",): [
+            0.2706129375647399, 0.6189835150824522, 0.038714373390908996, 0.6907375400884402,
+        ],
+    }
+
+    @pytest.mark.parametrize("key", PINNED, ids=["-".join(map(str, k)) for k in PINNED])
+    def test_first_draws_at_seed_2024(self, key):
+        assert _generator(key[0], 2024, *key[1:]).random(4).tolist() == self.PINNED[key]
+
+    def test_every_family_is_pinned(self):
+        assert {key[0] for key in self.PINNED} == set(montecarlo._BIT_GENERATORS)
+
+    @pytest.mark.parametrize("seed", [0, 2024, 10**30])
+    def test_families_match_their_hand_built_streams(self, seed):
+        """Each family draws what its call site built by hand before the
+        table: SFC64 on the chunk key, four spawned Philox children, and
+        Philox on the bare seed."""
+        built = {
+            ("trials", 3, 5): np.random.Generator(
+                np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(3, 5)))
+            ),
+            **{
+                ("events", i): np.random.Generator(np.random.Philox(child))
+                for i, child in enumerate(np.random.SeedSequence(seed).spawn(4))
+            },
+            ("lhv",): np.random.Generator(np.random.Philox(np.random.SeedSequence(seed))),
+        }
+        for key, rng in built.items():
+            assert (_generator(key[0], seed, *key[1:]).random(64) == rng.random(64)).all(), key
+
+
+#: The numpy names that build a generator or seed one.
+_STREAM_BUILDERS = {"Generator", "SeedSequence", "SFC64", "Philox", "default_rng"}
+
+
+def _stream_builds(path: Path) -> list[str]:
+    """``file:line name`` for each call of a generator or seed builder,
+    whether written ``np.random.Philox(...)`` or ``Philox(...)``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _STREAM_BUILDERS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    return found
+
+
+def test_only_montecarlo_builds_a_stream():
+    """A generator built outside ``montecarlo`` would be a stream with no
+    family in the table and no version."""
+    modules = sorted(Path(montecarlo.__file__).resolve().parent.glob("*.py"))
+    assert len(modules) > 5
+    hits = [hit for path in modules if path.name != "montecarlo.py" for hit in _stream_builds(path)]
+    assert hits == []
+
+
+def test_the_scan_sees_a_stream_build(tmp_path):
+    copy = tmp_path / "copy.py"
+    copy.write_text(
+        "from numpy.random import Philox\n"
+        "def f(seed, rng: np.random.Generator):\n"
+        "    a = np.random.Generator(Philox(np.random.SeedSequence(seed)))\n"
+        "    return a, np.random.default_rng(seed), rng.random()\n"
+    )
+    assert sorted(_stream_builds(copy)) == [
+        "copy.py:3 Generator", "copy.py:3 Philox", "copy.py:3 SeedSequence",
+        "copy.py:4 default_rng",
+    ]
+    assert _stream_builds(Path(montecarlo.__file__)) != []

@@ -20,6 +20,7 @@ from scipy import integrate, stats
 
 from bellsim import waveform as wf
 from bellsim.errors import InvalidInputError
+from bellsim.montecarlo import _generator
 from bellsim.waveform import (
     THREE_WAVE_COEFFS,
     DelayStatistics,
@@ -615,6 +616,18 @@ class TestHomogeneousEvents:
         expected = s.n / 10
         chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert stats.chi2.sf(chi2, df=9) > 0.01
+
+    def test_median_delay_of_two_independent_streams(self):
+        """For two independent rate-1 streams, P(|nearest delay| > t) =
+        exp(-2t), so the median |delay| is ln 2 / 2.  On the CLI's two
+        homogeneous streams ("events" keys 2 and 3) of span 2e5, seeds 0-39
+        gave a mean median of 0.346324 with an SD of 0.00134 across seeds;
+        the limit is 5 of those SDs.  A delay taken from the earlier
+        neighbour only has a median near ln 2."""
+        a = sample_homogeneous_events(1.0, 2e5, _generator("events", 0, 2))
+        b = sample_homogeneous_events(1.0, 2e5, _generator("events", 0, 3))
+        median = delay_statistics(a, b).median_abs_delay
+        assert abs(median - math.log(2.0) / 2.0) <= 5 * 0.00134
 
 
 class TestNearestDelays:
