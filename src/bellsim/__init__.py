@@ -46,8 +46,8 @@ _EXPORTS = {
         "table_for_mode", "union_coincidence_table",
     ),
     "detector": (
-        "COUNT_KEYS", "DetectorParams", "HalfWindowParams", "WindowScheme", "detect_prob",
-        "gain", "multi_coincidence_prob", "multi_single_prob", "run_trials",
+        "COUNT_KEYS", "SCHEMES", "DetectorParams", "HalfWindowParams", "detect_prob", "gain",
+        "multi_coincidence_prob", "multi_single_prob", "run_trials",
     ),
     "errors": ("BellsimError", "InvalidInputError", "NumericalInconsistencyError"),
     "inequalities": (
@@ -60,7 +60,7 @@ _EXPORTS = {
         "CHUNK_TRIALS", "RNG_CONTRACT", "ComparisonReport", "ComparisonRow", "EstimatedTable",
         "EstimateWithCI", "RunConfig", "compare_to_analytic", "estimate_table",
     ),
-    "source": ("PHASE_MODES", "FieldSample", "IntensityPair", "intensities", "sample_field"),
+    "source": ("PHASE_MODES", "FieldSample", "intensities", "sample_field"),
     "waveform": (
         "QUOTED_MEAN_NOTE", "THREE_WAVE_COEFFS", "WAVEFORM_STREAM", "DelayStatistics",
         "EventStream", "HarmonicExpansion", "IntensityStats", "Waveform", "delay_statistics",

@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
+from .detector import SCHEMES
 from .errors import (
     _MAX_GRID, BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real,
     _seed,
@@ -257,7 +258,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     est = report.estimated
     payload = {
         "schema_version": _SCHEMA_VERSION,
-        "config": {**asdict(cfg), "scheme": cfg.scheme.value, "rng_contract": RNG_CONTRACT},
+        "config": {**asdict(cfg), "rng_contract": RNG_CONTRACT},
         "analytic_k": report.analytic_k,
         "rows": [asdict(row) for row in report.rows],
         "ch": {**asdict(est.ch), "std_error": est.ch_std_error},
@@ -349,6 +350,13 @@ def cmd_waveform(args: argparse.Namespace) -> int:
     _positive("--span", args.span)
     _positive("--rate", args.rate)
     _seed("--seed", args.seed)
+    if args.waveform_command == "delays":
+        _count("--bins", args.bins, maximum=_MAX_GRID)
+    else:
+        windows = sorted(
+            _positive("window", width)
+            for width in _parse_floats("--windows", args.windows, "durations")
+        )
     shared_a, shared_b, indep_a, indep_b = _paired_streams(w, args.span, args.rate, args.seed)
 
     if args.waveform_command == "delays":
@@ -381,7 +389,6 @@ def cmd_waveform(args: argparse.Namespace) -> int:
         return _EXIT_OK
 
     # windows
-    windows = sorted(_parse_floats("--windows", args.windows, "durations"))
     rows = list(zip(
         windows,
         windowed_coincidence_counts(shared_a, shared_b, windows),
@@ -506,7 +513,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate", help="Monte Carlo run vs closed forms, JSON report"
     )
     p_sim.add_argument("--k", type=float, required=True, help="detector response parameter")
-    p_sim.add_argument("--scheme", choices=("single", "halves"), default="single")
+    p_sim.add_argument("--scheme", choices=SCHEMES, default="single")
     p_sim.add_argument("--trials", type=int, default=100_000, help="trials per setting pair")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--workers", type=int, default=1)

@@ -4,10 +4,10 @@ Detection is a Bernoulli event with probability ``p(I) = 1 - exp(-k*I)``
 given the local intensity ``I``; ``k`` is the single dimensionless
 sensitivity parameter.  A trial is one time window of a run:
 
-* ``SINGLE`` window -- one source realization shared by Alice and Bob, one
+* ``"single"`` window -- one source realization shared by Alice and Bob, one
   conditionally independent detection draw per side.
 
-* ``HALVES`` -- the window is split in two; each half gets its own source
+* ``"halves"`` -- the window is split in two; each half gets its own source
   realization and its own pair of detection draws.  A trial has two
   different coincidence flags:
 
@@ -44,15 +44,14 @@ algebra over abstract per-half probabilities (p, q); see
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _EXPORTS
 from .errors import (
-    InvalidInputError, _count, _instance, _member, _nonnegative_array, _positive, _probability,
-    _real,
+    _MAX_GRID, InvalidInputError, _count, _instance, _member, _nonnegative_array, _positive,
+    _probability, _real,
 )
 from .source import PHASE_MODES, intensities, sample_field
 
@@ -69,21 +68,8 @@ class DetectorParams:
         _positive("k", self.k)
 
 
-class WindowScheme(str, enum.Enum):
-    """Counting window layout for one trial."""
-
-    SINGLE = "single"
-    HALVES = "halves"
-
-    @classmethod
-    def _missing_(cls, value: object) -> None:
-        _member("scheme", value, _SCHEMES)
-
-
-#: The scheme names.  ``WindowScheme(value)`` compares an unhashable value,
-#: an array say, with each name before ``_missing_`` sees it, so a scheme
-#: passes ``_member`` first.
-_SCHEMES = tuple(scheme.value for scheme in WindowScheme)
+#: The window schemes a trial may count in.
+SCHEMES = ("single", "halves")
 
 
 def detect_prob(
@@ -142,7 +128,7 @@ def _counts(*counts: int) -> dict[str, int]:
 
 def run_trials(
     params: DetectorParams,
-    scheme: WindowScheme,
+    scheme: str,
     theta: float,
     phi: float,
     rng: np.random.Generator,
@@ -154,7 +140,7 @@ def run_trials(
     Parameters
     ----------
     params, scheme:
-        Detector sensitivity and window layout.
+        Detector sensitivity and window layout, one of :data:`SCHEMES`.
     theta, phi:
         Alice's and Bob's analyzer angles (radians), finite; like every
         argument, checked before any draw.
@@ -162,7 +148,7 @@ def run_trials(
         Seeded generator; all randomness of the batch comes from it in the
         order below, so equal generator states give identical counts.
     n:
-        Number of trials, >= 1.
+        Number of trials, from 1 to ``2**32``.
     phase_mode:
         One of :data:`bellsim.source.PHASE_MODES`, checked before any draw
         and passed to :func:`bellsim.source.intensities`.  Phases are drawn
@@ -204,24 +190,24 @@ def run_trials(
     :func:`bellsim.source.sample_field`).
     """
     _instance("params", params, DetectorParams)
-    n = _count("n", n)
+    n = _count("n", n, maximum=_MAX_GRID)
     _member("phase_mode", phase_mode, PHASE_MODES)
-    scheme = WindowScheme(_member("scheme", scheme, _SCHEMES))
+    _member("scheme", scheme, SCHEMES)
     theta, phi = _real("theta", theta), _real("phi", phi)
     sampled = phase_mode == "sampled"
     x, y, i, u = np.empty((4, n))
-    flags = np.empty((5 if scheme is WindowScheme.HALVES else 2, n), dtype=bool)
+    flags = np.empty((5 if scheme == "halves" else 2, n), dtype=bool)
 
     def shots(flag_a: np.ndarray, flag_b: np.ndarray) -> None:
         # One fresh field draw projected onto both sides, then a uniform
         # batch per side, Alice first, whose shots land in that side's flags.
         sample = sample_field(rng, n, sampled, out=(x, y))
-        pair = intensities(sample, theta, phi, phase_mode, out=(i, x), work=u)
-        for intensity, flag in ((pair.i_a, flag_a), (pair.i_b, flag_b)):
+        i_a, i_b = intensities(sample, theta, phi, phase_mode, out=(i, x), work=u)
+        for intensity, flag in ((i_a, flag_a), (i_b, flag_b)):
             prob = detect_prob(params, intensity, out=intensity)
             np.less(rng.random(out=u), prob, out=flag)
 
-    if scheme is WindowScheme.SINGLE:
+    if scheme == "single":
         a, b = flags
         shots(a, b)
         n_a, n_b = np.count_nonzero(a), np.count_nonzero(b)

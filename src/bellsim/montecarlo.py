@@ -31,13 +31,14 @@ observed counts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import _EXPORTS
 from .analytic import multiwindow_table, standard_table, union_coincidence_table
-from .detector import _SCHEMES, COUNT_KEYS, DetectorParams, WindowScheme, run_trials
+from .detector import SCHEMES, DetectorParams, run_trials
 from .errors import _count, _instance, _member, _positive, _seed
 from .inequalities import DEFAULT_QUAD, AngleQuad, CHBreakdown, ProbabilityTable, ch_value
 from .source import PHASE_MODES
@@ -48,9 +49,13 @@ __all__ = list(_EXPORTS["montecarlo"])
 #: does not depend on the worker count.
 CHUNK_TRIALS = 1 << 16
 
-#: The most trials per setting pair: 2^24 chunks, so the grid's task list
-#: stays one that memory can hold.
+#: The most trials per setting pair, 2^24 chunks.  At a few milliseconds
+#: per chunk and core, a run at the cap already takes days, so a larger
+#: count asks for a run that no one waits for.
 _MAX_TRIALS = CHUNK_TRIALS << 24
+
+#: The most pool threads a run starts, a bound far above any core count.
+_MAX_WORKERS = 1024
 
 #: Version of the documented draw order (the chunk seeding above plus the
 #: order in :func:`bellsim.detector.run_trials`).  Seeded results change
@@ -86,7 +91,7 @@ class RunConfig:
 
     k: float
     quad: AngleQuad = DEFAULT_QUAD
-    scheme: WindowScheme = WindowScheme.SINGLE
+    scheme: str = "single"
     n_trials: int = 100_000
     seed: int = 0
     phase_mode: str = "suppressed"
@@ -95,9 +100,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         _positive("k", self.k)
         _instance("quad", self.quad, AngleQuad)
-        object.__setattr__(self, "scheme", WindowScheme(_member("scheme", self.scheme, _SCHEMES)))
+        # str() makes a numpy string, which passes the check, a plain one.
+        object.__setattr__(self, "scheme", str(_member("scheme", self.scheme, SCHEMES)))
         _count("n_trials", self.n_trials, maximum=_MAX_TRIALS)
-        _count("workers", self.workers)
+        _count("workers", self.workers, maximum=_MAX_WORKERS)
         _seed("seed", self.seed)
         _member("phase_mode", self.phase_mode, PHASE_MODES)
 
@@ -160,13 +166,6 @@ class EstimatedTable:
         return ProbabilityTable(**{name: est.value for name, est in self.entries.items()})
 
 
-def _chunk_sizes(n: int) -> list[int]:
-    sizes = [CHUNK_TRIALS] * (n // CHUNK_TRIALS)
-    if n % CHUNK_TRIALS:
-        sizes.append(n % CHUNK_TRIALS)
-    return sizes
-
-
 def _run_chunk(cfg: RunConfig, pair_idx: int, chunk_idx: int, size: int) -> dict[str, int]:
     theta, phi = _pair_angles(cfg.quad)[pair_idx]
     rng = _generator("trials", cfg.seed, pair_idx, chunk_idx)
@@ -185,25 +184,27 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
     # Imported here, so that only a run, not every import, loads the pool.
     from concurrent.futures import ThreadPoolExecutor
 
-    sizes = _chunk_sizes(cfg.n_trials)
-    tasks = [
-        (pair_idx, chunk_idx, size)
-        for pair_idx in range(4)
-        for chunk_idx, size in enumerate(sizes)
-    ]
-
-    def run(task: tuple[int, int, int]) -> tuple[int, dict[str, int]]:
-        pair_idx, chunk_idx, size = task
-        return pair_idx, _run_chunk(cfg, pair_idx, chunk_idx, size)
-
-    totals: list[dict[str, int]] = [dict.fromkeys(COUNT_KEYS, 0) for _ in range(4)]
-    # A pool even for one worker: a pool thread's malloc arena keeps the chunk temporaries.
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        for pair_idx, counts in pool.map(run, tasks):
-            for key, value in counts.items():
-                totals[pair_idx][key] += value
-
     n = cfg.n_trials
+    chunks = -(-n // CHUNK_TRIALS)
+    tasks = 4 * chunks
+    loops = min(cfg.workers, tasks)
+
+    def run(first: int) -> list[Counter]:
+        # Tasks first, first + loops, ... of the pair-major (pair, chunk)
+        # grid, summed per pair; a lone loop runs the whole grid in order.
+        sums = [Counter() for _ in range(4)]
+        for task in range(first, tasks, loops):
+            pair_idx, chunk_idx = divmod(task, chunks)
+            size = min(CHUNK_TRIALS, n - chunk_idx * CHUNK_TRIALS)
+            sums[pair_idx].update(_run_chunk(cfg, pair_idx, chunk_idx, size))
+        return sums
+
+    totals = [Counter() for _ in range(4)]
+    # A pool even for one worker: a pool thread's malloc arena keeps the chunk temporaries.
+    with ThreadPoolExecutor(max_workers=loops) as pool:
+        for sums in pool.map(run, range(loops)):
+            for total, counts in zip(totals, sums):
+                total.update(counts)
 
     def est(count: int) -> EstimateWithCI:
         return EstimateWithCI.from_count(count, n)
@@ -226,7 +227,7 @@ def estimate_table(cfg: RunConfig) -> EstimatedTable:
         union_joints={
             name: est(totals[i]["any_coincidence"]) for i, name in enumerate(_PAIRS)
         }
-        if cfg.scheme is WindowScheme.HALVES
+        if cfg.scheme == "halves"
         else {},
         conditional_b_given_a=(
             totals[0]["any_coincidence"] / totals[0]["any_alice"]
@@ -290,7 +291,7 @@ class ComparisonReport:
 
     def summary_lines(self) -> list[str]:
         lines = [
-            f"scheme={self.config.scheme.value} k={self.config.k:g} "
+            f"scheme={self.config.scheme} k={self.config.k:g} "
             f"n={self.config.n_trials} seed={self.config.seed} "
             f"analytic_k={self.analytic_k:g}"
         ]
@@ -327,12 +328,12 @@ def compare_to_analytic(cfg: RunConfig, analytic_k: float | None = None) -> Comp
     k_ref = cfg.k if analytic_k is None else _positive("analytic_k", analytic_k)
     estimated = estimate_table(cfg)
 
-    if cfg.scheme is WindowScheme.SINGLE:
+    if cfg.scheme == "single":
         reference = standard_table(k_ref, cfg.quad)
     else:
         reference = multiwindow_table(k_ref, cfg.quad)
     groups = [("", estimated.entries, asdict(reference))]
-    if cfg.scheme is WindowScheme.HALVES:
+    if cfg.scheme == "halves":
         union_ref = union_coincidence_table(k_ref, cfg.quad)
         groups.append((
             "union_",

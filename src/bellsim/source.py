@@ -27,8 +27,8 @@ import numpy as np
 
 from . import _EXPORTS
 from .errors import (
-    InvalidInputError, NumericalInconsistencyError, _count, _instance, _member, _nonnegative_array,
-    _real, _real_array,
+    _MAX_GRID, InvalidInputError, NumericalInconsistencyError, _count, _instance, _member,
+    _nonnegative_array, _real, _real_array,
 )
 
 __all__ = list(_EXPORTS["source"])
@@ -75,7 +75,7 @@ def sample_field(
     rng:
         numpy Generator; the only source of randomness.
     size:
-        The batch length, a positive integer.
+        The batch length, an integer from 1 to ``2**32``.
     phases:
         Whether to draw the relative phases ``chi`` and ``xi``; without
         them both are None in the sample and consume no random numbers.
@@ -95,9 +95,9 @@ def sample_field(
     Raises
     ------
     InvalidInputError
-        If ``size`` is not a positive integer.
+        If ``size`` is not an integer from 1 to ``2**32``.
     """
-    size = _count("size", size)
+    size = _count("size", size, maximum=_MAX_GRID)
     out_x, out_y = (None, None) if out is None else out
     x = rng.standard_exponential(size, out=out_x)
     y = rng.standard_exponential(size, out=out_y)
@@ -106,14 +106,6 @@ def sample_field(
         chi = rng.uniform(0.0, 2.0 * np.pi, size=size)
         xi = rng.uniform(0.0, 2.0 * np.pi, size=size)
     return FieldSample(x=x, y=y, chi=chi, xi=xi)
-
-
-@dataclass(frozen=True)
-class IntensityPair:
-    """Cycle-averaged intensities at the two analyzers."""
-
-    i_a: float | np.ndarray
-    i_b: float | np.ndarray
 
 
 def _project(
@@ -150,7 +142,7 @@ def intensities(
     phase_mode: str = "suppressed",
     out: tuple[np.ndarray, np.ndarray] | None = None,
     work: np.ndarray | None = None,
-) -> IntensityPair:
+) -> tuple[float | np.ndarray, float | np.ndarray]:
     """Project a source sample onto analyzer angles theta (Alice), phi (Bob).
 
     Parameters
@@ -175,9 +167,10 @@ def intensities(
 
     Returns
     -------
-    IntensityPair
-        Non-negative intensities; each equals x*cos^2 + y*sin^2 of its own
-        angle, plus 2*sqrt(x*y)*cos(phase)*cos*sin when sampled.
+    tuple
+        Non-negative intensities ``(i_a, i_b)``; each equals x*cos^2 +
+        y*sin^2 of its own angle, plus 2*sqrt(x*y)*cos(phase)*cos*sin when
+        sampled.
 
     Raises
     ------
@@ -207,4 +200,4 @@ def intensities(
                 "negative intensity: squared-modulus algebra was violated"
             )
         result.append(i)
-    return IntensityPair(*result)
+    return tuple(result)

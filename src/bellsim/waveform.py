@@ -629,7 +629,8 @@ class DelayStatistics:
         bins: int = 64,
         histogram_range: tuple[float, float] | None = None,
     ) -> "DelayStatistics":
-        """Histogram and median of precomputed delays.
+        """Histogram and median of precomputed delays, in ``bins`` bins
+        (at most ``2**32``).
 
         Without ``histogram_range`` the bins span +-max|delay| (+-1 when that
         is 0 or there are no delays).  The range, given or not, must be
@@ -662,7 +663,7 @@ class DelayStatistics:
         The median is the middle |delay| of :func:`_kth_abs`, or for even n
         ``np.mean`` of the middle two, which is ``np.median(np.abs(delays))``
         bit for bit."""
-        bins = _count("bins", bins)
+        bins = _count("bins", bins, maximum=_MAX_GRID)
         if histogram_range is None:
             limit = (max(-float(ordered[0]), float(ordered[-1])) if ordered.size else 0.0) or 1.0
             histogram_range = _interval("default histogram_range +-max|delay|", (-limit, limit))

@@ -31,7 +31,6 @@ from bellsim.cli import SweepSpec
 from bellsim.detector import (
     DetectorParams,
     HalfWindowParams,
-    WindowScheme,
     detect_prob,
     gain,
     multi_coincidence_prob,
@@ -124,7 +123,7 @@ CALLS = {
     "DetectorParams-k-numpy-bool": lambda: DetectorParams(np.True_),
     "DetectorParams-k-int-beyond-float": lambda: DetectorParams(10**400),
     "run_trials-theta-int-beyond-float": lambda: trials(theta=-(10**400)),
-    "WindowScheme-str": lambda: WindowScheme("diagonal"),
+    "run_trials-scheme-str": lambda: trials(scheme="diagonal"),
     "run_trials-scheme-none": lambda: trials(scheme=None),
     "run_trials-theta-str": lambda: trials(theta="a"),
     "run_trials-phi-none": lambda: trials(phi=None),
@@ -296,11 +295,13 @@ def test_choice_given_as_an_array(name, call):
 
 
 def test_a_choice_may_be_a_str_subclass():
-    """A scheme member and a numpy string are strings, and pass."""
-    member = WindowScheme.HALVES
+    """A str subclass and a numpy string are strings, and pass; a run
+    config keeps the scheme as a plain string."""
+    member = type("Name", (str,), {})("halves")
     assert errors._member("scheme", member, ("single", "halves")) is member
-    assert RunConfig(k=1.0, scheme=np.str_("halves")).scheme is WindowScheme.HALVES
-    assert trials(scheme=WindowScheme.HALVES)["any_alice"] >= 0
+    cfg = RunConfig(k=1.0, scheme=np.str_("halves"))
+    assert type(cfg.scheme) is str and cfg.scheme == "halves"
+    assert trials(scheme=member)["any_alice"] >= 0
 
 
 #: Counts below 2**63 that would size a grid no memory holds; each is turned
@@ -319,6 +320,11 @@ GRID_CALLS = {
     "random_discrete_model-max_states": (
         "max_states", 2**32, lambda: random_discrete_model(rng(), 2**62),
     ),
+    "run_trials-n": ("n", 2**32, lambda: trials(n=2**62)),
+    "sample_field-size": ("size", 2**32, lambda: sample_field(rng(), 2**62)),
+    "DelayStatistics-bins": (
+        "bins", 2**32, lambda: DelayStatistics.from_delays([0.5], 2**62),
+    ),
 }
 
 
@@ -327,6 +333,19 @@ def test_grid_count_is_capped(name, cap, call):
     message = f"^{name} must be an integer <= {cap}, got {2**62}$"
     with pytest.raises(InvalidInputError, match=message):
         call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda generator, n: trials(rng=generator, n=n),
+    lambda generator, n: sample_field(generator, n),
+], ids=["run_trials", "sample_field"])
+def test_draw_count_is_capped_before_any_draw(call):
+    """One past the grid cap is turned away, and the generator is left as
+    it was.  The cap itself is never run: its workspace is 4 * 2**32 floats."""
+    generator = rng()
+    with pytest.raises(InvalidInputError, match=f" must be an integer <= {errors._MAX_GRID}, got "):
+        call(generator, errors._MAX_GRID + 1)
+    assert generator.random() == rng().random()
 
 
 def test_grid_caps_admit_their_own_value():

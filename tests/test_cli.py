@@ -402,6 +402,15 @@ class TestSimulate:
         assert code == 1
         assert "error" in err.lower()
 
+    def test_worker_cap_is_checked_before_any_run(self, capsys, monkeypatch):
+        import bellsim.cli
+
+        calls = []
+        monkeypatch.setattr(bellsim.cli, "compare_to_analytic", lambda *a, **kw: calls.append(a))
+        code, out, err = run(capsys, "simulate", "--k", "1", "--workers", "1025")
+        line = "error: workers must be an integer <= 1024, got 1025\n"
+        assert (code, out, err, calls) == (1, "", line, [])
+
     def test_bad_trials_exits_1(self, capsys):
         """`RunConfig` is the one check of the trial count."""
         code, _, err = run(capsys, "simulate", "--k", "1.0", "--trials", "0")
@@ -472,6 +481,23 @@ class TestWaveform:
         code, out, err = run(capsys, "waveform", command, flag, value)
         line = f"error: {flag} must be positive and finite, got {float(value)!r}\n"
         assert (code, out, err) == (1, "", line)
+
+
+    @pytest.mark.parametrize("argv, line", [
+        (("delays", "--bins", "0"), "--bins must be an integer >= 1, got 0"),
+        (("delays", "--bins", str(2**62)), f"--bins must be an integer <= {2**32}, got {2**62}"),
+        (("windows", "--windows", "abc"),
+         "cannot parse --windows 'abc'; expected comma-separated durations"),
+        (("windows", "--windows", "-1"), "window must be positive and finite, got -1.0"),
+    ])
+    def test_bad_flag_is_rejected_before_any_stream(self, capsys, monkeypatch, argv, line):
+        """Every flag is checked before the streams are drawn."""
+        import bellsim.waveform
+
+        calls = []
+        monkeypatch.setattr(bellsim.waveform, "sample_events", lambda *a: calls.append(a))
+        code, out, err = run(capsys, "waveform", *argv)
+        assert (code, out, err, calls) == (1, "", f"error: {line}\n", [])
 
 
 class TestLhvCheck:

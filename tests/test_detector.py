@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 from bellsim.detector import (
     COUNT_KEYS,
+    SCHEMES,
     DetectorParams,
     HalfWindowParams,
-    WindowScheme,
     _shot_prob,
     detect_prob,
     gain,
@@ -94,7 +94,7 @@ class TestDetectProb:
 
 class TestRunTrialsSingle:
     def test_counts_keys(self):
-        counts = run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
+        counts = run_trials(DetectorParams(k=1.0), "single", A, B,
                             make_rng(0), 100)
         assert tuple(counts) == COUNT_KEYS == (
             "any_alice", "any_bob", "any_coincidence", "any_paired_coincidence",
@@ -104,20 +104,20 @@ class TestRunTrialsSingle:
     def test_single_union_equals_paired(self):
         """With one window per trial there is only one pairing, so the union
         and paired coincidence counts coincide."""
-        counts = run_trials(DetectorParams(k=2.0), WindowScheme.SINGLE, A, B,
+        counts = run_trials(DetectorParams(k=2.0), "single", A, B,
                             make_rng(3), 20_000)
         assert counts["any_coincidence"] == counts["any_paired_coincidence"]
         assert counts["paired_and_alice"] == counts["paired_and_bob"] == counts["any_coincidence"]
 
     def test_deterministic_under_seed(self):
-        c1 = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
+        c1 = run_trials(DetectorParams(k=4.0), "single", A, B,
                         make_rng(11), 5000)
-        c2 = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
+        c2 = run_trials(DetectorParams(k=4.0), "single", A, B,
                         make_rng(11), 5000)
         assert c1 == c2
 
     def test_tiny_k_detects_nothing(self):
-        counts = run_trials(DetectorParams(k=1e-6), WindowScheme.SINGLE, A, B,
+        counts = run_trials(DetectorParams(k=1e-6), "single", A, B,
                             make_rng(1), 100_000)
         assert counts["any_alice"] <= 2
         assert counts["any_coincidence"] == 0
@@ -126,7 +126,7 @@ class TestRunTrialsSingle:
         # P_A = 1 - 1/(1 + k + k^2 cos^2 sin^2) at theta = pi/6, k = 4:
         # Q = 1/(1+4+16*(3/4)*(1/4)) = 1/8, P = 7/8.
         n = 200_000
-        counts = run_trials(DetectorParams(k=4.0), WindowScheme.SINGLE, A, B,
+        counts = run_trials(DetectorParams(k=4.0), "single", A, B,
                             make_rng(21), n)
         p_hat = counts["any_alice"] / n
         se = math.sqrt(0.875 * 0.125 / n)
@@ -135,7 +135,7 @@ class TestRunTrialsSingle:
 
 class TestRunTrialsHalves:
     def test_union_never_exceeds_marginals(self):
-        counts = run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B,
+        counts = run_trials(DetectorParams(k=1.0), "halves", A, B,
                             make_rng(2), 50_000)
         assert counts["any_coincidence"] <= counts["any_alice"]
         assert counts["any_coincidence"] <= counts["any_bob"]
@@ -155,7 +155,7 @@ class TestRunTrialsHalves:
         """k = 4 halves scheme versus the closed forms:
         P_A = 0.984375, paired coincidence 0.9975775..., union 0.970350...."""
         n = 1_000_000
-        counts = run_trials(DetectorParams(k=4.0), WindowScheme.HALVES, A, B,
+        counts = run_trials(DetectorParams(k=4.0), "halves", A, B,
                             make_rng(42), n)
 
         def check(label, expected):
@@ -169,7 +169,7 @@ class TestRunTrialsHalves:
 
     def test_unknown_phase_mode_rejected(self):
         """Rejected with the message of ``intensities``, before any draw."""
-        for scheme in WindowScheme:
+        for scheme in SCHEMES:
             rng = make_rng(0)
             before = str(rng.bit_generator.state)
             with pytest.raises(InvalidInputError, match=r"phase_mode must be one of .*'bogus'"):
@@ -179,7 +179,7 @@ class TestRunTrialsHalves:
 
 class TestTrialCounts:
     def test_counts_are_ints(self):
-        for scheme in WindowScheme:
+        for scheme in SCHEMES:
             counts = run_trials(DetectorParams(k=1.0), scheme, A, B, make_rng(5), 1000)
             for v in counts.values():
                 assert type(v) is int
@@ -187,7 +187,7 @@ class TestTrialCounts:
     def test_counts_bounded_by_n(self):
         n = 1234
         for phase_mode in ("suppressed", "sampled"):
-            c = run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B,
+            c = run_trials(DetectorParams(k=1.0), "halves", A, B,
                            make_rng(5), n, phase_mode=phase_mode)
             assert all(0 <= v <= n for v in c.values())
             assert c["paired_and_alice"] <= min(c["any_paired_coincidence"], c["any_alice"])
@@ -210,12 +210,12 @@ class TestDrawOrder:
             rng.random(n), rng.random(n)
 
         window()
-        if scheme is WindowScheme.SINGLE:
+        if scheme == "single":
             return
         window()
         rng.random(n), rng.random(n)  # one batch per cross channel
 
-    @pytest.mark.parametrize("scheme", list(WindowScheme))
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
     @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
     def test_generator_state_matches_documented_order(self, scheme, phase_mode):
         n = 777
@@ -248,7 +248,7 @@ def reference_counts(k, scheme, theta, phi, rng, n, phase_mode):
         ]
 
     a1, b1 = shots()
-    if scheme is WindowScheme.SINGLE:
+    if scheme == "single":
         c = a1 & b1
         flags = (a1, b1, c, c, c, c)
     else:
@@ -271,7 +271,7 @@ class TestKernelEquivalence:
     generator's end state equal those of the plain allocating kernel."""
 
     @pytest.mark.parametrize("n", [1, 7, 1000, CHUNK_TRIALS])
-    @pytest.mark.parametrize("scheme", list(WindowScheme))
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
     @pytest.mark.parametrize("phase_mode", ["suppressed", "sampled"])
     def test_matches_allocating_reference(self, n, scheme, phase_mode):
         for seed in (0, 17, 2024):
@@ -291,19 +291,19 @@ class TestKernelEquivalence:
         for name in ("x", "y", "chi", "xi"):
             assert np.array_equal(getattr(into, name), getattr(plain, name))
 
-        want = intensities(plain, 0.4, 1.3, phase_mode)
+        want_a, want_b = intensities(plain, 0.4, 1.3, phase_mode)
         # Bob's side may be written over the sample's own x.
         i, work = np.empty(n), np.empty(n)
-        got = intensities(into, 0.4, 1.3, phase_mode, out=(i, into.x), work=work)
-        assert got.i_a is i and got.i_b is x
-        assert np.array_equal(got.i_a, want.i_a) and np.array_equal(got.i_b, want.i_b)
-        fresh = intensities(plain, 0.4, 1.3, phase_mode, out=(np.empty(n), np.empty(n)))
-        assert np.array_equal(fresh.i_a, want.i_a) and np.array_equal(fresh.i_b, want.i_b)
+        got_a, got_b = intensities(into, 0.4, 1.3, phase_mode, out=(i, into.x), work=work)
+        assert got_a is i and got_b is x
+        assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+        fresh_a, fresh_b = intensities(plain, 0.4, 1.3, phase_mode, out=(np.empty(n), np.empty(n)))
+        assert np.array_equal(fresh_a, want_a) and np.array_equal(fresh_b, want_b)
 
         params = DetectorParams(k=3.0)
-        expected = detect_prob(params, want.i_a)
+        expected = detect_prob(params, want_a)
         out = np.empty(n)
-        assert detect_prob(params, want.i_a, out=out) is out
+        assert detect_prob(params, want_a, out=out) is out
         assert np.array_equal(out, expected)
         assert detect_prob(params, i, out=i) is i
         assert np.array_equal(i, expected)
@@ -358,8 +358,8 @@ class TestCrossShotLaw:
         rng, batch, fired = sfc64(2028), 1 << 20, 0
         for _ in range(4):
             sample = sample_field(rng, batch, sampled)
-            pair = intensities(sample, angle, angle, phase_mode)
-            fired += np.count_nonzero(rng.random(batch) < detect_prob(DetectorParams(k), pair.i_a))
+            i_a, _ = intensities(sample, angle, angle, phase_mode)
+            fired += np.count_nonzero(rng.random(batch) < detect_prob(DetectorParams(k), i_a))
         n, p = 4 * batch, _shot_prob(k, angle, sampled)
         assert abs(fired / n - p) <= 5 * math.sqrt(p * (1 - p) / n)
 
@@ -460,13 +460,13 @@ class TestTrialCountArgument:
     def test_rejected_before_any_draw(self, n):
         rng, untouched = sfc64(1), sfc64(1)
         with pytest.raises(InvalidInputError, match=r"n must be an integer >= 1"):
-            run_trials(DetectorParams(k=1.0), WindowScheme.HALVES, A, B, rng, n)
+            run_trials(DetectorParams(k=1.0), "halves", A, B, rng, n)
         assert np.array_equal(rng.random(4), untouched.random(4))
 
     def test_numpy_integer_accepted(self):
-        counts = run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
+        counts = run_trials(DetectorParams(k=1.0), "single", A, B,
                             sfc64(1), np.int64(3))
-        assert counts == run_trials(DetectorParams(k=1.0), WindowScheme.SINGLE, A, B,
+        assert counts == run_trials(DetectorParams(k=1.0), "single", A, B,
                                     sfc64(1), 3)
 
     @pytest.mark.parametrize("size", [True, 2.5, 0])
@@ -481,9 +481,9 @@ class TestWorkspacePeak:
     replaced, measured this way on numpy 2.4.6 (single 2 623 112 B, halves
     2 754 216 B).  The workspace itself is 2 MiB of floats plus the flags."""
 
-    BOUND = {WindowScheme.SINGLE: 2_623_112, WindowScheme.HALVES: 2_754_216}
+    BOUND = {"single": 2_623_112, "halves": 2_754_216}
 
-    @pytest.mark.parametrize("scheme", list(WindowScheme))
+    @pytest.mark.parametrize("scheme", list(SCHEMES))
     def test_peak_within_bound(self, scheme):
         rng = sfc64(7)
         run_trials(DetectorParams(k=4.0), scheme, A, B, rng, CHUNK_TRIALS)  # warm up

@@ -29,9 +29,11 @@ MODULES = ["bellsim"] + [
 
 #: Names deleted in favour of ``ch_curve_value(k, quad, mode)`` and
 #: ``ch_value(table_for_mode(k, quad, mode))``, the Q functions that
-#: ``qset`` replaced, and the model error that ``InvalidInputError`` replaced.
+#: ``qset`` replaced, the model error that ``InvalidInputError`` replaced,
+#: the scheme enum that the ``SCHEMES`` strings replaced, and the intensity
+#: wrapper that the ``(i_a, i_b)`` pair replaced.
 DELETED = ("ch_standard", "ch_multiwindow", "ch_union", "ch_multiwindow_two_term",
-           "q_single", "q_joint", "ModelInvalidError")
+           "q_single", "q_joint", "ModelInvalidError", "WindowScheme", "IntensityPair")
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -101,7 +103,9 @@ def test_lazy_name_is_the_submodule_object_and_is_cached():
 
 
 @pytest.mark.parametrize(
-    "module", [bellsim, bellsim.analytic, bellsim.errors], ids=["bellsim", "analytic", "errors"]
+    "module",
+    [bellsim, bellsim.analytic, bellsim.errors, bellsim.detector, bellsim.source],
+    ids=["bellsim", "analytic", "errors", "detector", "source"],
 )
 def test_deleted_ch_wrappers_are_gone(module):
     assert [n for n in DELETED if hasattr(module, n)] == []

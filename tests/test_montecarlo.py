@@ -4,18 +4,20 @@ with the closed forms."""
 import ast
 import math
 import statistics
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellsim.detector import DetectorParams, WindowScheme, run_trials
+from bellsim.detector import COUNT_KEYS, DetectorParams, run_trials
 from bellsim.errors import InvalidInputError
 from bellsim.inequalities import ProbabilityTable, ch_value
 from bellsim.montecarlo import (
     CHUNK_TRIALS,
     RNG_CONTRACT,
+    _MAX_WORKERS,
     ComparisonReport,
     EstimateWithCI,
     RunConfig,
@@ -38,20 +40,21 @@ def single_report():
 @pytest.fixture(scope="module")
 def halves_report():
     return compare_to_analytic(
-        RunConfig(k=4.0, scheme=WindowScheme.HALVES, seed=42, n_trials=100_000)
+        RunConfig(k=4.0, scheme="halves", seed=42, n_trials=100_000)
     )
 
 
 class TestRunConfig:
     def test_defaults(self):
         cfg = RunConfig(k=1.0)
-        assert cfg.scheme is WindowScheme.SINGLE
+        assert cfg.scheme == "single"
         assert cfg.n_trials == 100_000
         assert cfg.phase_mode == "suppressed"
         assert cfg.workers == 1
 
     def test_scheme_coerced_from_string(self):
-        assert RunConfig(k=1.0, scheme="halves").scheme is WindowScheme.HALVES
+        scheme = RunConfig(k=1.0, scheme=np.str_("halves")).scheme
+        assert type(scheme) is str and scheme == "halves"
 
     def test_validation(self):
         with pytest.raises(InvalidInputError):
@@ -77,6 +80,13 @@ class TestRunConfig:
     def test_accepts_numpy_integers(self):
         cfg = RunConfig(k=1.0, seed=np.int64(3), n_trials=np.int32(10), workers=np.uint8(2))
         assert (cfg.seed, cfg.n_trials, cfg.workers) == (3, 10, 2)
+
+    def test_workers_are_capped(self):
+        """A worker count past the cap is turned away by the config, so no
+        run ever asks the pool for that many threads."""
+        message = f"^workers must be an integer <= {_MAX_WORKERS}, got {_MAX_WORKERS + 1}$"
+        with pytest.raises(InvalidInputError, match=message):
+            RunConfig(k=1.0, workers=_MAX_WORKERS + 1)
 
 
 class TestEstimateWithCI:
@@ -447,3 +457,47 @@ def test_the_scan_sees_a_stream_build(tmp_path):
         "copy.py:4 default_rng",
     ]
     assert _stream_builds(Path(montecarlo.__file__)) != []
+
+
+#: What the stubbed chunk returns: one of each event.
+_ONE_EACH = dict.fromkeys(COUNT_KEYS, 1)
+
+
+class TestChunkLoops:
+    """``estimate_table`` gives each pool thread one loop over its share of
+    the pair-major (pair, chunk) grid, with ``_run_chunk`` stubbed."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8, 64])
+    def test_every_chunk_runs_once(self, monkeypatch, workers):
+        calls = []
+
+        def run_chunk(cfg, pair_idx, chunk_idx, size):
+            calls.append((pair_idx, chunk_idx, size))
+            return _ONE_EACH
+
+        monkeypatch.setattr(montecarlo, "_run_chunk", run_chunk)
+        table = estimate_table(RunConfig(k=1.0, n_trials=5 * CHUNK_TRIALS + 3, workers=workers))
+        grid = [(p, c, CHUNK_TRIALS if c < 5 else 3) for p in range(4) for c in range(6)]
+        assert sorted(calls) == grid
+        if workers == 1:
+            assert calls == grid
+        assert {name: est.count for name, est in table.entries.items()} == dict.fromkeys(
+            table.entries, 6
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_state_does_not_grow_with_the_chunk_count(self, monkeypatch, workers):
+        """No per-chunk state: at 2^13 chunks per pair the traced peak of a
+        run stays under 1 MB.  A list of every task of the grid, submitted
+        to the pool at once, peaked at about 57 MB."""
+        monkeypatch.setattr(montecarlo, "_run_chunk", lambda *args: _ONE_EACH)
+        cfg = RunConfig(k=1.0, n_trials=CHUNK_TRIALS << 13, workers=workers)
+        estimate_table(cfg)  # warm up
+        tracemalloc.start()
+        try:
+            table = estimate_table(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.entries["p_a"].count == 1 << 13
+        assert peak < 1 << 20
