@@ -41,9 +41,9 @@ __version__ = "0.1.0"
 #: ``bellsim.<name>`` is ``bellsim.<submodule>.<name>``.
 _EXPORTS = {
     "analytic": (
-        "CH_CURVE_MODES", "SWEEP_MODES", "QSet", "SmallKReport", "ch_curve_value",
-        "ch_zero_crossing", "multiwindow_table", "qset", "small_k_expansion", "standard_table",
-        "table_for_mode", "union_coincidence_table",
+        "ANALYTIC_ARITHMETIC", "CH_CURVE_MODES", "SWEEP_MODES", "QSet", "SmallKReport",
+        "ch_curve_value", "ch_zero_crossing", "multiwindow_table", "qset", "small_k_expansion",
+        "standard_table", "table_for_mode", "union_coincidence_table",
     ),
     "detector": (
         "COUNT_KEYS", "SCHEMES", "DetectorParams", "HalfWindowParams", "detect_prob", "gain",

@@ -57,6 +57,26 @@ SWEEP_MODES = ("standard", "multiwindow-exact", "multiwindow-paper")
 CH_CURVE_MODES = SWEEP_MODES + ("multiwindow-two-term", "multiwindow-union")
 
 
+#: Version of the bits of every closed-form output: the log grids of the
+#: ``analytic`` sweep and of the crossing scan, and the arithmetic of the
+#: counting laws.  Closed-form output changes between versions only when
+#: this number changes.  History:
+#: 1, ``np.geomspace`` grids and powers through libm ``pow``;
+#: 2, libm grids (:func:`_log_grid`) and powers as products, so that every
+#: byte is the same at each SIMD level.
+ANALYTIC_ARITHMETIC = 2
+
+
+def _log_grid(lo: float, hi: float, n: int) -> np.ndarray:
+    """``n`` log-spaced values from ``lo`` to ``hi`` > ``lo`` > 0: libm's
+    ``10.0 ** x`` over ``np.linspace`` exponents, with both ends exact.
+    ``np.geomspace`` goes through ``np.power``, whose bits vary with the
+    SIMD level."""
+    grid = [10.0**x for x in np.linspace(math.log10(lo), math.log10(hi), n).tolist()]
+    grid[0], grid[-1] = lo, hi
+    return np.array(grid)
+
+
 # Above this k, k*k can overflow to inf (from ~1.3e154 on) and inf * 0 gives
 # NaN at an on-axis angle, so the denominators are evaluated in the factored
 # form 1 + k*(c + k*x).  Below it the expanded form is kept, because its
@@ -122,11 +142,19 @@ def _split_single(qx: float) -> float:
 def _exact_pair(qx: float, qy: float, qxy: float) -> float:
     same_half = qx + qy - qxy          # 1 - P_XY of one half
     cross_half = qx + qy - qx * qy     # 1 - P_X * P_Y
-    return 1.0 - (same_half * cross_half) ** 2
+    z = same_half * cross_half
+    return 1.0 - z * z
+
+
+def _fourth(z: float) -> float:
+    s = z * z
+    return s * s
 
 
 #: The counting laws: table mode -> (single(q_x), pair(q_x, q_y, q_xy)),
 #: the marginal and the joint detection probability from the Q closed forms.
+#: Powers are products: a float and a float array then take the same IEEE
+#: operations, where an array's ``**`` is ``np.power``, whose bits vary.
 _LAWS = {
     # One shared window: P_X + P_Y - 1 + Q_XY.
     "standard": (
@@ -134,7 +162,7 @@ _LAWS = {
         lambda qx, qy, qxy: (1.0 - qx) + (1.0 - qy) - 1.0 + qxy,
     ),
     "multiwindow-exact": (_split_single, _exact_pair),
-    "multiwindow-paper": (_split_single, lambda qx, qy, qxy: 1.0 - (qx + qy - qxy) ** 4),
+    "multiwindow-paper": (_split_single, lambda qx, qy, qxy: 1.0 - _fourth(qx + qy - qxy)),
     # P(any_X and any_Y) over two independent halves.
     "multiwindow-union": (
         _split_single,
@@ -192,7 +220,7 @@ def ch_curve_value(k: float, quad: AngleQuad = DEFAULT_QUAD, mode: str = "multiw
 
 def _two_term(q_a, q_b, q_ap, q_bp, q_ab, q_abp, *_):
     """The two-term end formula as (positive part, subtracted part)."""
-    return 2.0 * (q_a + q_bp - q_abp) ** 4, 2.0 * q_a**2
+    return 2.0 * _fourth(q_a + q_bp - q_abp), 2.0 * (q_a * q_a)
 
 
 def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
@@ -204,24 +232,16 @@ def _ch_parts(k: float, quad: AngleQuad, mode: str) -> tuple[float, float]:
     return b.p_s, b.p_c
 
 
-class _LibmPow(np.ndarray):
-    """A float array whose ``**`` is libm ``pow`` per element, as on a float."""
-    _pow = np.frompyfunc(pow, 2, 1)
-
-    def __pow__(self, exponent):
-        return self._pow(self, exponent).astype(float)
-
-
 def _ch_parts_at(ks: np.ndarray, quad: AngleQuad, mode: str) -> tuple[np.ndarray, np.ndarray]:
     """:func:`_ch_parts` at each k of a float array ``ks`` > 0, bit for bit:
     the same formulas, broadcast, with ``np.where`` for the branch and the
-    clamp, and libm's ``**`` (``np.power``'s bits depend on the SIMD level)."""
+    clamp."""
     operands = _instance("quad", quad, AngleQuad)._operands
     with np.errstate(over="ignore", invalid="ignore"):  # in the form not taken
         q = np.where(ks > _FACTORED_K, _q_forms(ks, operands, True), _q_forms(ks, operands, False))
     if mode == "multiwindow-two-term":
-        return _two_term(*q.view(_LibmPow))
-    q_a, q_b, q_ap, q_bp, q_ab, q_abp, q_apb, q_apbp = q.view(_LibmPow)
+        return _two_term(*q)
+    q_a, q_b, q_ap, q_bp, q_ab, q_abp, q_apb, q_apbp = q
     single, pair = _LAWS[mode]
     joints = np.array([pair(q_a, q_b, q_ab), pair(q_a, q_bp, q_abp),
                        pair(q_ap, q_b, q_apb), pair(q_ap, q_bp, q_apbp)])
@@ -241,12 +261,12 @@ def ch_zero_crossing(
 ) -> float | None:
     """Locate the k where CH(k) changes sign, or None if it never does.
 
-    A log-spaced scan of 241 values over ``bracket`` (one array call, with
-    the bits of :func:`ch_curve_value` at every value) finds the first sign
-    change between scanned values that stand above rounding, i.e. |CH| >
-    16 eps max(|Ps| + |Pc|, 1) for CH = Ps - Pc (each table entry is 1
-    minus a value near 1, so it carries ~eps of absolute rounding however
-    small it is); bisection (robust, no derivatives) then refines it to
+    A log-spaced scan of 241 values over ``bracket`` (:func:`_log_grid`; one
+    array call, with the bits of :func:`ch_curve_value` at every value)
+    finds the first sign change between scanned values that stand above
+    rounding, i.e. |CH| > 16 eps max(|Ps| + |Pc|, 1) for CH = Ps - Pc (each
+    table entry is 1 minus a value near 1, so it carries ~eps of absolute
+    rounding however small it is); bisection (robust, no derivatives) then refines it to
     relative tolerance 1e-12.  Where the scan has values within rounding of
     0 between the two signs, bisection runs across them and returns a point
     where the computed CH changes sign inside that band.  A curve that
@@ -257,7 +277,7 @@ def ch_zero_crossing(
     yield None rather than an exception.
     """
     _member("mode", mode, CH_CURVE_MODES)
-    ks = np.geomspace(*_interval("bracket", bracket, positive=True), _SCAN_POINTS)
+    ks = _log_grid(*_interval("bracket", bracket, positive=True), _SCAN_POINTS)
     plus, minus = _ch_parts_at(ks, quad, mode)
     values = plus - minus
     noise = 16.0 * np.finfo(float).eps * np.maximum(np.abs(plus) + np.abs(minus), 1.0)

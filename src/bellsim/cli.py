@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
+from .analytic import SWEEP_MODES, _log_grid, ch_zero_crossing, table_for_mode
 from .detector import SCHEMES
 from .errors import (
     _MAX_GRID, BellsimError, InvalidInputError, _count, _interval, _member, _positive, _real,
@@ -153,7 +153,7 @@ class SweepSpec:
 
     def k_values(self) -> np.ndarray:
         if self.grid_kind == "log":
-            return np.geomspace(self.start, self.stop, self.points)
+            return _log_grid(self.start, self.stop, self.points)
         return np.linspace(self.start, self.stop, self.points)
 
 

@@ -91,8 +91,11 @@ class Waveform:
         comps = tuple((float(c), int(h)) for c, h in self.components)
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "omega", _positive("omega", self.omega))
-        # A subnormal omega is positive, yet its period overflows to inf.
+        # A subnormal omega is positive, yet its period overflows to inf; a
+        # huge one is finite, yet the top harmonic of the intensity series
+        # (twice the top component harmonic) times omega overflows.
         _positive("omega's period 2*pi/omega", self.period)
+        _positive("omega's top intensity harmonic 2*max(h)*omega", _top_omega(self))
         object.__setattr__(self, "amplitude", _positive("amplitude", self.amplitude, zero=True))
         # |A|^2 (sum_j |c_j|)^2 bounds every intensity value and series
         # coefficient; float products give inf (or nan for 0 * inf) where a
@@ -116,6 +119,11 @@ class Waveform:
         """Build a waveform with coefficients on consecutive harmonics 1..n."""
         comps = tuple((c, j + 1) for j, c in enumerate(coefficients))
         return cls(components=comps, omega=omega, amplitude=amplitude)
+
+
+def _top_omega(w: Waveform) -> float:
+    """2 max(h) omega, the top angular frequency of the intensity series."""
+    return 2.0 * max(h for _, h in w.components) * w.omega
 
 
 def three_wave(omega: float = 1.0, amplitude: float = 1.0) -> Waveform:
@@ -523,10 +531,12 @@ def sample_events(
     intensity maximum of :func:`_profile_max` (inflated by 1e-9 relative),
     and every candidate is decided with the exact profile.  Raises
     :class:`InvalidInputError`, before any draw, when the total expected
-    candidate count is beyond what ``rng.poisson`` accepts.
+    candidate count is beyond what ``rng.poisson`` accepts, or when the
+    phase 2 max(h) omega span of the top harmonic overflows.
     """
     span, rate_scale = _positive("span", span), _positive("rate_scale", rate_scale)
     series, profile = _exact_profile(w, detection_time)
+    _positive("the top intensity harmonic's phase 2*max(h)*omega*span", _top_omega(w) * span)
     i_max, _, _ = _profile_max(series, profile, w.period, 4096)
     if i_max <= 0.0:
         return EventStream(times=np.empty(0), rate_scale=rate_scale)

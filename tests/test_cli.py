@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from tempfile import TemporaryDirectory
@@ -15,7 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bellsim.analytic import SWEEP_MODES, ch_zero_crossing, table_for_mode
+from bellsim.analytic import (
+    ANALYTIC_ARITHMETIC, SWEEP_MODES, _log_grid, ch_zero_crossing, table_for_mode,
+)
 from bellsim.cli import main, parse_angle
 from bellsim.inequalities import AngleQuad, ch_value, eval_discrete_lhv, random_discrete_model
 from bellsim.montecarlo import RNG_CONTRACT, RunConfig
@@ -215,7 +218,7 @@ class TestAnalytic:
 def _reference_sweep(grid, start, stop, points, quad, modes):
     """The sweep CSV as csv.writer writes it, each float cell as
     repr(float(x)), from the same rows and footers the CLI computes."""
-    space = np.geomspace if grid == "log" else np.linspace
+    space = _log_grid if grid == "log" else np.linspace
     ks = space(start, stop, points).tolist()
     rows, footers = [], []
     for mode in modes:
@@ -643,6 +646,49 @@ class TestTopLevel:
         assert err == line + "\n"
 
 
+class TestErrorLines:
+    """A bad spec file, a waveform without events and an omega whose phase
+    overflows: each exits 1 with empty stdout and one pinned ``error:``
+    line, and with no warning (warnings are errors here)."""
+
+    @pytest.mark.parametrize("spec, argv, line", [
+        pytest.param("[1, 2]", ("analytic", "--spec", "sweep.json"),
+                     "sweep config must be a JSON object", id="spec-not-an-object"),
+        pytest.param('{"quad": {"c": 1.0}}', ("analytic", "--spec", "sweep.json"),
+                     "unknown quad keys: ['c']; expected ['a', 'a_prime', 'b', 'b_prime']",
+                     id="spec-unknown-quad-key"),
+        pytest.param('{"k_grid": 3}', ("analytic", "--spec", "sweep.json"),
+                     "'k_grid' must be a JSON object", id="spec-k_grid-not-an-object"),
+        pytest.param('{"quad": [0.5]}', ("analytic", "--spec", "sweep.json"),
+                     "'quad' must be a JSON object", id="spec-quad-not-an-object"),
+        pytest.param('{"modes": "standard"}', ("analytic", "--spec", "sweep.json"),
+                     "'modes' must be a JSON array", id="spec-modes-not-an-array"),
+        pytest.param(None, ("analytic", "--spec", "missing.json"),
+                     "cannot read spec file: [Errno 2] No such file or directory: 'missing.json'",
+                     id="spec-unreadable"),
+        pytest.param(None, ("waveform", "delays", "--amplitude", "0"),
+                     "waveform has zero mean intensity; no events to sample",
+                     id="zero-mean-intensity"),
+        pytest.param(None, ("waveform", "stats", "--omega", "3e307"),
+                     "omega's top intensity harmonic 2*max(h)*omega must be positive and finite, "
+                     "got inf", id="omega-3e307"),
+        pytest.param(None, ("waveform", "windows", "--omega", "1e308"),
+                     "omega's top intensity harmonic 2*max(h)*omega must be positive and finite, "
+                     "got inf", id="omega-1e308"),
+        pytest.param(None, ("waveform", "delays", "--omega", "1e307", "--span", "200"),
+                     "the top intensity harmonic's phase 2*max(h)*omega*span must be positive "
+                     "and finite, got inf", id="omega-1e307-span-200"),
+    ])
+    def test_one_error_line(self, capsys, tmp_path, monkeypatch, spec, argv, line):
+        monkeypatch.chdir(tmp_path)
+        if spec is not None:
+            Path("sweep.json").write_text(spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"error: {line}\n")
+
+
 #: stdout of ``waveform windows --seed S`` and ``waveform delays --seed S
 #: --bins 8``, per waveform stream.  Stream 2's values come from the plain
 #: thinning loop and two-search window count that preceded the thinning
@@ -823,16 +869,33 @@ STATS_SHA256 = {
     (): "db201a8c03f3d3cb2b202d2a81caf82120e5383a8111a36e4097ffcd979b3637",
     ("--detection-time", "0.3"): "434b7cdd95e4a80577c000d905aaa617d385c754eb028354323193362e43fcf7",
 }
-ANALYTIC_SHA256 = {
-    (): "f2b495e00682529e984d3e86a96155fc96d93d132109f4c52c00391ac1302479",
-    ("--points", "2001"): "1eec648f8c81c04a99f0d6c95783588fa7747a7e6249dd084236e4908f3811a9",
-    ("--start", "1e-3", "--stop", "1e30", "--points", "301"):
-        "f78daddfcb37d512b8250f5bea198bd36b50791b3200ad18d12e6d70a46e7ab3",
+#: The argvs of the pinned ``analytic`` sweeps.
+ANALYTIC_ARGVS = (
+    (),
+    ("--points", "2001"),
+    ("--start", "1e-3", "--stop", "1e30", "--points", "301"),
     (
         "--grid", "linear", "--start", "0.5", "--stop", "9", "--points", "77",
         "--angle-a", "10deg", "--angle-b", "0.4", "--angle-a-prime", "1",
         "--angle-b-prime", "80deg",
-    ): "0a5ca1f4270d12693dfb617f3037f07567ce068f378e89cffd7794ad4166ae0f",
+    ),
+)
+#: sha256 of each ``analytic`` sweep's stdout, in ``ANALYTIC_ARGVS`` order,
+#: per closed-form arithmetic.  The digests of 1 are those of a host whose
+#: numpy dispatches ``np.power`` to AVX-512; 2 holds at every SIMD level.
+ANALYTIC_SHA256 = {
+    1: (
+        "f2b495e00682529e984d3e86a96155fc96d93d132109f4c52c00391ac1302479",
+        "1eec648f8c81c04a99f0d6c95783588fa7747a7e6249dd084236e4908f3811a9",
+        "f78daddfcb37d512b8250f5bea198bd36b50791b3200ad18d12e6d70a46e7ab3",
+        "0a5ca1f4270d12693dfb617f3037f07567ce068f378e89cffd7794ad4166ae0f",
+    ),
+    2: (
+        "30b9c0a1fcbf88bee6640779b2366be08f60e1c0a4e3ba49b25d159b7df3f7f1",
+        "5008c9a036b9f3d43f46f9d783372e2a821f7d9d37e354ca120bd067ae5e26f6",
+        "e1ceb65f7e9480765cbb3ab0ab94c75fb9584ea9d1d68df97ed28d9229997d88",
+        "d90f502d4cf138d20ed1ac60761f07b56f8b2f43bf6405456ace0b325e2c6af0",
+    ),
 }
 #: sha256 of the ``simulate --k 4 --trials 70000 --seed 3`` report without
 #: ``runtime_seconds``, re-serialized with sorted keys, per RNG contract.
@@ -886,6 +949,22 @@ for scheme in ("single", "halves"):
     del report["runtime_seconds"]
     print(hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest())
 """
+
+
+#: Run in a child interpreter: the features still on, then the digest of
+#: each pinned ``analytic`` sweep's stdout.
+_ANALYTIC_GOLDEN_CHECK = """
+import contextlib, hashlib, io
+from numpy._core._multiarray_umath import __cpu_features__
+from bellsim.cli import main
+
+print(*sorted(name for name, on in __cpu_features__.items() if on))
+for argv in %r:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analytic", *argv]) == 0
+    print(hashlib.sha256(out.getvalue().encode()).hexdigest())
+""" % (ANALYTIC_ARGVS,)
 
 
 class TestGoldenOutput:
@@ -944,11 +1023,22 @@ class TestGoldenOutput:
         assert "\nargmax_time,3.141592653589793\n" in out
         assert hashlib.sha256(out.encode()).hexdigest() == STATS_SHA256[argv]
 
-    @pytest.mark.parametrize("argv", list(ANALYTIC_SHA256))
+    @pytest.mark.parametrize("argv", ANALYTIC_ARGVS)
     def test_analytic_csv(self, capsys, argv):
+        assert ANALYTIC_ARITHMETIC in ANALYTIC_SHA256, "new closed-form arithmetic: pin its digests"
         code, out, _ = run(capsys, "analytic", *argv)
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == ANALYTIC_SHA256[argv]
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == ANALYTIC_SHA256[ANALYTIC_ARITHMETIC][ANALYTIC_ARGVS.index(argv)]
+
+    def test_analytic_goldens_at_each_simd_level(self, simd_disabled, simd_child):
+        """Every pinned ``analytic`` sweep prints the pinned bytes with
+        numpy's kernels above each level off."""
+        proc = simd_child(_ANALYTIC_GOLDEN_CHECK)
+        assert proc.returncode == 0, proc.stderr
+        features_on, *digests = proc.stdout.splitlines()
+        assert not set(simd_disabled) & set(features_on.split())
+        assert tuple(digests) == ANALYTIC_SHA256[ANALYTIC_ARITHMETIC]
 
     @pytest.mark.parametrize("scheme", ["single", "halves"])
     def test_simulate_report(self, capsys, scheme):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from bellsim.analytic import ANALYTIC_ARITHMETIC
 from bellsim.montecarlo import RNG_CONTRACT
 from bellsim.waveform import WAVEFORM_STREAM
 
@@ -21,7 +22,11 @@ ROOT = Path(__file__).resolve().parents[1]
 
 DEMO_SHA256 = {
     "01_bell_theorem_playground.py": "5b14dd13fd16095b23bf31bd0c46abbad9022aced03b8ab5170c7b96f6928b74",
-    "02_standard_vs_multiwindow.py": "f48f915260a522af4f4e31c58deea425e18fb97e92d47b509011def2184eb1ab",
+    # Prints closed forms, so its digest is pinned per closed-form arithmetic.
+    "02_standard_vs_multiwindow.py": {
+        1: "f48f915260a522af4f4e31c58deea425e18fb97e92d47b509011def2184eb1ab",
+        2: "17e540ab8148aeefb67b54d52f5fc9566aa9d82a032f677439734c58edf5345a",
+    },
     "03_window_algebra.py": "9dada146586a759e6ba23d3ca305f3b74192390889ad6f6e6f456c9e646594e2",
     # Runs Monte Carlo trials, so its digest is pinned per RNG contract.
     "04_simulation_validation.py": {
@@ -34,8 +39,10 @@ DEMO_SHA256 = {
         3: "e739937b63cfc0d187a49502f6f5784c791588e45be63c212da70d791f04c485",
     },
 }
-#: The stream version that keys each demo's per-version digests above.
-_STREAM_VERSION = {
+#: The version that keys each demo's per-version digests above: that of its
+#: stream, or of the closed-form arithmetic.
+_PIN_VERSION = {
+    "02_standard_vs_multiwindow.py": ANALYTIC_ARITHMETIC,
     "04_simulation_validation.py": RNG_CONTRACT,
     "05_chaotic_light_timing.py": WAVEFORM_STREAM,
 }
@@ -57,6 +64,6 @@ def test_demo_stdout(demo):
     assert proc.returncode == 0, proc.stderr.decode()
     expected = DEMO_SHA256[demo]
     if isinstance(expected, dict):
-        assert _STREAM_VERSION[demo] in expected, "new stream version: pin its digest"
-        expected = expected[_STREAM_VERSION[demo]]
+        assert _PIN_VERSION[demo] in expected, "new version: pin its digest"
+        expected = expected[_PIN_VERSION[demo]]
     assert hashlib.sha256(proc.stdout).hexdigest() == expected, proc.stdout.decode()

@@ -91,6 +91,34 @@ class TestWaveformConstruction:
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             Waveform(((1.0, 1),), omega=omega)
 
+    @pytest.mark.parametrize("omega", [3e307, 1e308])
+    def test_omega_whose_top_harmonic_overflows(self, omega):
+        """The squared three-wave has harmonics up to 6, and 6 * omega
+        overflows: it is turned away by name, not by a math domain error
+        of the profile's slope."""
+        message = "omega's top intensity harmonic 2*max(h)*omega must be positive and finite, got inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                three_wave(omega=omega)
+
+    def test_phase_over_the_span_overflows(self):
+        """6 * omega is finite at omega = 1e307, but 6 * omega * t overflows
+        within a span of 200: sample_events turns it away before any draw,
+        not after a profile of NaN with numpy's warnings."""
+        w = three_wave(omega=1e307)
+        message = (
+            "the top intensity harmonic's phase 2*max(h)*omega*span must be positive and finite, "
+            "got inf"
+        )
+        rng = make_rng(5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                sample_events(w, 200.0, 1.0, rng)
+            assert intensity_stats(w).maximum == 16.0
+        assert rng.random() == make_rng(5).random()
+
     def test_large_finite_intensity_scale(self):
         assert intensity_stats(three_wave(amplitude=1e150)).maximum == pytest.approx(16e300)
 
